@@ -11,8 +11,7 @@ from .distinguisher import (
     GameReport,
     IdealPermutationOracle,
     OracleMachine,
-    attack_source_heavy,
-    attack_target_heavy,
+    attack_leading_block,
     attack_ufn2_2k,
     attack_ufn2_even_k,
     calibrate_w_index,
@@ -28,10 +27,6 @@ from .feistel import (
     extend_block_cipher,
     ggm_ufn,
     ideal_ufn,
-    round_balanced,
-    round_source_heavy,
-    round_target_heavy,
-    round_ufn2,
 )
 from .prbg import (
     BbsParams,
@@ -48,7 +43,6 @@ from .prf import (
     GgmKey,
     IdealFunctionOracle,
     ggm_eval,
-    ggm_oracle,
     ideal_oracle,
     split_master_key,
 )

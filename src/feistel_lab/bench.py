@@ -25,6 +25,7 @@ from .bits import BitString
 from .feistel import UfnKind, UfnParams, UfnPermutation, ggm_ufn, ideal_ufn
 from .prbg import FastBitGenerator, derive_seed
 from .prf import DEFAULT_TABLE_CAP, GgmFunctionOracle, IdealFunctionOracle
+from .statcheck import secure_rounds
 
 __all__ = [
     "StructureProfile",
@@ -70,16 +71,8 @@ def structure_profile(kind: UfnKind, n: int, k: int) -> StructureProfile:
         half = state // 2
         params = UfnParams(UfnKind.BALANCED, half, 1, 3)
         return StructureProfile(kind, 3, half, half, params)
-    params = UfnParams(kind, n, k, secure_rounds_for(kind, k))
+    params = UfnParams(kind, n, k, secure_rounds(kind, k))
     return StructureProfile(kind, params.r, params.round_in_bits, params.round_out_bits, params)
-
-
-def secure_rounds_for(kind: UfnKind, k: int) -> int:
-    if kind is UfnKind.BALANCED:
-        return 3
-    if kind in (UfnKind.SOURCE_HEAVY, UfnKind.TARGET_HEAVY):
-        return k + 2
-    return 2 * k + 1
 
 
 def coarse_memory_bits(kind: UfnKind, n: int, k: int) -> int:
@@ -150,19 +143,19 @@ class StructureReport:
     p1: int
     p2: int
     state_bits: int
-    # memoized mode
-    analytic_table_bits: int | None
-    coarse_table_bits: int | None
-    coarse_matches_exact: bool | None
-    measured_table_bits: int | None
-    workload_table_bits: int | None
-    exhausted: bool
-    # ggm mode
-    analytic_prbg_bits: int | None
-    measured_prbg_bits: int | None
-    coarse_prbg_bits: int | None
     # timing (informational; excluded from deterministic serializations)
     seconds_per_encryption: float
+    # memoized mode
+    analytic_table_bits: int | None = None
+    coarse_table_bits: int | None = None
+    coarse_matches_exact: bool | None = None
+    measured_table_bits: int | None = None
+    workload_table_bits: int | None = None
+    exhausted: bool = False
+    # ggm mode
+    analytic_prbg_bits: int | None = None
+    measured_prbg_bits: int | None = None
+    coarse_prbg_bits: int | None = None
     # ratios on the analytic cost metric of the mode
     memory_ratio: float | None = None
     coarse_memory_ratio: float | None = None
@@ -308,9 +301,6 @@ def run_bench(cfg: BenchConfig) -> BenchReport:
                     measured_table_bits=measured,
                     workload_table_bits=workload_bits,
                     exhausted=exhausted,
-                    analytic_prbg_bits=None,
-                    measured_prbg_bits=None,
-                    coarse_prbg_bits=None,
                     seconds_per_encryption=per_enc,
                     time_units=profile.rounds * profile.p2,
                 )
@@ -325,12 +315,6 @@ def run_bench(cfg: BenchConfig) -> BenchReport:
                     p1=profile.p1,
                     p2=profile.p2,
                     state_bits=profile.state_bits,
-                    analytic_table_bits=None,
-                    coarse_table_bits=None,
-                    coarse_matches_exact=None,
-                    measured_table_bits=None,
-                    workload_table_bits=None,
-                    exhausted=False,
                     analytic_prbg_bits=analytic_prbg,
                     measured_prbg_bits=measured,
                     coarse_prbg_bits=coarse_prbg,

@@ -37,14 +37,6 @@ class BitString:
         return cls(len(bits), value)
 
     @classmethod
-    def zeros(cls, width: int) -> "BitString":
-        return cls(width, 0)
-
-    @classmethod
-    def ones(cls, width: int) -> "BitString":
-        return cls(width, (1 << width) - 1)
-
-    @classmethod
     def parse(cls, text: str) -> "BitString":
         """Parse the ``width:hexdigits`` form, e.g. ``6:2D`` for 101101."""
         left, sep, digits = text.partition(":")

@@ -20,8 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from .bench import ALL_KINDS, BenchConfig, report_csv, run_bench
 from .bits import BitString
 from .distinguisher import (
-    attack_source_heavy,
-    attack_target_heavy,
+    attack_leading_block,
     attack_ufn2_2k,
     attack_ufn2_even_k,
     fresh_ideal_factory,
@@ -33,24 +32,26 @@ from .feistel import UfnKind, UfnParams, ggm_ufn, ideal_ufn
 from .prbg import derive_seed
 from .statcheck import (
     BadEventSpec,
-    bad_event_bound,
+    BadProbReport,
+    UniformityReport,
     bad_event_counts,
     build_ufn2_matrix,
     gf2_nonsingular,
     secure_rounds,
     uniformity_counts,
-    watched_rounds,
 )
-from .stats import chi_square_critical, chi_square_statistic, wilson_halfwidth
 
 SEED_ENV_VAR = "FEISTEL_LAB_SEED"
 SCHEMA_VERSION = 1
 
+# Attack name -> (target structure, machine factory, attackable rounds at ratio k).
+# The XOR-sum relation of ufn2-even holds at every round count; it targets the
+# count that would otherwise be considered safe.
 _ATTACKS = {
-    "src-k1": (UfnKind.SOURCE_HEAVY, attack_source_heavy),
-    "tgt-k1": (UfnKind.TARGET_HEAVY, attack_target_heavy),
-    "ufn2-even": (UfnKind.UFN2, attack_ufn2_even_k),
-    "ufn2-2k": (UfnKind.UFN2, attack_ufn2_2k),
+    "src-k1": (UfnKind.SOURCE_HEAVY, attack_leading_block, lambda k: k + 1),
+    "tgt-k1": (UfnKind.TARGET_HEAVY, attack_leading_block, lambda k: k + 1),
+    "ufn2-even": (UfnKind.UFN2, attack_ufn2_even_k, lambda k: 2 * k + 1),
+    "ufn2-2k": (UfnKind.UFN2, attack_ufn2_2k, lambda k: 2 * k),
 }
 
 
@@ -65,16 +66,6 @@ class CheckFailure(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
-
-
-def _default_attack_rounds(name: str, k: int) -> int:
-    if name in ("src-k1", "tgt-k1"):
-        return k + 1
-    if name == "ufn2-2k":
-        return 2 * k
-    # The XOR-sum relation holds at every round count; target the count that
-    # would otherwise be considered safe.
-    return 2 * k + 1
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -105,51 +96,45 @@ def _emit_json(payload: dict, out_path: str | None) -> None:
     _emit(json.dumps(body, sort_keys=True, separators=(",", ":")) + "\n", out_path)
 
 
-def _chunk_ranges(total: int, jobs: int) -> list[tuple[int, int]]:
-    jobs = max(1, min(jobs, total))
-    base = total // jobs
-    extra = total % jobs
-    ranges = []
-    start = 0
-    for i in range(jobs):
-        count = base + (1 if i < extra else 0)
-        ranges.append((start, count))
-        start += count
-    return ranges
+def _emit_check(report, out_path: str | None) -> int:
+    """Write a check report; a failed check exits 2 after its JSON is out."""
+    _emit_json(report.to_json_dict(), out_path)
+    if not report.passed:
+        raise CheckFailure(report.failure_message())
+    return 0
 
 
 def _run_chunked(worker, cfg: dict, trials: int, jobs: int, combine):
-    """Run a per-range worker over the trial indices, optionally in parallel.
+    """Run a per-range worker over trials [0, trials), in ``jobs`` processes.
 
     Per-trial seeds are derived from absolute indices, so the aggregate does
     not depend on the chunking.
     """
-    ranges = _chunk_ranges(trials, jobs)
-    if len(ranges) == 1 or jobs <= 1:
-        parts = [worker(cfg, start, count) for start, count in ranges]
-    else:
-        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-            futures = [pool.submit(worker, cfg, start, count) for start, count in ranges]
-            parts = [f.result() for f in futures]
-    return combine(parts)
-
-
-def _game_pieces(cfg: dict):
-    kind = UfnKind(cfg["kind"])
-    params = UfnParams(kind, cfg["n"], cfg["k"], cfg["rounds"])
-    _, machine_factory = _ATTACKS[cfg["name"]]
-    machine = machine_factory(cfg["n"], cfg["k"])
-    return machine, fresh_ufn_factory(params), fresh_ideal_factory(params.state_bits)
+    jobs = min(jobs, trials)
+    if jobs == 1:
+        return combine([worker(cfg, 0, trials)])
+    # An empty range raises configuration errors before any worker starts.
+    worker(cfg, 0, 0)
+    bounds = [trials * i // jobs for i in range(jobs + 1)]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        futures = [pool.submit(worker, cfg, start, end - start)
+                   for start, end in zip(bounds, bounds[1:])]
+        return combine([f.result() for f in futures])
 
 
 def _advantage_worker(cfg: dict, start: int, count: int) -> tuple[int, int]:
-    machine, builder_a, builder_b = _game_pieces(cfg)
-    return _advantage_counts(machine, builder_a, builder_b, cfg["seed"], start, count)
+    params = UfnParams(UfnKind(cfg["kind"]), cfg["n"], cfg["k"], cfg["rounds"])
+    _, machine_factory, _ = _ATTACKS[cfg["name"]]
+    return _advantage_counts(
+        machine_factory(cfg["n"], cfg["k"]), fresh_ufn_factory(params),
+        fresh_ideal_factory(params.state_bits), cfg["seed"], start, count,
+    )
 
 
 def _badprob_worker(cfg: dict, start: int, count: int) -> int:
-    spec = BadEventSpec.for_structure(UfnKind(cfg["kind"]), cfg["k"], cfg["m"])
-    return bad_event_counts(spec, cfg["n"], cfg["k"], cfg["seed"], start, count, cfg["shaping"])
+    return bad_event_counts(
+        cfg["spec"], cfg["n"], cfg["k"], cfg["seed"], start, count, cfg["shaping"]
+    )
 
 
 def _uniformity_worker(cfg: dict, start: int, count: int) -> list[int]:
@@ -183,36 +168,20 @@ def _build_cipher(args: argparse.Namespace):
     return ideal_ufn(params, derive_seed("cli-key", master))
 
 
-def _cmd_encrypt(args: argparse.Namespace) -> int:
+def _cmd_crypt(args: argparse.Namespace) -> int:
     perm = _build_cipher(args)
     block = _parse_block(args.block)
     if block.width != perm.width:
         raise UsageError(f"input is {block.width} bits but the state is {perm.width}")
-    _emit(perm.encrypt(block).text() + "\n", args.out)
+    _emit(getattr(perm, args.command)(block).text() + "\n", args.out)
     return 0
 
 
-def _cmd_decrypt(args: argparse.Namespace) -> int:
-    perm = _build_cipher(args)
-    block = _parse_block(args.block)
-    if block.width != perm.width:
-        raise UsageError(f"input is {block.width} bits but the state is {perm.width}")
-    _emit(perm.decrypt(block).text() + "\n", args.out)
-    return 0
-
-
-def _check_attack_combo(name: str, k: int) -> None:
-    if name == "ufn2-even" and k % 2 != 0:
-        raise UsageError(f"attack {name} requires even k, got {k}")
-    if name == "ufn2-2k" and k % 2 == 0:
-        raise UsageError(f"attack {name} requires odd k, got {k}")
-
-
-def _run_game(args: argparse.Namespace, rounds: int) -> int:
+def _cmd_game(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
-    _check_attack_combo(args.name, args.k)
-    target_kind, _ = _ATTACKS[args.name]
-    kind = UfnKind(args.kind) if getattr(args, "kind", None) else target_kind
+    target_kind, _, attackable_rounds = _ATTACKS[args.name]
+    kind = UfnKind(args.kind) if args.kind else target_kind
+    rounds = args.rounds if args.rounds is not None else attackable_rounds(args.k)
     cfg = {
         "name": args.name,
         "kind": kind.value,
@@ -221,8 +190,6 @@ def _run_game(args: argparse.Namespace, rounds: int) -> int:
         "rounds": rounds,
         "seed": seed,
     }
-    # Validate the configuration eagerly so usage errors beat worker failures.
-    _game_pieces(cfg)
 
     def combine(parts):
         ones_a = sum(p[0] for p in parts)
@@ -237,90 +204,31 @@ def _run_game(args: argparse.Namespace, rounds: int) -> int:
     return 0
 
 
-def _cmd_attack(args: argparse.Namespace) -> int:
-    rounds = args.rounds if args.rounds is not None else _default_attack_rounds(args.name, args.k)
-    return _run_game(args, rounds)
-
-
-def _cmd_advantage(args: argparse.Namespace) -> int:
-    return _run_game(args, args.rounds)
-
-
 def _cmd_badprob(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
-    kind = UfnKind(args.kind)
-    if kind is UfnKind.BALANCED:
-        raise UsageError("badprob applies to the unbalanced structures only")
-    spec = BadEventSpec.for_structure(kind, args.k, args.m)
-    cfg = {"kind": kind.value, "n": args.n, "k": args.k, "m": args.m,
-           "seed": seed, "shaping": args.shaping}
+    spec = BadEventSpec.for_structure(UfnKind(args.kind), args.k, args.m)
+    cfg = {"spec": spec, "n": args.n, "k": args.k, "seed": seed, "shaping": args.shaping}
     hits = _run_chunked(_badprob_worker, cfg, args.trials, args.jobs, sum)
-    empirical = hits / args.trials
-    ci = wilson_halfwidth(hits, args.trials)
-    bound = bad_event_bound(kind, args.n, args.k, args.m)
-    payload = {
-        "kind": kind.value,
-        "n": args.n,
-        "k": args.k,
-        "m": args.m,
-        "trials": args.trials,
-        "seed": seed,
-        "shaping": args.shaping,
-        "watched_rounds": list(watched_rounds(kind, args.k)),
-        "bound": bound,
-        "empirical": empirical,
-        "ci": ci,
-    }
-    _emit_json(payload, args.out)
-    if empirical > bound + 3 * ci:
-        raise CheckFailure(
-            f"empirical collision rate {empirical:.6f} exceeds bound {bound:.6f} "
-            f"plus 3 half-widths ({3 * ci:.6f})"
-        )
-    return 0
+    return _emit_check(
+        BadProbReport.from_counts(spec, args.n, args.k, hits, args.trials, seed, args.shaping),
+        args.out,
+    )
 
 
 def _cmd_uniformity(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     kind = UfnKind(args.kind)
-    state_bits = (args.k + 1) * args.n
-    if state_bits > 12:
-        raise UsageError(f"state space of {state_bits} bits is too large to bin (max 12)")
     rounds = args.rounds if args.rounds is not None else secure_rounds(kind, args.k)
     cfg = {"kind": kind.value, "n": args.n, "k": args.k, "rounds": rounds, "seed": seed}
 
     def combine(parts: list[list[int]]) -> list[int]:
-        total = parts[0]
-        for extra in parts[1:]:
-            total = [a + b for a, b in zip(total, extra)]
-        return total
+        return [sum(column) for column in zip(*parts)]
 
     bins = _run_chunked(_uniformity_worker, cfg, args.trials, args.jobs, combine)
-    statistic = chi_square_statistic(bins)
-    dof = len(bins) - 1
-    critical = chi_square_critical(dof, args.significance)
-    passed = statistic < critical
-    payload = {
-        "kind": kind.value,
-        "n": args.n,
-        "k": args.k,
-        "rounds": rounds,
-        "trials": args.trials,
-        "seed": seed,
-        "dof": dof,
-        "statistic": statistic,
-        "critical": critical,
-        "significance": args.significance,
-        "discarded": 0,
-        "passed": passed,
-    }
-    _emit_json(payload, args.out)
-    if not passed:
-        raise CheckFailure(
-            f"chi-square statistic {statistic:.2f} exceeds the {args.significance} "
-            f"critical value {critical:.2f} at {dof} dof"
-        )
-    return 0
+    return _emit_check(
+        UniformityReport.from_counts(kind, args.n, args.k, rounds, bins, seed, args.significance),
+        args.out,
+    )
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
@@ -355,6 +263,20 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _open_unit_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {value}")
+    return value
+
+
 def _add_structure_flags(p: argparse.ArgumentParser, with_kind: bool = True) -> None:
     if with_kind:
         p.add_argument("--kind", choices=[k.value for k in UfnKind],
@@ -367,7 +289,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None,
                    help=f"run seed (falls back to ${SEED_ENV_VAR}, then a fresh one)")
     p.add_argument("--out", default=None, help="write output to this file instead of stdout")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_positive_int, default=1,
                    help="worker processes for trial loops (deterministic aggregation)")
 
 
@@ -376,7 +298,7 @@ def build_parser() -> _Parser:
                      description="Unbalanced Feistel permutation laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, handler in (("encrypt", _cmd_encrypt), ("decrypt", _cmd_decrypt)):
+    for name in ("encrypt", "decrypt"):
         p = sub.add_parser(name, help=f"{name} one block")
         p.add_argument("--kind", choices=[k.value for k in UfnKind], required=True)
         p.add_argument("--n", type=int, required=True, help="sub-block width in bits")
@@ -389,29 +311,29 @@ def build_parser() -> _Parser:
         p.add_argument("--expander", choices=["fast", "bbs"], default="fast",
                        help="generator behind the ggm realization")
         p.add_argument("--out", default=None)
-        p.set_defaults(func=handler)
+        p.set_defaults(func=_cmd_crypt)
 
     p = sub.add_parser("attack", help="run a distinguisher against its target build and an ideal permutation")
     p.add_argument("--name", choices=sorted(_ATTACKS), required=True)
     _add_structure_flags(p, with_kind=False)
     p.add_argument("--rounds", type=int, default=None,
                    help="rounds of the target build (default: the attackable count)")
-    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--trials", type=_positive_int, default=10000)
     _add_common_flags(p)
-    p.set_defaults(func=_cmd_attack, kind=None)
+    p.set_defaults(func=_cmd_game, kind=None)
 
     p = sub.add_parser("advantage", help="acceptance-gap game at an explicit round count")
     p.add_argument("--name", choices=sorted(_ATTACKS), required=True)
     _add_structure_flags(p)
     p.add_argument("--rounds", type=int, required=True)
-    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--trials", type=_positive_int, default=10000)
     _add_common_flags(p)
-    p.set_defaults(func=_cmd_advantage)
+    p.set_defaults(func=_cmd_game)
 
     p = sub.add_parser("badprob", help="empirical collision-event probability vs its bound")
     _add_structure_flags(p)
     p.add_argument("--m", type=int, required=True, help="oracle queries per trial")
-    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--trials", type=_positive_int, default=10000)
     p.add_argument("--shaping", choices=["adversarial", "uniform"], default="adversarial")
     _add_common_flags(p)
     p.set_defaults(func=_cmd_badprob)
@@ -420,8 +342,8 @@ def build_parser() -> _Parser:
     _add_structure_flags(p)
     p.add_argument("--rounds", type=int, default=None,
                    help="rounds (default: the minimal secure count)")
-    p.add_argument("--trials", type=int, default=100000)
-    p.add_argument("--significance", type=float, default=0.01)
+    p.add_argument("--trials", type=_positive_int, default=100000)
+    p.add_argument("--significance", type=_open_unit_float, default=0.01)
     _add_common_flags(p)
     p.set_defaults(func=_cmd_uniformity)
 
@@ -450,10 +372,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, RuntimeError) as exc:
+    except (UsageError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CheckFailure as exc:

@@ -21,8 +21,7 @@ __all__ = [
     "IdealPermutationOracle",
     "ideal_permutation",
     "OracleMachine",
-    "attack_source_heavy",
-    "attack_target_heavy",
+    "attack_leading_block",
     "attack_ufn2_even_k",
     "attack_ufn2_2k",
     "calibrate_w_index",
@@ -154,17 +153,8 @@ class _LeadingBlockXorMachine(OracleMachine):
         return 1 if in_delta == out_delta else 0
 
 
-def attack_source_heavy(n: int, k: int, seed: object | None = None) -> OracleMachine:
-    """Distinguisher for the source-heavy shape at up to k+1 rounds."""
-    return _LeadingBlockXorMachine(n, k, seed)
-
-
-def attack_target_heavy(n: int, k: int, seed: object | None = None) -> OracleMachine:
-    """Distinguisher for the target-heavy shape at up to k+1 rounds.
-
-    Operationally the same check as the source-heavy machine: both shapes
-    leak the leftmost-block difference unchanged through k+1 rounds.
-    """
+def attack_leading_block(n: int, k: int, seed: object | None = None) -> OracleMachine:
+    """Distinguisher for the source-heavy and target-heavy shapes at up to k+1 rounds."""
     return _LeadingBlockXorMachine(n, k, seed)
 
 
@@ -209,25 +199,20 @@ def attack_ufn2_even_k(n: int, k: int, seed: object | None = None) -> OracleMach
     return _XorSumMachine(n, k, seed)
 
 
-_W_INDEX_CACHE: dict[int, int] = {}
-
-
 def calibrate_w_index(n: int, k: int, probes: int = 64, seed: object = "w-cal") -> int:
-    """Find which input block closes the 2k-round relation.
+    """Find empirically which input block closes the 2k-round relation.
 
     The relation compares the XOR of the first k output blocks of two queries
     (differing only in the leftmost block) against the input difference plus
-    one carried input block W. Which block is carried is determined here
-    empirically: each candidate position is tested against freshly built
-    2k-round constructions with random round functions over ``probes`` query
-    pairs, and the smallest always-satisfied position wins. The result is
-    cached per ratio k.
+    one carried input block W. Each candidate position is tested against
+    freshly built 2k-round constructions with random round functions over
+    ``probes`` query pairs, and the smallest always-satisfied position wins.
+    The answer is block 1, which both queries share, so the attack machine
+    fixes W's difference at zero; this search remains as the empirical check
+    of that choice.
     """
     if k % 2 == 0:
         raise ValueError(f"k={k} is even: the 2k-round relation needs odd k")
-    cached = _W_INDEX_CACHE.get(k)
-    if cached is not None:
-        return cached
     params = UfnParams(UfnKind.UFN2, n, k, 2 * k)
     candidates = set(range(k + 1))
     for j in range(probes):
@@ -243,9 +228,7 @@ def calibrate_w_index(n: int, k: int, probes: int = 64, seed: object = "w-cal") 
         candidates = keep
         if not candidates:
             raise RuntimeError("no carried-block position satisfies the 2k-round relation")
-    result = min(candidates)
-    _W_INDEX_CACHE[k] = result
-    return result
+    return min(candidates)
 
 
 def _relation_residual(
@@ -265,17 +248,15 @@ def _relation_residual(
 
 class _CarriedBlockMachine(OracleMachine):
     """Two queries differing only in the leftmost block; accepts when the XOR
-    of the first k output blocks matches the input difference once the
-    calibrated carried block is folded in. Exact at 2k rounds for odd k."""
+    of the first k output blocks of both replies equals the input difference.
+    The carried block is block 1, which both queries share, so it adds
+    nothing to the relation. Exact at 2k rounds for odd k."""
 
     query_budget = 2
 
-    def __init__(self, n: int, k: int, w_index: int, seed: object | None = None) -> None:
-        if not 0 <= w_index <= k:
-            raise ValueError(f"carried-block index {w_index} out of range 0..{k}")
+    def __init__(self, n: int, k: int, seed: object | None = None) -> None:
         self.n = n
         self.k = k
-        self.w_index = w_index
         self.x_p, self.x_q = _query_pair(n, k, seed)
 
     def run(self, oracle: PermutationOracle) -> int:
@@ -283,18 +264,17 @@ class _CarriedBlockMachine(OracleMachine):
             raise ValueError(f"oracle width {oracle.width} does not match machine")
         y_p = oracle.query(self.x_p)
         y_q = oracle.query(self.x_q)
-        residual = _relation_residual(y_p, y_q, self.x_p, self.x_q, self.n, self.k)
-        shift = (self.k - self.w_index) * self.n
-        w_delta = ((self.x_p.value >> shift) ^ (self.x_q.value >> shift)) & ((1 << self.n) - 1)
-        return 1 if residual ^ w_delta == 0 else 0
+        return 1 if _relation_residual(y_p, y_q, self.x_p, self.x_q, self.n, self.k) == 0 else 0
 
 
 def attack_ufn2_2k(n: int, k: int, seed: object | None = None) -> OracleMachine:
     """Two-query distinguisher for the 2k-round widened shape; odd k only."""
     if k % 2 == 0:
-        raise ValueError(f"k={k} is even: use the single-query XOR-sum machine instead")
-    w_index = calibrate_w_index(n, k)
-    return _CarriedBlockMachine(n, k, w_index, seed)
+        raise ValueError(
+            f"k={k} is even: the 2k-round relation needs odd k; "
+            "use the single-query XOR-sum machine instead"
+        )
+    return _CarriedBlockMachine(n, k, seed)
 
 
 @dataclass(frozen=True)

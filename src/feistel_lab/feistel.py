@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from .bits import BitString, BlockState, partition
+from .bits import BitString
 from .prbg import FastBitGenerator, derive_seed
 from .prf import (
     DEFAULT_TABLE_CAP,
@@ -34,10 +34,6 @@ __all__ = [
     "UfnKind",
     "UfnParams",
     "UfnPermutation",
-    "round_balanced",
-    "round_source_heavy",
-    "round_target_heavy",
-    "round_ufn2",
     "ideal_round_oracles",
     "ggm_round_oracles",
     "ideal_ufn",
@@ -99,6 +95,14 @@ def _check_oracle(params: UfnParams, f: FunctionOracle) -> None:
 
 
 def _forward(params: UfnParams, f: FunctionOracle, blocks: tuple[int, ...]) -> tuple[int, ...]:
+    """One round on the block values, leftmost block first.
+
+    * balanced: (L, R) -> (R, L xor f(R));
+    * source-heavy: (L, R_1..R_k) -> (R_1..R_k, L xor f(R_1 || ... || R_k));
+    * target-heavy: (L_1..L_k, R) -> (R, L_1 xor C_1, ..., L_k xor C_k), where
+      C_i is the i-th n-bit slice of f(R), leftmost first;
+    * ufn2: (L_1..L_k, R) -> (R, L_1 xor f(R), ..., L_k xor f(R)).
+    """
     n, k = params.n, params.k
     kind = params.kind
     if kind is UfnKind.SOURCE_HEAVY:
@@ -141,43 +145,6 @@ def _inverse(params: UfnParams, f: FunctionOracle, blocks: tuple[int, ...]) -> t
         return tuple(b ^ image for b in blocks[1:]) + (blocks[0],)
     left, right = blocks
     return (right ^ f.eval_int(left), left)
-
-
-def _round_state(params: UfnParams, f: FunctionOracle, state: BlockState) -> BlockState:
-    _check_oracle(params, f)
-    if state.count != params.block_count or state.n != params.n:
-        raise ValueError(
-            f"expected {params.block_count} blocks of {params.n} bits, "
-            f"got {state.count} of {state.n}"
-        )
-    out = _forward(params, f, tuple(b.value for b in state.blocks))
-    return BlockState(tuple(BitString(params.n, v) for v in out))
-
-
-def round_balanced(f: FunctionOracle, state: BlockState) -> BlockState:
-    """(L, R) -> (R, L xor f(R))."""
-    return _round_state(UfnParams(UfnKind.BALANCED, state.n, 1, 1), f, state)
-
-
-def round_source_heavy(f: FunctionOracle, state: BlockState) -> BlockState:
-    """(L, R_1..R_k) -> (R_1..R_k, L xor f(R_1 || ... || R_k))."""
-    k = state.count - 1
-    return _round_state(UfnParams(UfnKind.SOURCE_HEAVY, state.n, k, 1), f, state)
-
-
-def round_target_heavy(f: FunctionOracle, state: BlockState) -> BlockState:
-    """(L_1..L_k, R) -> (R, L_1 xor C_1(f(R)), ..., L_k xor C_k(f(R))).
-
-    C_i is the i-th n-bit slice of f(R), leftmost first.
-    """
-    k = state.count - 1
-    return _round_state(UfnParams(UfnKind.TARGET_HEAVY, state.n, k, 1), f, state)
-
-
-def round_ufn2(f: FunctionOracle, state: BlockState) -> BlockState:
-    """(L_1..L_k, R) -> (R, L_1 xor f(R), ..., L_k xor f(R))."""
-    k = state.count - 1
-    return _round_state(UfnParams(UfnKind.UFN2, state.n, k, 1), f, state)
 
 
 class UfnPermutation:
@@ -245,9 +212,6 @@ class UfnPermutation:
             blocks = _forward(self.params, f, blocks)
             states.append(blocks)
         return states
-
-    def as_block_state(self, x: BitString) -> BlockState:
-        return partition(x, self.params.n)
 
 
 def ideal_round_oracles(

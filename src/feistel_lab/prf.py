@@ -35,7 +35,6 @@ __all__ = [
     "ggm_eval",
     "split_master_key",
     "GgmFunctionOracle",
-    "ggm_oracle",
 ]
 
 DEFAULT_TABLE_CAP = 1 << 24
@@ -247,18 +246,7 @@ class GgmFunctionOracle(FunctionOracle):
             return final_raw(state)
 
         self.key = GgmKey(key, expander, finalizer)
-        self.key_bits = key.width
-        self.mode = mode
 
     def eval_int(self, x: int) -> int:
         return ggm_eval(self.key, BitString(self.in_bits, x)).value
 
-
-def ggm_oracle(
-    in_bits: int,
-    out_bits: int,
-    key: BitString,
-    mode: str = "fast",
-    salt: object = 0,
-) -> GgmFunctionOracle:
-    return GgmFunctionOracle(in_bits, out_bits, key, mode, salt)

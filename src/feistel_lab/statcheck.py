@@ -146,10 +146,15 @@ def bad_event_counts(
 
 @dataclass(frozen=True)
 class BadProbReport:
-    kind: UfnKind
+    """Collision-event frequency with a Wilson 95% half-width, against its bound.
+
+    The check fails when the empirical rate exceeds the closed-form bound by
+    more than three half-widths.
+    """
+
+    spec: BadEventSpec
     n: int
     k: int
-    m: int
     trials: int
     hits: int
     empirical: float
@@ -157,6 +162,51 @@ class BadProbReport:
     bound: float
     shaping: str
     seed: int
+
+    @classmethod
+    def from_counts(
+        cls, spec: BadEventSpec, n: int, k: int, hits: int, trials: int, seed: int,
+        shaping: str = "adversarial",
+    ) -> "BadProbReport":
+        if trials < 1:
+            raise ValueError("trials must be >= 1")
+        return cls(
+            spec=spec,
+            n=n,
+            k=k,
+            trials=trials,
+            hits=hits,
+            empirical=hits / trials,
+            ci_halfwidth=wilson_halfwidth(hits, trials),
+            bound=bad_event_bound(spec.kind, n, k, spec.m),
+            shaping=shaping,
+            seed=seed,
+        )
+
+    @property
+    def passed(self) -> bool:
+        return self.empirical <= self.bound + 3 * self.ci_halfwidth
+
+    def failure_message(self) -> str:
+        return (
+            f"empirical collision rate {self.empirical:.6f} exceeds bound {self.bound:.6f} "
+            f"plus 3 half-widths ({3 * self.ci_halfwidth:.6f})"
+        )
+
+    def to_json_dict(self) -> dict:
+        return {
+            "kind": self.spec.kind.value,
+            "n": self.n,
+            "k": self.k,
+            "m": self.spec.m,
+            "trials": self.trials,
+            "seed": self.seed,
+            "shaping": self.shaping,
+            "watched_rounds": list(self.spec.rounds_watched),
+            "bound": self.bound,
+            "empirical": self.empirical,
+            "ci": self.ci_halfwidth,
+        }
 
 
 def estimate_bad_prob(
@@ -167,23 +217,9 @@ def estimate_bad_prob(
     seed: int,
     shaping: str = "adversarial",
 ) -> BadProbReport:
-    """Empirical collision-event frequency with a Wilson 95% half-width."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    """Collision-event frequency over trials [0, trials) against its bound."""
     hits = bad_event_counts(spec, n, k, seed, 0, trials, shaping)
-    return BadProbReport(
-        kind=spec.kind,
-        n=n,
-        k=k,
-        m=spec.m,
-        trials=trials,
-        hits=hits,
-        empirical=hits / trials,
-        ci_halfwidth=wilson_halfwidth(hits, trials),
-        bound=bad_event_bound(spec.kind, n, k, spec.m),
-        shaping=shaping,
-        seed=seed,
-    )
+    return BadProbReport.from_counts(spec, n, k, hits, trials, seed, shaping)
 
 
 @dataclass(frozen=True)
@@ -263,6 +299,11 @@ def uniformity_counts(
 ) -> list[int]:
     """Histogram of outputs at a fixed input over freshly keyed instances."""
     params = UfnParams(kind, n, k, r)
+    if params.state_bits > _MAX_UNIFORMITY_STATE_BITS:
+        raise ValueError(
+            f"state space of {params.state_bits} bits is too large to bin "
+            f"(max {_MAX_UNIFORMITY_STATE_BITS})"
+        )
     bins = [0] * (1 << params.state_bits)
     probe = BitString(params.state_bits, 0)
     for t in range(start, start + count):
@@ -273,17 +314,65 @@ def uniformity_counts(
 
 @dataclass(frozen=True)
 class UniformityReport:
+    """Chi-square goodness-of-fit of an output histogram against uniform.
+
+    The check passes when the statistic stays below the critical value.
+    """
+
     kind: UfnKind
     n: int
     k: int
     r: int
     trials: int
-    discarded: int
+    seed: int
     dof: int
     statistic: float
     critical_value: float
     significance: float
-    passed: bool
+
+    @classmethod
+    def from_counts(
+        cls, kind: UfnKind, n: int, k: int, r: int, bins: list[int], seed: int,
+        significance: float = 0.01,
+    ) -> "UniformityReport":
+        dof = len(bins) - 1
+        return cls(
+            kind=kind,
+            n=n,
+            k=k,
+            r=r,
+            trials=sum(bins),
+            seed=seed,
+            dof=dof,
+            statistic=chi_square_statistic(bins),
+            critical_value=chi_square_critical(dof, significance),
+            significance=significance,
+        )
+
+    @property
+    def passed(self) -> bool:
+        return self.statistic < self.critical_value
+
+    def failure_message(self) -> str:
+        return (
+            f"chi-square statistic {self.statistic:.2f} exceeds the {self.significance} "
+            f"critical value {self.critical_value:.2f} at {self.dof} dof"
+        )
+
+    def to_json_dict(self) -> dict:
+        return {
+            "kind": self.kind.value,
+            "n": self.n,
+            "k": self.k,
+            "rounds": self.r,
+            "trials": self.trials,
+            "seed": self.seed,
+            "dof": self.dof,
+            "statistic": self.statistic,
+            "critical": self.critical_value,
+            "significance": self.significance,
+            "passed": self.passed,
+        }
 
 
 def conditional_uniformity_check(
@@ -295,34 +384,11 @@ def conditional_uniformity_check(
     seed: int,
     significance: float = 0.01,
 ) -> UniformityReport:
-    """Chi-square goodness-of-fit of outputs against the uniform distribution.
+    """Chi-square uniformity of outputs over trials [0, trials).
 
     Each trial keys a fresh instance and contributes one output. A lone query
     admits no cross-query collision, so the conditioning event is vacuous and
     no trial is discarded.
     """
-    params = UfnParams(kind, n, k, r)
-    if params.state_bits > _MAX_UNIFORMITY_STATE_BITS:
-        raise ValueError(
-            f"state space of {params.state_bits} bits is too large to bin "
-            f"(max {_MAX_UNIFORMITY_STATE_BITS})"
-        )
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     bins = uniformity_counts(kind, n, k, r, seed, 0, trials)
-    statistic = chi_square_statistic(bins)
-    dof = len(bins) - 1
-    critical = chi_square_critical(dof, significance)
-    return UniformityReport(
-        kind=kind,
-        n=n,
-        k=k,
-        r=r,
-        trials=trials,
-        discarded=0,
-        dof=dof,
-        statistic=statistic,
-        critical_value=critical,
-        significance=significance,
-        passed=statistic < critical,
-    )
+    return UniformityReport.from_counts(kind, n, k, r, bins, seed, significance)

@@ -12,8 +12,7 @@ import time
 from feistel_lab.bits import BitString
 from feistel_lab.cli import main as cli_main
 from feistel_lab.distinguisher import (
-    attack_source_heavy,
-    attack_target_heavy,
+    attack_leading_block,
     attack_ufn2_2k,
     attack_ufn2_even_k,
     estimate_advantage,
@@ -100,7 +99,7 @@ def _two_query_criterion(kind, machine, vulnerable_rounds, num, desc):
 def test_criterion_2_source_heavy_attack():
     _two_query_criterion(
         UfnKind.SOURCE_HEAVY,
-        attack_source_heavy(4, 2),
+        attack_leading_block(4, 2),
         3,
         2,
         "source-heavy k+1 rounds: accept 1.0, ideal ~1/16, advantage ~0.9375",
@@ -110,7 +109,7 @@ def test_criterion_2_source_heavy_attack():
 def test_criterion_3_target_heavy_attack():
     _two_query_criterion(
         UfnKind.TARGET_HEAVY,
-        attack_target_heavy(4, 2),
+        attack_leading_block(4, 2),
         3,
         3,
         "target-heavy k+1 rounds: accept 1.0, ideal ~1/16, advantage ~0.9375",
@@ -163,8 +162,8 @@ def test_criterion_6_secure_rounds_and_uniformity():
     with _Criterion(6, "minimal secure rounds: no advantage, chi-square uniform"):
         started = time.perf_counter()
         games = [
-            (UfnKind.SOURCE_HEAVY, 2, 4, attack_source_heavy(4, 2)),
-            (UfnKind.TARGET_HEAVY, 2, 4, attack_target_heavy(4, 2)),
+            (UfnKind.SOURCE_HEAVY, 2, 4, attack_leading_block(4, 2)),
+            (UfnKind.TARGET_HEAVY, 2, 4, attack_leading_block(4, 2)),
             (UfnKind.UFN2, 3, 7, attack_ufn2_2k(4, 3)),
         ]
         for kind, k, r, machine in games:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from feistel_lab import cli
 from feistel_lab.cli import SEED_ENV_VAR, main
 
 
@@ -176,12 +177,49 @@ def test_seeded_runs_are_byte_identical(capsys):
     assert first == second
 
 
-def test_jobs_do_not_change_results(capsys):
-    base = ("attack", "--name", "src-k1", "--n", "4", "--k", "2",
-            "--trials", "300", "--seed", "17")
-    _, serial, _ = run_cli(capsys, *base, "--jobs", "1")
-    _, parallel, _ = run_cli(capsys, *base, "--jobs", "3")
+@pytest.mark.parametrize("base", [
+    ("attack", "--name", "src-k1", "--n", "4", "--k", "2", "--trials", "300"),
+    ("badprob", "--kind", "target-heavy", "--n", "4", "--k", "2", "--m", "4",
+     "--trials", "301"),
+    ("uniformity", "--kind", "source-heavy", "--n", "2", "--k", "2", "--trials", "302"),
+], ids=lambda base: base[0])
+def test_jobs_do_not_change_results(capsys, base):
+    _, serial, _ = run_cli(capsys, *base, "--seed", "17", "--jobs", "1")
+    _, parallel, _ = run_cli(capsys, *base, "--seed", "17", "--jobs", "3")
     assert serial == parallel
+    assert json.loads(serial)["trials"] == int(base[-1])
+
+
+@pytest.mark.parametrize("argv", [
+    ("attack", "--name", "src-k1", "--n", "4", "--k", "2", "--trials", "0"),
+    ("advantage", "--name", "src-k1", "--n", "4", "--k", "2", "--rounds", "4",
+     "--trials", "-5"),
+    ("badprob", "--kind", "ufn2", "--n", "4", "--k", "1", "--m", "2", "--trials", "0"),
+    ("uniformity", "--kind", "source-heavy", "--n", "2", "--k", "2", "--trials", "0"),
+    ("attack", "--name", "src-k1", "--n", "4", "--k", "2", "--trials", "10", "--jobs", "0"),
+    ("badprob", "--kind", "ufn2", "--n", "4", "--k", "1", "--m", "2", "--trials", "10",
+     "--jobs", "0"),
+    ("uniformity", "--kind", "source-heavy", "--n", "2", "--k", "2", "--trials", "10",
+     "--jobs", "-1"),
+    ("uniformity", "--kind", "source-heavy", "--n", "2", "--k", "2", "--rounds", "4",
+     "--trials", "10", "--significance", "2"),
+    ("uniformity", "--kind", "source-heavy", "--n", "2", "--k", "2", "--trials", "10",
+     "--significance", "0"),
+    ("uniformity", "--kind", "source-heavy", "--n", "2", "--k", "2", "--trials", "10",
+     "--significance", "1"),
+    ("uniformity", "--kind", "source-heavy", "--n", "2", "--k", "2", "--trials", "10",
+     "--significance", "nan"),
+])
+def test_bad_input_exits_1_before_any_trial(capsys, monkeypatch, argv):
+    def no_trials(*_args):
+        raise AssertionError("a trial loop started")
+
+    for name in ("_advantage_counts", "bad_event_counts", "uniformity_counts"):
+        monkeypatch.setattr(cli, name, no_trials)
+    code, out, err = run_cli(capsys, *argv, "--seed", "1")
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_seed_env_fallback(capsys, monkeypatch):

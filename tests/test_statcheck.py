@@ -5,7 +5,9 @@ import pytest
 from feistel_lab.feistel import UfnKind
 from feistel_lab.statcheck import (
     BadEventSpec,
+    BadProbReport,
     Gf2Matrix,
+    UniformityReport,
     bad_event_bound,
     build_ufn2_matrix,
     conditional_uniformity_check,
@@ -14,6 +16,7 @@ from feistel_lab.statcheck import (
     secure_rounds,
     watched_rounds,
 )
+from feistel_lab.stats import chi_square_critical
 
 
 def det_cofactor(rows):
@@ -156,7 +159,6 @@ def test_uniformity_passes_at_secure_rounds():
     report = conditional_uniformity_check(UfnKind.SOURCE_HEAVY, 2, 2, 4, trials=20000, seed=11)
     assert report.passed
     assert report.dof == 63
-    assert report.discarded == 0
 
 
 def test_uniformity_fails_decisively_for_even_k():
@@ -174,3 +176,36 @@ def test_uniformity_rejects_large_state():
 def test_uniformity_rejects_bad_trials():
     with pytest.raises(ValueError):
         conditional_uniformity_check(UfnKind.SOURCE_HEAVY, 2, 2, 4, trials=0, seed=1)
+
+
+def test_bad_prob_report_verdict_and_json():
+    spec = BadEventSpec.for_structure(UfnKind.SOURCE_HEAVY, 2, 4)
+    within = BadProbReport.from_counts(spec, 8, 2, hits=90, trials=1000, seed=1)
+    assert within.bound == 0.09375 and within.passed
+    above = BadProbReport.from_counts(spec, 8, 2, hits=300, trials=1000, seed=1)
+    assert above.empirical > above.bound + 3 * above.ci_halfwidth
+    assert not above.passed and "exceeds bound" in above.failure_message()
+    payload = within.to_json_dict()
+    assert set(payload) == {"kind", "n", "k", "m", "trials", "seed", "shaping",
+                            "watched_rounds", "bound", "empirical", "ci"}
+    assert payload["watched_rounds"] == [1, 2, 3] and payload["ci"] == within.ci_halfwidth
+    with pytest.raises(ValueError):
+        BadProbReport.from_counts(spec, 8, 2, hits=0, trials=0, seed=1)
+
+
+def test_uniformity_report_verdict_and_json():
+    flat = UniformityReport.from_counts(UfnKind.UFN2, 1, 1, 3, [25, 25, 25, 25], seed=2)
+    assert (flat.trials, flat.dof, flat.statistic) == (100, 3, 0.0) and flat.passed
+    skewed = UniformityReport.from_counts(UfnKind.UFN2, 1, 1, 3, [100, 0, 0, 0], seed=2)
+    assert skewed.statistic > skewed.critical_value and not skewed.passed
+    assert "critical value" in skewed.failure_message()
+    payload = skewed.to_json_dict()
+    assert set(payload) == {"kind", "n", "k", "rounds", "trials", "seed", "dof",
+                            "statistic", "critical", "significance", "passed"}
+    assert payload["passed"] is False and payload["critical"] == skewed.critical_value
+
+
+@pytest.mark.parametrize("significance", [0.0, 1.0, -0.5, 2.0, float("nan")])
+def test_chi_square_critical_needs_significance_in_unit_interval(significance):
+    with pytest.raises(ValueError):
+        chi_square_critical(3, significance)
