@@ -28,8 +28,9 @@ from .distinguisher import (
     report_from_counts,
 )
 from .distinguisher import advantage_counts as _advantage_counts
-from .feistel import UfnKind, UfnParams, ggm_ufn, ideal_ufn
+from .feistel import UfnKind, UfnParams, UfnPermutation, ggm_ufn
 from .prbg import derive_seed
+from .prf import ideal_oracle
 from .statcheck import (
     BadEventSpec,
     BadProbReport,
@@ -108,9 +109,10 @@ def _run_chunked(worker, cfg: dict, trials: int, jobs: int, combine):
     """Run a per-range worker over trials [0, trials), in ``jobs`` processes.
 
     Per-trial seeds are derived from absolute indices, so the aggregate does
-    not depend on the chunking.
+    not depend on the chunking. More processes than CPUs would only add
+    start-up cost, so ``jobs`` is capped at the CPU count.
     """
-    jobs = min(jobs, trials)
+    jobs = min(jobs, trials, os.cpu_count() or 1)
     if jobs == 1:
         return combine([worker(cfg, 0, trials)])
     # An empty range raises configuration errors before any worker starts.
@@ -165,7 +167,15 @@ def _build_cipher(args: argparse.Namespace):
                 "pad the key or change the round count"
             )
         return ggm_ufn(params, master, mode=args.expander)
-    return ideal_ufn(params, derive_seed("cli-key", master))
+    # encrypt and decrypt run as separate commands that visit the rounds in
+    # opposite orders. An ideal_ufn instance draws all rounds from one stream
+    # in miss order, so the two would key different functions; one stream per
+    # round makes each round's value at the one block it sees order-free.
+    return UfnPermutation(params, [
+        ideal_oracle(params.round_in_bits, params.round_out_bits,
+                     derive_seed("cli-key", master, "round", i))
+        for i in range(params.r)
+    ])
 
 
 def _cmd_crypt(args: argparse.Namespace) -> int:
@@ -290,7 +300,8 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    help=f"run seed (falls back to ${SEED_ENV_VAR}, then a fresh one)")
     p.add_argument("--out", default=None, help="write output to this file instead of stdout")
     p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes for trial loops (deterministic aggregation)")
+                   help="worker processes for trial loops, at most the CPU count "
+                        "(deterministic aggregation)")
 
 
 def build_parser() -> _Parser:

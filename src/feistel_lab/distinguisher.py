@@ -35,9 +35,10 @@ __all__ = [
 
 
 class PermutationOracle(Protocol):
-    """Queryable bijection on a fixed state width."""
+    """Queryable bijection on a fixed state width that counts its queries."""
 
     width: int
+    query_count: int
 
     def query(self, x: BitString) -> BitString: ...
 
@@ -322,14 +323,22 @@ def advantage_counts(
 
     Each trial derives one sub-seed from its absolute index and hands it to
     both factories, so results do not depend on how trials are chunked and
-    identical factories receive identical seeds.
+    identical factories receive identical seeds. A machine that queries
+    either oracle more often than its declared budget raises RuntimeError.
     """
+    budget = machine.query_budget
     ones_a = 0
     ones_b = 0
     for t in range(start, start + count):
         trial_seed = derive_seed(seed, "trial", t)
-        ones_a += machine.run(builder_a(trial_seed))
-        ones_b += machine.run(builder_b(trial_seed))
+        oracle_a = builder_a(trial_seed)
+        ones_a += machine.run(oracle_a)
+        oracle_b = builder_b(trial_seed)
+        ones_b += machine.run(oracle_b)
+        if oracle_a.query_count > budget or oracle_b.query_count > budget:
+            raise RuntimeError(
+                f"{type(machine).__name__} exceeded its query budget of {budget} in trial {t}"
+            )
     return ones_a, ones_b
 
 

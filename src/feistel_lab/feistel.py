@@ -85,15 +85,6 @@ class UfnParams:
         return self.k * self.n if self.kind is UfnKind.TARGET_HEAVY else self.n
 
 
-def _check_oracle(params: UfnParams, f: FunctionOracle) -> None:
-    if f.in_bits != params.round_in_bits or f.out_bits != params.round_out_bits:
-        raise ValueError(
-            f"{params.kind.value} with n={params.n}, k={params.k} needs a "
-            f"{params.round_in_bits}->{params.round_out_bits} round function, "
-            f"got {f.in_bits}->{f.out_bits}"
-        )
-
-
 def _forward(params: UfnParams, f: FunctionOracle, blocks: tuple[int, ...]) -> tuple[int, ...]:
     """One round on the block values, leftmost block first.
 
@@ -158,8 +149,13 @@ class UfnPermutation:
     def __init__(self, params: UfnParams, rounds: Sequence[FunctionOracle]) -> None:
         if len(rounds) != params.r:
             raise ValueError(f"expected {params.r} round oracles, got {len(rounds)}")
+        in_bits, out_bits = params.round_in_bits, params.round_out_bits
         for f in rounds:
-            _check_oracle(params, f)
+            if f.in_bits != in_bits or f.out_bits != out_bits:
+                raise ValueError(
+                    f"{params.kind.value} with n={params.n}, k={params.k} needs a "
+                    f"{in_bits}->{out_bits} round function, got {f.in_bits}->{f.out_bits}"
+                )
         self.params = params
         self.rounds = tuple(rounds)
         self.query_count = 0
@@ -219,19 +215,21 @@ def ideal_round_oracles(
 ) -> list[IdealFunctionOracle]:
     """Independent lazily-sampled round functions, one per round.
 
-    The round index is mixed into each oracle's seed so rounds never share a
-    stream.
+    All rounds of one instance draw their misses from a single stream seeded
+    once from ``seed``, under a label of its own so that ``ideal_oracle`` with
+    the same seed draws another stream; each round keeps its own memo table.
+    Every miss is a fresh uniform draw, so the rounds are still independent
+    random functions. The stream position a miss reads depends on the order
+    of misses across rounds, which a fixed query sequence fixes, so instances
+    replay exactly. Share an instance's oracles with no other instance or
+    worker.
     """
+    entropy = FastBitGenerator(derive_seed("ideal-ufn", seed))
     in_bits = params.round_in_bits
     out_bits = params.round_out_bits
     return [
-        IdealFunctionOracle(
-            in_bits,
-            out_bits,
-            FastBitGenerator(derive_seed("ideal-fn", seed, "round", i)),
-            max_entries,
-        )
-        for i in range(params.r)
+        IdealFunctionOracle(in_bits, out_bits, entropy, max_entries)
+        for _ in range(params.r)
     ]
 
 

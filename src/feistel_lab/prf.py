@@ -80,8 +80,10 @@ class IdealFunctionOracle(FunctionOracle):
     """Lazily sampled random function.
 
     Memory grows only with distinct queries; an entry is drawn from the
-    entropy stream on first use and never overwritten. Instances mutate their
-    table on a miss, so use one instance per worker or lock externally.
+    entropy stream on first use and never overwritten. Several oracles may
+    share one stream (the rounds of an ``ideal_ufn`` instance do); a miss in
+    any of them advances it for all. A miss mutates the table and the stream,
+    so give each worker whole ``ideal_ufn`` instances, or lock externally.
     """
 
     def __init__(

@@ -388,7 +388,10 @@ def conditional_uniformity_check(
 
     Each trial keys a fresh instance and contributes one output. A lone query
     admits no cross-query collision, so the conditioning event is vacuous and
-    no trial is discarded.
+    no trial is discarded. A significance outside (0, 1) raises ValueError
+    before any trial runs.
     """
+    if not 0.0 < significance < 1.0:
+        raise ValueError(f"significance must lie in (0, 1), got {significance}")
     bins = uniformity_counts(kind, n, k, r, seed, 0, trials)
     return UniformityReport.from_counts(kind, n, k, r, bins, seed, significance)

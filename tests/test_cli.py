@@ -76,14 +76,18 @@ def test_encrypt_decrypt_round_trip(capsys):
 
 
 def test_encrypt_ideal_prf_round_trip(capsys):
-    base = ["--kind", "source-heavy", "--n", "2", "--k", "2", "--rounds", "3",
-            "--key", "BEEF", "--prf", "ideal"]
-    code, out, _ = run_cli(capsys, "encrypt", *base, "--in", "6:00")
-    assert code == 0
-    ct = out.strip()
-    code, out, _ = run_cli(capsys, "decrypt", *base, "--in", ct)
-    assert code == 0
-    assert out.strip() == "6:00"
+    # Each command builds its cipher afresh, so decrypt only inverts encrypt
+    # when a round's values do not depend on the order the rounds run in.
+    for kind, rounds in (("source-heavy", "3"), ("target-heavy", "4"), ("ufn2", "5")):
+        base = ["--kind", kind, "--n", "2", "--k", "2", "--rounds", rounds,
+                "--key", "BEEF", "--prf", "ideal"]
+        for block in ("6:00", "6:2D", "6:3F", "6:11"):
+            code, out, _ = run_cli(capsys, "encrypt", *base, "--in", block)
+            assert code == 0
+            ct = out.strip()
+            code, out, _ = run_cli(capsys, "decrypt", *base, "--in", ct)
+            assert code == 0
+            assert out.strip() == block
 
 
 def test_encrypt_usage_errors(capsys):
@@ -182,12 +186,31 @@ def test_seeded_runs_are_byte_identical(capsys):
     ("badprob", "--kind", "target-heavy", "--n", "4", "--k", "2", "--m", "4",
      "--trials", "301"),
     ("uniformity", "--kind", "source-heavy", "--n", "2", "--k", "2", "--trials", "302"),
+    ("advantage", "--name", "src-k1", "--n", "4", "--k", "2", "--rounds", "4",
+     "--trials", "303"),
 ], ids=lambda base: base[0])
-def test_jobs_do_not_change_results(capsys, base):
+def test_jobs_do_not_change_results(capsys, monkeypatch, base):
+    # Three chunks on any machine: --jobs is capped at the CPU count.
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     _, serial, _ = run_cli(capsys, *base, "--seed", "17", "--jobs", "1")
     _, parallel, _ = run_cli(capsys, *base, "--seed", "17", "--jobs", "3")
     assert serial == parallel
     assert json.loads(serial)["trials"] == int(base[-1])
+
+
+def test_jobs_are_capped_at_the_cpu_count(capsys, monkeypatch):
+    args = ("attack", "--name", "src-k1", "--n", "4", "--k", "2", "--trials", "50",
+            "--seed", "19")
+    _, serial, _ = run_cli(capsys, *args)
+
+    def no_pool(*_args, **_kwargs):
+        raise AssertionError("a process pool started")
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    code, out, _ = run_cli(capsys, *args, "--jobs", "4")
+    assert code == 0
+    assert out == serial
 
 
 @pytest.mark.parametrize("argv", [

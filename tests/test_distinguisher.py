@@ -2,6 +2,8 @@ import pytest
 
 from feistel_lab.bits import BitString, partition
 from feistel_lab.distinguisher import (
+    OracleMachine,
+    advantage_counts,
     attack_leading_block,
     attack_ufn2_2k,
     attack_ufn2_even_k,
@@ -210,3 +212,20 @@ def test_estimate_advantage_needs_trials():
     factory = fresh_ideal_factory(12)
     with pytest.raises(ValueError):
         estimate_advantage(machine, factory, factory, trials=0, seed=1)
+
+
+class _OverBudgetMachine(OracleMachine):
+    query_budget = 1
+
+    def run(self, oracle):
+        x = BitString(oracle.width, 0)
+        oracle.query(x)
+        oracle.query(x)
+        return 1
+
+
+def test_advantage_counts_enforce_the_query_budget():
+    params = UfnParams(UfnKind.SOURCE_HEAVY, 4, 2, 4)
+    with pytest.raises(RuntimeError, match="exceeded its query budget of 1"):
+        advantage_counts(_OverBudgetMachine(), fresh_ufn_factory(params),
+                         fresh_ideal_factory(params.state_bits), seed=1, start=0, count=3)

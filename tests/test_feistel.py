@@ -2,6 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
+from feistel_lab import feistel, prbg
 from feistel_lab.bits import BitString, BlockState, partition
 from feistel_lab.feistel import (
     UfnKind,
@@ -266,3 +267,40 @@ def test_ideal_round_oracles_are_independent():
     params = UfnParams(UfnKind.UFN2, 4, 3, 4)
     oracles = ideal_round_oracles(params, seed=9)
     assert len({o.eval_int(5) for o in oracles} | {o.eval_int(9) for o in oracles}) > 1
+
+
+@pytest.mark.parametrize("r", [1, 4, 7])
+def test_ideal_ufn_seeds_one_generator_per_instance(monkeypatch, r):
+    calls = {"derive_seed": 0, "generator": 0}
+    real_derive = prbg.derive_seed
+    real_init = prbg.FastBitGenerator.__init__
+
+    def counted_derive(*parts):
+        calls["derive_seed"] += 1
+        return real_derive(*parts)
+
+    def counted_init(gen, seed):
+        calls["generator"] += 1
+        real_init(gen, seed)
+
+    for module in (feistel, prbg):
+        monkeypatch.setattr(module, "derive_seed", counted_derive)
+    monkeypatch.setattr(prbg.FastBitGenerator, "__init__", counted_init)
+    perm = ideal_ufn(UfnParams(UfnKind.UFN2, 4, 3, r), seed=11)
+    x = B(16, 0x1234)
+    assert perm.decrypt(perm.encrypt(x)) == x
+    assert calls == {"derive_seed": 1, "generator": 1}
+    # One stream, but a table per round: each round saw one distinct input.
+    assert [f.table_size for f in perm.rounds] == [1] * r
+
+
+def test_ideal_ufn_replays_from_its_seed():
+    params = UfnParams(UfnKind.SOURCE_HEAVY, 3, 2, 5)
+    a = ideal_ufn(params, seed=21)
+    b = ideal_ufn(params, seed=21)
+    for v in (0, 511, 7, 300, 7, 128):
+        x = B(9, v)
+        assert a.encrypt(x) == b.encrypt(x)
+        assert a.decrypt(x) == b.decrypt(x)
+    other = ideal_ufn(params, seed=22)
+    assert any(other.encrypt(B(9, v)) != a.encrypt(B(9, v)) for v in range(512))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from feistel_lab import statcheck
 from feistel_lab.feistel import UfnKind
 from feistel_lab.statcheck import (
     BadEventSpec,
@@ -209,3 +210,14 @@ def test_uniformity_report_verdict_and_json():
 def test_chi_square_critical_needs_significance_in_unit_interval(significance):
     with pytest.raises(ValueError):
         chi_square_critical(3, significance)
+
+
+@pytest.mark.parametrize("significance", [0.0, 1.0, 2.0, float("nan")])
+def test_uniformity_check_rejects_significance_before_any_trial(monkeypatch, significance):
+    def no_trials(*_args):
+        raise AssertionError("a trial loop started")
+
+    monkeypatch.setattr(statcheck, "uniformity_counts", no_trials)
+    with pytest.raises(ValueError, match="significance"):
+        conditional_uniformity_check(UfnKind.SOURCE_HEAVY, 2, 2, 4, trials=20000, seed=1,
+                                     significance=significance)
