@@ -12,6 +12,7 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .bits import BitString
 
@@ -32,6 +33,11 @@ __all__ = [
 ]
 
 MILLER_RABIN_ROUNDS = 64
+
+# The first twelve primes, and psi_12: the least composite that is a strong
+# pseudoprime to all of them as bases.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PSI_12 = 318665857834031151167461
 
 # Hard-core predicate of the discrete-log stream needs a full log table,
 # so larger moduli are refused.
@@ -55,21 +61,17 @@ def derive_seed(*parts: object) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def is_probable_prime(num: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
-    """Miller-Rabin with ``rounds`` deterministic-per-input random bases."""
-    if num < 2:
-        return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if num % small == 0:
-            return num == small
+def _strong_probable_prime(num: int, bases: Iterable[int]) -> bool:
+    """True iff odd ``num`` is a strong probable prime to each of ``bases``.
+
+    Every base must lie in [2, num - 2].
+    """
     d = num - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    rng = random.Random(derive_seed("miller-rabin", num))
-    for _ in range(rounds):
-        a = rng.randrange(2, num - 1)
+    for a in bases:
         x = pow(a, d, num)
         if x == 1 or x == num - 1:
             continue
@@ -80,6 +82,31 @@ def is_probable_prime(num: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
         else:
             return False
     return True
+
+
+def _random_bases(num: int, rounds: int) -> Iterator[int]:
+    """``rounds`` Miller-Rabin bases in [2, num - 2], seeded by ``num`` alone."""
+    rng = random.Random(derive_seed("miller-rabin", num))
+    return (rng.randrange(2, num - 1) for _ in range(rounds))
+
+
+def is_probable_prime(num: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
+    """Primality by trial division and strong-probable-prime tests.
+
+    Below ``PSI_12`` the verdict is exact: every composite there fails a
+    strong test to one of the twelve prime bases 2..37 (Sorenson and
+    Webster, *Strong pseudoprimes to twelve prime bases*, Math. Comp. 86,
+    2017). At or above it, ``rounds`` bases are drawn from a stream seeded
+    by ``num``, so the verdict is still a fixed function of ``num``.
+    """
+    if num < 2:
+        return False
+    for small in _SMALL_PRIMES:
+        if num % small == 0:
+            return num == small
+    if num < PSI_12:
+        return _strong_probable_prime(num, _SMALL_PRIMES)
+    return _strong_probable_prime(num, _random_bases(num, rounds))
 
 
 def _pollard_rho(num: int) -> int:
@@ -279,6 +306,8 @@ class BbsParams:
         for prime in (self.p, self.q):
             if prime % 4 != 3 or not is_probable_prime(prime):
                 raise ValueError(f"{prime} is not a prime congruent to 3 mod 4")
+        if self.p == self.q:
+            raise ValueError(f"p and q are both {self.p}: n = p^2 is not a Blum integer")
         if self.n != self.p * self.q:
             raise ValueError("n must equal p*q")
         if not 1 <= self.s < self.n or math.gcd(self.s, self.n) != 1:
@@ -334,11 +363,11 @@ def bbs_generate(params: BbsParams, count: int) -> BitString:
 
 
 def generate_bbs_params(bit_length: int, entropy: object) -> BbsParams:
-    """Draw Blum primes of ``bit_length`` bits and a coprime seed.
+    """Draw two distinct Blum primes of ``bit_length`` bits and a coprime seed.
 
-    Deterministic given ``entropy``; retries internally until primes are
-    found. Distinct primes are preferred but equal ones are accepted when the
-    bit length admits only one candidate.
+    Deterministic given ``entropy``. Raises ``ValueError`` when 64 redraws
+    find no second prime, as at bit lengths 3 and 4, which each admit only
+    one prime congruent to 3 mod 4 (7 and 11).
     """
     if bit_length < 3:
         raise ValueError("bit_length must be >= 3")
@@ -356,6 +385,8 @@ def generate_bbs_params(bit_length: int, entropy: object) -> BbsParams:
         if q != p:
             break
         q = draw_prime()
+    if q == p:
+        raise ValueError(f"no two distinct Blum primes of {bit_length} bits")
     n = p * q
     while True:
         s = rng.next_int(2 * bit_length) % (n - 1) + 1

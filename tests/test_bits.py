@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as hs
 
 from feistel_lab.bits import BitString, BlockState, concat, partition, xor
 
@@ -105,6 +107,20 @@ def test_text_form_round_trip():
         for _ in range(20):
             x = BitString(w, rng.getrandbits(w) if w else 0)
             assert BitString.parse(x.text()) == x
+
+
+@hs.composite
+def _bit_strings(draw):
+    width = draw(hs.integers(0, 200))
+    return BitString(width, draw(hs.integers(0, (1 << width) - 1)))
+
+
+@given(_bit_strings())
+@example(BitString(0, 0))
+@example(BitString(200, (1 << 200) - 1))
+@example(BitString(5, 0b10000))
+def test_text_form_round_trip_property(x):
+    assert BitString.parse(x.text()) == x
 
 
 def test_parse_rejects_bad_forms():

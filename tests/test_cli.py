@@ -75,6 +75,18 @@ def test_encrypt_decrypt_round_trip(capsys):
     assert out.strip() == "6:2D"
 
 
+@pytest.mark.parametrize("expander, expected", [("bbs", "32:2DE7DB77"), ("fast", "32:B9481B69")])
+def test_encrypt_tree_walk_golden(capsys, expander, expected):
+    # Ciphertexts computed by the code before fixed-base primality; the bbs
+    # expander's moduli come from the prime search, so they pin its verdicts.
+    base = ["--kind", "source-heavy", "--n", "8", "--k", "3", "--rounds", "5",
+            "--key", "0123456789ABCDEF0123", "--expander", expander]
+    code, out, _ = run_cli(capsys, "encrypt", *base, "--in", "32:DEADBEEF")
+    assert code == 0 and out.strip() == expected
+    code, out, _ = run_cli(capsys, "decrypt", *base, "--in", expected)
+    assert code == 0 and out.strip() == "32:DEADBEEF"
+
+
 def test_encrypt_ideal_prf_round_trip(capsys):
     # Each command builds its cipher afresh, so decrypt only inverts encrypt
     # when a round's values do not depend on the order the rounds run in.

@@ -16,6 +16,7 @@ from feistel_lab.prbg import (
     is_generator,
     is_probable_prime,
 )
+from feistel_lab.prbg import _random_bases, _strong_probable_prime
 
 
 def _sieve_primes(limit):
@@ -29,9 +30,57 @@ def _sieve_primes(limit):
 
 
 def test_probable_prime_matches_sieve():
-    flags = _sieve_primes(2000)
-    for num in range(2000):
+    flags = _sieve_primes(100_001)
+    for num in range(100_001):
         assert is_probable_prime(num) == flags[num], num
+
+
+# The least strong pseudoprimes to the first twelve and thirteen prime bases
+# (Sorenson and Webster 2017). Written out here, not imported: a fixed-base
+# path bounded by PSI_13 instead of PSI_12 would accept PSI_12.
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+@pytest.mark.parametrize("num", [
+    561, 1105, 1729,  # Carmichael numbers
+    3215031751,  # strong pseudoprime to the bases 2, 3, 5, 7
+    3825123056546413051,  # strong pseudoprime to the bases 2..23
+    PSI_12,
+    PSI_13,
+])
+def test_probable_prime_rejects_pseudoprimes(num):
+    assert not is_probable_prime(num)
+
+
+@pytest.mark.parametrize("num", [
+    (1 << 61) - 1,
+    (1 << 64) - 59,
+    PSI_12 - 20,  # the largest prime below PSI_12, found with random bases
+])
+def test_probable_prime_accepts_primes(num):
+    assert is_probable_prime(num)
+
+
+def test_largest_prime_below_psi_12_by_random_bases():
+    below = PSI_12 - 20
+    assert _strong_probable_prime(below, _random_bases(below, 64))
+    for num in range(below + 2, PSI_12, 2):
+        assert not _strong_probable_prime(num, _random_bases(num, 64)), num
+
+
+def test_fixed_bases_agree_with_random_bases():
+    # Odd integers of 16 to 80 bits: both sides of 2^64, and the 79- and
+    # 80-bit ones lie above PSI_12 (about 2^78.1), on the random-base path.
+    rng = fast_generator(derive_seed("primality-gate"))
+    primes = 0
+    for _ in range(12_000):
+        bits = 16 + rng.next_int(16) % 65
+        num = rng.next_int(bits) | (1 << (bits - 1)) | 1
+        expected = _strong_probable_prime(num, _random_bases(num, 64))
+        assert is_probable_prime(num) == expected, num
+        primes += expected
+    assert primes > 100
 
 
 def test_is_generator_matches_order_oracle():
@@ -160,6 +209,8 @@ def test_bbs_params_validation():
         BbsParams.create(7, 11, 7)  # gcd(7, 77) != 1
     with pytest.raises(ValueError):
         BbsParams(p=7, q=11, n=77, s=2, x0=5)  # x0 inconsistent
+    with pytest.raises(ValueError, match="Blum integer"):
+        BbsParams.create(7, 7, 2)  # n = p^2
 
 
 def test_bbs_reseed_is_deterministic():
@@ -172,10 +223,31 @@ def test_bbs_reseed_is_deterministic():
 
 
 def test_generate_bbs_params_smallest_space():
-    params = generate_bbs_params(3, 1)
-    assert params.p % 4 == 3 and params.q % 4 == 3
-    assert params.n == params.p * params.q
-    assert math.gcd(params.s, params.n) == 1
+    # 5 bits is the shortest length with two Blum primes (19, 23 and 31).
+    for entropy in range(20):
+        params = generate_bbs_params(5, entropy)
+        assert params.p % 4 == 3 and params.q % 4 == 3
+        assert params.p != params.q
+        assert {params.p, params.q} <= {19, 23, 31}
+        assert params.n == params.p * params.q
+        assert math.gcd(params.s, params.n) == 1
+
+
+@pytest.mark.parametrize("bit_length", [3, 4])
+def test_generate_bbs_params_rejects_one_prime_lengths(bit_length):
+    # 7 and 11 are the only Blum primes of 3 and 4 bits: n = p^2 is no Blum integer.
+    with pytest.raises(ValueError, match=f"{bit_length} bits"):
+        generate_bbs_params(bit_length, 1)
+
+
+# Values computed by the code before fixed-base primality: the same verdicts
+# must give the same moduli, streams and ciphertexts bit for bit.
+@pytest.mark.parametrize("entropy, p, q, s", [
+    (1, 2565333139, 2319199783, 1951394096747801242),
+    ("golden", 3559119023, 4017295027, 364200965516369426),
+])
+def test_generate_bbs_params_golden(entropy, p, q, s):
+    assert generate_bbs_params(32, entropy) == BbsParams.create(p, q, s)
 
 
 def test_generate_bbs_params_deterministic():
