@@ -12,6 +12,7 @@ value violating its bound or significance level).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -378,8 +379,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """One parser per process: ``main`` may run many commands in one process
+    (tests, the benchmark), and building the parser costs more than many of
+    those commands. Parsing does not modify it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bits import BitString
-from .feistel import UfnKind, UfnParams, ideal_ufn
+from .feistel import UfnKind, UfnParams, _forward, ideal_ufn
 from .prbg import FastBitGenerator, derive_seed
 from .stats import chi_square_critical, chi_square_statistic, wilson_halfwidth
 
@@ -294,22 +294,82 @@ def gf2_nonsingular(matrix: Gf2Matrix) -> bool:
     return True
 
 
+# SplitMix64 (Steele, Lea and Flood, OOPSLA 2014): the golden-gamma counter
+# increment and the two multipliers of its finalizer.
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_MASK64 = (1 << 64) - 1
+# Trials per array pass of uniformity_counts: bounds its memory at any trial count.
+_UNIFORMITY_BATCH = 1 << 16
+
+
+def _splitmix(s, j):
+    """z(s, j) = SplitMix64 finalizer of (s + j * gamma) mod 2^64, elementwise.
+
+    At least one of ``s`` and ``j`` is a numpy ``uint64`` array; a Python int
+    multiple of gamma is reduced mod 2^64 before it meets the array, so every
+    wrap happens inside array arithmetic, which wraps silently.
+    """
+    z = s + ((j * _GAMMA) & _MASK64)
+    z = (z ^ (z >> 30)) * _MIX1
+    z = (z ^ (z >> 27)) * _MIX2
+    return z ^ (z >> 31)
+
+
+class _SplitMixRound:
+    """Round function x -> top ``out_bits`` bits of z(key, x + 1), on uint64 arrays.
+
+    ``key`` holds one round key per trial, so ``feistel._forward`` runs a
+    whole batch of independently keyed instances through one round at once.
+    """
+
+    def __init__(self, key, out_bits: int) -> None:
+        self._key = key
+        self._shift = 64 - out_bits
+
+    def eval_int(self, x):
+        return _splitmix(self._key, x + 1) >> self._shift
+
+
 def uniformity_counts(
-    kind: UfnKind, n: int, k: int, r: int, seed: int, start: int, count: int
+    kind: UfnKind, n: int, k: int, r: int, seed: object, start: int, count: int
 ) -> list[int]:
-    """Histogram of outputs at a fixed input over freshly keyed instances."""
+    """Histogram of outputs at the all-zero input over trials [start, start+count).
+
+    Trial t keys its own r-round instance from counters alone: with
+    S = ``derive_seed("uniformity-keys", seed)``, its key is T_t = z(S, t+1),
+    round i's key is K_i = z(T_t, i+1) and round i computes
+    f_i(x) = z(K_i, x+1) >> (64 - out_bits), where z is ``_splitmix``. A key
+    depends only on the absolute trial index, so any split of the trials
+    gives the same summed histogram. All trials of a batch go through
+    ``feistel._forward`` together as numpy ``uint64`` arrays, at most
+    ``_UNIFORMITY_BATCH`` at a time; states wider than
+    ``_MAX_UNIFORMITY_STATE_BITS`` are refused before any trial.
+    """
+    import numpy as np
+
     params = UfnParams(kind, n, k, r)
     if params.state_bits > _MAX_UNIFORMITY_STATE_BITS:
         raise ValueError(
             f"state space of {params.state_bits} bits is too large to bin "
             f"(max {_MAX_UNIFORMITY_STATE_BITS})"
         )
-    bins = [0] * (1 << params.state_bits)
-    probe = BitString(params.state_bits, 0)
-    for t in range(start, start + count):
-        perm = ideal_ufn(params, derive_seed(seed, "trial", t))
-        bins[perm.encrypt(probe).value] += 1
-    return bins
+    master = derive_seed("uniformity-keys", seed)
+    bins = np.zeros(1 << params.state_bits, dtype=np.int64)
+    end = start + count
+    for lo in range(start, end, _UNIFORMITY_BATCH):
+        hi = min(lo + _UNIFORMITY_BATCH, end)
+        trial_keys = _splitmix(master, np.arange(lo + 1, hi + 1, dtype=np.uint64))
+        blocks = (np.zeros(hi - lo, dtype=np.uint64),) * params.block_count
+        for i in range(r):
+            f = _SplitMixRound(_splitmix(trial_keys, i + 1), params.round_out_bits)
+            blocks = _forward(params, f, blocks)
+        outputs = 0
+        for b in blocks:
+            outputs = (outputs << n) | b
+        bins += np.bincount(outputs.astype(np.intp), minlength=bins.size)
+    return bins.tolist()
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,6 @@ def chi_square_critical(dof: int, significance: float) -> float:
     """Upper critical value: reject uniformity when the statistic exceeds it."""
     if not 0.0 < significance < 1.0:
         raise ValueError(f"significance must lie in (0, 1), got {significance}")
-    from scipy.stats import chi2
+    from scipy.special import chdtri
 
-    return float(chi2.ppf(1.0 - significance, dof))
+    return float(chdtri(dof, significance))

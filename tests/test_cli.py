@@ -1,7 +1,16 @@
+import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
+import feistel_lab
 from feistel_lab import cli
 from feistel_lab.cli import SEED_ENV_VAR, main
 
@@ -223,6 +232,74 @@ def test_jobs_are_capped_at_the_cpu_count(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, *args, "--jobs", "4")
     assert code == 0
     assert out == serial
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    shape=hs.sampled_from([("balanced", "4", "1"), ("source-heavy", "2", "2"),
+                           ("target-heavy", "2", "3"), ("ufn2", "3", "1")]),
+    trials=hs.integers(2, 400),
+    seed=hs.integers(0, 2**64 - 1),
+)
+def test_uniformity_json_does_not_depend_on_jobs(shape, trials, seed):
+    kind, n, k = shape
+    argv = ["uniformity", "--kind", kind, "--n", n, "--k", k, "--trials", str(trials),
+            "--seed", str(seed)]
+    outputs = []
+    with pytest.MonkeyPatch.context() as mp:
+        # Two chunks on any machine: --jobs is capped at the CPU count.
+        mp.setattr(cli.os, "cpu_count", lambda: 2)
+        for jobs in ("1", "2"):
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                code = main(argv + ["--jobs", jobs])
+            outputs.append((code, buf.getvalue()))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][1])["trials"] == trials
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    builds = []
+    real_build = cli.build_parser
+
+    def counted_build():
+        builds.append(1)
+        return real_build()
+
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    cli._shared_parser.cache_clear()
+    args = ("attack", "--name", "src-k1", "--n", "4", "--k", "2", "--trials", "50",
+            "--seed", "3")
+    first = run_cli(capsys, *args)
+    code, _, err = run_cli(capsys, "attack", "--name", "nope", "--n", "4", "--k", "2")
+    assert code == 1 and err.startswith("error: ")
+    second = run_cli(capsys, *args)
+    matrix = run_cli(capsys, "matrix", "--k", "3")
+    assert matrix[:2] == (0, '{"k":3,"nonsingular":true,"schema":1}\n')
+    assert first == second and first[0] == 0
+    assert len(builds) == 1
+    assert real_build() is not real_build()
+
+
+@pytest.mark.parametrize("argv", [
+    ("attack", "--name", "src-k1", "--n", "4", "--k", "2", "--trials", "50", "--seed", "1"),
+    ("badprob", "--kind", "source-heavy", "--n", "8", "--k", "2", "--m", "4",
+     "--trials", "100", "--seed", "5"),
+    ("encrypt", "--kind", "ufn2", "--n", "2", "--k", "2", "--rounds", "5",
+     "--key", "A3F2C12345", "--in", "6:2D"),
+], ids=lambda argv: argv[0])
+def test_trial_games_and_crypt_do_not_load_numpy(argv):
+    # numpy adds about 11 MB to a process; only the uniformity check needs it.
+    script = ("import sys; from feistel_lab.cli import main; rc = main(sys.argv[1:]); "
+              "print('numpy loaded' if 'numpy' in sys.modules else 'numpy absent', "
+              "file=sys.stderr); sys.exit(rc)")
+    src = str(Path(feistel_lab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip().splitlines()[-1] == "numpy absent"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,9 +1,15 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from feistel_lab import statcheck
-from feistel_lab.feistel import UfnKind
+from feistel_lab.bits import BitString
+from feistel_lab.feistel import UfnKind, UfnParams, UfnPermutation
+from feistel_lab.prbg import derive_seed
+from feistel_lab.prf import CallableOracle
 from feistel_lab.statcheck import (
     BadEventSpec,
     BadProbReport,
@@ -15,6 +21,7 @@ from feistel_lab.statcheck import (
     estimate_bad_prob,
     gf2_nonsingular,
     secure_rounds,
+    uniformity_counts,
     watched_rounds,
 )
 from feistel_lab.stats import chi_square_critical
@@ -221,3 +228,91 @@ def test_uniformity_check_rejects_significance_before_any_trial(monkeypatch, sig
     with pytest.raises(ValueError, match="significance"):
         conditional_uniformity_check(UfnKind.SOURCE_HEAVY, 2, 2, 4, trials=20000, seed=1,
                                      significance=significance)
+
+
+def test_chi_square_critical_matches_the_distribution_quantile():
+    from scipy.stats import chi2
+
+    dofs = np.concatenate([np.arange(1, 300), np.arange(511, 4096)])
+    for significance in (1e-6, 1e-4, 0.001, 0.01, 0.05, 0.1, 0.5):
+        expected = chi2.ppf(1.0 - significance, dofs)
+        got = np.array([chi_square_critical(int(d), significance) for d in dofs])
+        assert np.max(np.abs(got - expected) / expected) < 1e-10, significance
+
+
+_M64 = (1 << 64) - 1
+
+
+def _splitmix_scalar(s, j):
+    """Reference SplitMix64 on Python ints: the finalizer of s + j * gamma."""
+    z = (s + j * 0x9E3779B97F4A7C15) & _M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
+def _scalar_trial_output(params, seed, t):
+    """Trial t of the uniformity check, one int at a time through UfnPermutation."""
+    trial_key = _splitmix_scalar(derive_seed("uniformity-keys", seed), t + 1)
+    shift = 64 - params.round_out_bits
+    rounds = [
+        CallableOracle(params.round_in_bits, params.round_out_bits,
+                       lambda x, key=_splitmix_scalar(trial_key, i + 1):
+                       _splitmix_scalar(key, x + 1) >> shift)
+        for i in range(params.r)
+    ]
+    perm = UfnPermutation(params, rounds)
+    return perm.encrypt(BitString(params.state_bits, 0)).value
+
+
+def test_scalar_splitmix_reproduces_the_reference_stream():
+    # SplitMix64 seeded with 0 starts 0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4.
+    assert [_splitmix_scalar(0, j) for j in (1, 2)] == [0xE220A8397B1DCDAF,
+                                                        0x6E789E6AA1B965F4]
+
+
+@pytest.mark.parametrize("kind,n,k,r", [
+    (UfnKind.BALANCED, 3, 1, 3),
+    (UfnKind.BALANCED, 5, 1, 4),
+    (UfnKind.SOURCE_HEAVY, 2, 3, 5),
+    (UfnKind.SOURCE_HEAVY, 4, 2, 4),
+    (UfnKind.TARGET_HEAVY, 2, 3, 5),
+    (UfnKind.TARGET_HEAVY, 3, 3, 5),
+    (UfnKind.UFN2, 2, 3, 7),
+    (UfnKind.UFN2, 3, 2, 5),
+])
+def test_uniformity_counts_match_the_scalar_twin_bit_for_bit(kind, n, k, r):
+    params = UfnParams(kind, n, k, r)
+    seed = (31, kind.value)
+    total = [0] * (1 << params.state_bits)
+    for t in range(300):
+        expected = [0] * (1 << params.state_bits)
+        expected[_scalar_trial_output(params, seed, t)] = 1
+        assert uniformity_counts(kind, n, k, r, seed, t, 1) == expected, t
+        total = [a + b for a, b in zip(total, expected)]
+    assert uniformity_counts(kind, n, k, r, seed, 0, 300) == total
+
+
+def test_uniformity_counts_golden_histogram():
+    assert uniformity_counts(UfnKind.BALANCED, 2, 1, 3, 5, 0, 100) == [
+        6, 5, 6, 7, 7, 5, 4, 6, 7, 3, 8, 14, 7, 5, 6, 4]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=hs.sampled_from(list(UfnKind)),
+    trials=hs.integers(1, 300),
+    cuts=hs.lists(hs.integers(0, 300), max_size=6),
+    batch=hs.integers(1, 40),
+)
+def test_uniformity_counts_add_up_over_any_split(kind, trials, cuts, batch):
+    k = 1 if kind is UfnKind.BALANCED else 2
+    whole = uniformity_counts(kind, 2, k, 3, 23, 0, trials)
+    bounds = sorted({0, trials, *(c % (trials + 1) for c in cuts)})
+    with pytest.MonkeyPatch.context() as mp:
+        # Small batches put batch boundaries inside and across the parts.
+        mp.setattr(statcheck, "_UNIFORMITY_BATCH", batch)
+        parts = [uniformity_counts(kind, 2, k, 3, 23, lo, hi - lo)
+                 for lo, hi in zip(bounds, bounds[1:])]
+    assert [sum(column) for column in zip(*parts)] == whole
+    assert sum(whole) == trials
