@@ -6,7 +6,7 @@ sampled ideal permutation, collision-bound and uniformity checks, and a
 memory/time benchmark of memoized versus tree-walk round functions.
 """
 
-from .bits import BitString, BlockState, concat, partition, xor
+from .bits import BitString
 from .distinguisher import (
     GameReport,
     IdealPermutationOracle,
@@ -35,7 +35,6 @@ from .prbg import (
     bbs_generate,
     bm_generate,
     derive_seed,
-    fast_generator,
     generate_bbs_params,
 )
 from .prf import (

@@ -28,7 +28,6 @@ from .prf import DEFAULT_TABLE_CAP, GgmFunctionOracle, IdealFunctionOracle
 from .statcheck import secure_rounds
 
 __all__ = [
-    "StructureProfile",
     "structure_profile",
     "BenchConfig",
     "StructureReport",
@@ -43,23 +42,8 @@ ALL_KINDS = (UfnKind.BALANCED, UfnKind.SOURCE_HEAVY, UfnKind.TARGET_HEAVY, UfnKi
 _AUTO_EXHAUST_STATE_BITS = 14
 
 
-@dataclass(frozen=True)
-class StructureProfile:
-    """Round count and round-function widths of one structure at (n, k)."""
-
-    kind: UfnKind
-    rounds: int
-    p1: int
-    p2: int
-    params: UfnParams
-
-    @property
-    def state_bits(self) -> int:
-        return self.params.state_bits
-
-
-def structure_profile(kind: UfnKind, n: int, k: int) -> StructureProfile:
-    """Profile of ``kind`` on the shared (k+1)n-bit state.
+def structure_profile(kind: UfnKind, n: int, k: int) -> UfnParams:
+    """Structure ``kind`` on the shared (k+1)n-bit state at its secure round count.
 
     The balanced structure splits that state into two halves, so (k+1)n must
     be even for it.
@@ -68,11 +52,8 @@ def structure_profile(kind: UfnKind, n: int, k: int) -> StructureProfile:
         state = (k + 1) * n
         if state % 2 != 0:
             raise ValueError(f"balanced structure needs an even state width, got {state}")
-        half = state // 2
-        params = UfnParams(UfnKind.BALANCED, half, 1, 3)
-        return StructureProfile(kind, 3, half, half, params)
-    params = UfnParams(kind, n, k, secure_rounds(kind, k))
-    return StructureProfile(kind, params.r, params.round_in_bits, params.round_out_bits, params)
+        return UfnParams(UfnKind.BALANCED, state // 2, 1, 3)
+    return UfnParams(kind, n, k, secure_rounds(kind, k))
 
 
 def coarse_memory_bits(kind: UfnKind, n: int, k: int) -> int:
@@ -99,7 +80,7 @@ def coarse_ggm_bits(kind: UfnKind, n: int, k: int, ell: int) -> int:
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """One benchmark run over a set of structures at shared (n, k).
+    """One benchmark run over every structure kind at shared (n, k).
 
     ``ell`` is the total key budget in bits, shared by every structure and
     split evenly across each structure's rounds; it defaults to 64 times the
@@ -113,7 +94,6 @@ class BenchConfig:
     prf_mode: str
     workload: int
     seed: int
-    kinds: tuple[UfnKind, ...] = ALL_KINDS
     ell: int | None = None
     exhaust: bool | None = None
     table_cap: int = DEFAULT_TABLE_CAP
@@ -123,11 +103,9 @@ class BenchConfig:
             raise ValueError("prf_mode must be 'memoized' or 'ggm'")
         if self.workload < 0:
             raise ValueError("workload must be >= 0")
-        if not self.kinds:
-            raise ValueError("at least one structure kind is required")
 
     def resolved_ell(self) -> int:
-        rounds = [structure_profile(kind, self.n, self.k).rounds for kind in self.kinds]
+        rounds = [structure_profile(kind, self.n, self.k).r for kind in ALL_KINDS]
         if self.ell is None:
             return 64 * math.lcm(*rounds)
         for r in rounds:
@@ -220,19 +198,19 @@ def _ggm_bits(perm: UfnPermutation) -> int:
     return sum(f.bits_generated for f in perm.rounds if isinstance(f, GgmFunctionOracle))
 
 
-def _workload_inputs(profile: StructureProfile, workload: int) -> list[BitString]:
-    domain = 1 << profile.state_bits
-    return [BitString(profile.state_bits, t % domain) for t in range(workload)]
+def _workload_inputs(params: UfnParams, workload: int) -> list[BitString]:
+    domain = 1 << params.state_bits
+    return [BitString(params.state_bits, t % domain) for t in range(workload)]
 
 
 def _bench_memoized(
-    profile: StructureProfile, cfg: BenchConfig
+    params: UfnParams, cfg: BenchConfig
 ) -> tuple[int | None, int, bool, float]:
     """Returns (exhausted payload bits or None, workload payload bits,
     exhausted flag, seconds per encryption)."""
-    perm = ideal_ufn(profile.params, derive_seed(cfg.seed, "bench", profile.kind.value),
+    perm = ideal_ufn(params, derive_seed(cfg.seed, "bench", params.kind.value),
                      max_entries=cfg.table_cap)
-    inputs = _workload_inputs(profile, cfg.workload)
+    inputs = _workload_inputs(params, cfg.workload)
     started = time.perf_counter()
     for x in inputs:
         perm.encrypt(x)
@@ -242,29 +220,29 @@ def _bench_memoized(
 
     exhaust = cfg.exhaust
     if exhaust is None:
-        exhaust = profile.state_bits <= _AUTO_EXHAUST_STATE_BITS
+        exhaust = params.state_bits <= _AUTO_EXHAUST_STATE_BITS
     if not exhaust:
         return None, workload_bits, False, per_encryption
-    if (1 << profile.p1) > cfg.table_cap:
+    if (1 << params.round_in_bits) > cfg.table_cap:
         raise RuntimeError(
-            f"exhausting a 2^{profile.p1}-entry table exceeds the cap of "
+            f"exhausting a 2^{params.round_in_bits}-entry table exceeds the cap of "
             f"{cfg.table_cap}; rerun with exhaust=False (--analytic) to report "
             "the closed-form figure instead"
         )
-    full = ideal_ufn(profile.params, derive_seed(cfg.seed, "exhaust", profile.kind.value),
+    full = ideal_ufn(params, derive_seed(cfg.seed, "exhaust", params.kind.value),
                      max_entries=cfg.table_cap)
-    for v in range(1 << profile.state_bits):
-        full.encrypt(BitString(profile.state_bits, v))
+    for v in range(1 << params.state_bits):
+        full.encrypt(BitString(params.state_bits, v))
     return _table_payload_bits(full), workload_bits, True, per_encryption
 
 
 def _bench_ggm(
-    profile: StructureProfile, cfg: BenchConfig, ell: int
+    params: UfnParams, cfg: BenchConfig, ell: int
 ) -> tuple[int | None, float]:
     """Returns (measured bits per encryption or None, seconds per encryption)."""
-    master = FastBitGenerator(derive_seed(cfg.seed, "master", profile.kind.value)).next_bits(ell)
-    perm = ggm_ufn(profile.params, master, mode="fast")
-    inputs = _workload_inputs(profile, cfg.workload)
+    master = FastBitGenerator(derive_seed(cfg.seed, "master", params.kind.value)).next_bits(ell)
+    perm = ggm_ufn(params, master, mode="fast")
+    inputs = _workload_inputs(params, cfg.workload)
     measured = None
     started = time.perf_counter()
     for x in inputs:
@@ -278,23 +256,20 @@ def _bench_ggm(
 
 
 def run_bench(cfg: BenchConfig) -> BenchReport:
-    """Profile every configured structure and attach row-relative ratios."""
+    """Profile every structure kind and attach row-relative ratios."""
     ell = cfg.resolved_ell()
     rows: list[StructureReport] = []
-    for kind in cfg.kinds:
-        profile = structure_profile(kind, cfg.n, cfg.k)
-        analytic_table = profile.rounds * (1 << profile.p1) * profile.p2
-        coarse_table = coarse_memory_bits(kind, cfg.n, cfg.k)
-        analytic_prbg = (2 * profile.p1 * (ell // profile.rounds) + profile.p2) * profile.rounds
+    for kind in ALL_KINDS:
+        params = structure_profile(kind, cfg.n, cfg.k)
+        r, p1, p2 = params.r, params.round_in_bits, params.round_out_bits
+        shape = dict(kind=kind, rounds=r, p1=p1, p2=p2, state_bits=params.state_bits)
         if cfg.prf_mode == "memoized":
-            measured, workload_bits, exhausted, per_enc = _bench_memoized(profile, cfg)
+            analytic_table = r * (1 << p1) * p2
+            coarse_table = coarse_memory_bits(kind, cfg.n, cfg.k)
+            measured, workload_bits, exhausted, per_enc = _bench_memoized(params, cfg)
             rows.append(
                 StructureReport(
-                    kind=kind,
-                    rounds=profile.rounds,
-                    p1=profile.p1,
-                    p2=profile.p2,
-                    state_bits=profile.state_bits,
+                    **shape,
                     analytic_table_bits=analytic_table,
                     coarse_table_bits=coarse_table,
                     coarse_matches_exact=(coarse_table == analytic_table),
@@ -302,22 +277,18 @@ def run_bench(cfg: BenchConfig) -> BenchReport:
                     workload_table_bits=workload_bits,
                     exhausted=exhausted,
                     seconds_per_encryption=per_enc,
-                    time_units=profile.rounds * profile.p2,
+                    time_units=r * p2,
                 )
             )
         else:
-            measured, per_enc = _bench_ggm(profile, cfg, ell)
-            coarse_prbg = coarse_ggm_bits(kind, cfg.n, cfg.k, ell)
+            analytic_prbg = (2 * p1 * (ell // r) + p2) * r
+            measured, per_enc = _bench_ggm(params, cfg, ell)
             rows.append(
                 StructureReport(
-                    kind=kind,
-                    rounds=profile.rounds,
-                    p1=profile.p1,
-                    p2=profile.p2,
-                    state_bits=profile.state_bits,
+                    **shape,
                     analytic_prbg_bits=analytic_prbg,
                     measured_prbg_bits=measured,
-                    coarse_prbg_bits=coarse_prbg,
+                    coarse_prbg_bits=coarse_ggm_bits(kind, cfg.n, cfg.k, ell),
                     seconds_per_encryption=per_enc,
                     time_units=analytic_prbg,
                 )

@@ -1,11 +1,13 @@
-"""Fixed-width bit strings and block partitioning."""
+"""Fixed-width bit strings and the split of a state into equal-width blocks."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
 
-__all__ = ["BitString", "BlockState", "xor", "concat", "partition"]
+__all__ = ["BitString", "split_blocks", "join_blocks"]
+
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,10 +40,14 @@ class BitString:
 
     @classmethod
     def parse(cls, text: str) -> "BitString":
-        """Parse the ``width:hexdigits`` form, e.g. ``6:2D`` for 101101."""
+        """Parse the ``width:hexdigits`` form, e.g. ``6:2D`` for 101101.
+
+        The width is ASCII decimal digits and the value ASCII hex digits of
+        either case: no sign, space, underscore or ``0x`` prefix.
+        """
         left, sep, digits = text.partition(":")
-        if not sep:
-            raise ValueError(f"expected 'width:hex', got {text!r}")
+        if not (sep and left.isascii() and left.isdigit() and _HEX_DIGITS.issuperset(digits)):
+            raise ValueError(f"expected 'width:hex' in ASCII digits, got {text!r}")
         width = int(left)
         if len(digits) != (width + 3) // 4:
             raise ValueError(f"expected {(width + 3) // 4} hex digits for width {width}")
@@ -92,63 +98,16 @@ class BitString:
         return BitString(self.width, self.value ^ ((1 << self.width) - 1))
 
 
-@dataclass(frozen=True, slots=True)
-class BlockState:
-    """Ordered sub-blocks of equal width; block 0 is the leftmost.
-
-    Concatenating the blocks in order reproduces the flat state.
-    """
-
-    blocks: tuple[BitString, ...]
-
-    def __post_init__(self) -> None:
-        if not self.blocks:
-            raise ValueError("BlockState needs at least one block")
-        n = self.blocks[0].width
-        if n < 1:
-            raise ValueError("sub-block width must be >= 1")
-        if any(b.width != n for b in self.blocks):
-            raise ValueError("all sub-blocks must share one width")
-
-    @classmethod
-    def of(cls, *blocks: BitString) -> "BlockState":
-        return cls(tuple(blocks))
-
-    @property
-    def n(self) -> int:
-        return self.blocks[0].width
-
-    @property
-    def count(self) -> int:
-        return len(self.blocks)
-
-    def flatten(self) -> BitString:
-        n = self.n
-        value = 0
-        for b in self.blocks:
-            value = (value << n) | b.value
-        return BitString(n * self.count, value)
-
-
-def xor(a: BitString, b: BitString) -> BitString:
-    """Bitwise XOR of two equal-width strings."""
-    return a.xor(b)
-
-
-def concat(a: BitString, b: BitString) -> BitString:
-    """Concatenation; ``a`` occupies the leftmost positions."""
-    return a.concat(b)
-
-
-def partition(s: BitString, n: int) -> BlockState:
-    """Cut ``s`` into sub-blocks of width ``n``, leftmost first."""
-    if n < 1:
-        raise ValueError("sub-block width must be >= 1")
-    if s.width % n != 0:
-        raise ValueError(f"width {s.width} is not divisible by {n}")
-    count = s.width // n
+def split_blocks(value, n: int, count: int) -> tuple:
+    """Cut a (count*n)-bit value into ``count`` n-bit blocks, block 0 the most
+    significant. ``value`` may be an int or a numpy unsigned integer array."""
     mask = (1 << n) - 1
-    blocks = tuple(
-        BitString(n, (s.value >> ((count - 1 - i) * n)) & mask) for i in range(count)
-    )
-    return BlockState(blocks)
+    return tuple((value >> ((count - 1 - i) * n)) & mask for i in range(count))
+
+
+def join_blocks(blocks, n: int):
+    """Inverse of ``split_blocks``: concatenate n-bit blocks, block 0 leftmost."""
+    value = 0
+    for b in blocks:
+        value = (value << n) | b
+    return value

@@ -18,7 +18,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .bench import ALL_KINDS, BenchConfig, report_csv, run_bench
+from .bench import BenchConfig, report_csv, run_bench
 from .bits import BitString
 from .distinguisher import (
     attack_leading_block,
@@ -158,7 +158,9 @@ def _build_cipher(args: argparse.Namespace):
     params = UfnParams(kind, args.n, args.k, args.rounds)
     key_hex = args.key
     try:
-        master = BitString(4 * len(key_hex), int(key_hex, 16))
+        if not key_hex:
+            raise ValueError("empty key")
+        master = BitString.parse(f"{4 * len(key_hex)}:{key_hex}")
     except ValueError as exc:
         raise UsageError(f"--key must be hex digits, got {key_hex!r}") from exc
     if args.prf == "ggm":
@@ -257,7 +259,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         prf_mode=mode,
         workload=args.workload,
         seed=seed,
-        kinds=ALL_KINDS,
         ell=args.ell,
         exhaust=False if args.analytic else None,
         table_cap=args.table_cap,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
-from .bits import BitString
+from .bits import BitString, join_blocks
 from .feistel import UfnKind, UfnParams, UfnPermutation, ideal_ufn
 from .prbg import BitGenerator, FastBitGenerator, derive_seed
 from .stats import wilson_halfwidth
@@ -118,23 +118,15 @@ def _query_pair(n: int, k: int, seed: object | None) -> tuple[BitString, BitStri
         left_p = gen.next_int(n)
         delta = gen.next_int(n) or 1
         left_q = left_p ^ delta
-    tail = 0
-    for b in shared:
-        tail = (tail << n) | b
     width = (k + 1) * n
-    x_p = BitString(width, (left_p << (k * n)) | tail)
-    x_q = BitString(width, (left_q << (k * n)) | tail)
+    x_p = BitString(width, join_blocks([left_p, *shared], n))
+    x_q = BitString(width, join_blocks([left_q, *shared], n))
     return x_p, x_q
 
 
-class _LeadingBlockXorMachine(OracleMachine):
-    """Two queries differing only in the leftmost block; accepts when the
-    leftmost output blocks XOR to the same difference.
-
-    That relation is an identity for both under-rounded unbalanced shapes:
-    after k+1 rounds the leftmost block is the original leftmost block XORed
-    with round-function outputs that both queries share.
-    """
+class _PairMachine(OracleMachine):
+    """Two queries differing only in the leftmost block; a subclass states
+    the relation between the two replies that it accepts."""
 
     query_budget = 2
 
@@ -148,10 +140,25 @@ class _LeadingBlockXorMachine(OracleMachine):
             raise ValueError(f"oracle width {oracle.width} does not match machine")
         y_p = oracle.query(self.x_p)
         y_q = oracle.query(self.x_q)
+        return 1 if self._accepts(y_p, y_q) else 0
+
+    def _accepts(self, y_p: BitString, y_q: BitString) -> bool:
+        raise NotImplementedError
+
+
+class _LeadingBlockXorMachine(_PairMachine):
+    """Accepts when the leftmost output blocks XOR to the input difference.
+
+    That relation is an identity for both under-rounded unbalanced shapes:
+    after k+1 rounds the leftmost block is the original leftmost block XORed
+    with round-function outputs that both queries share.
+    """
+
+    def _accepts(self, y_p: BitString, y_q: BitString) -> bool:
         shift = self.k * self.n
         in_delta = (self.x_p.value >> shift) ^ (self.x_q.value >> shift)
         out_delta = (y_p.value >> shift) ^ (y_q.value >> shift)
-        return 1 if in_delta == out_delta else 0
+        return in_delta == out_delta
 
 
 def attack_leading_block(n: int, k: int, seed: object | None = None) -> OracleMachine:
@@ -247,25 +254,14 @@ def _relation_residual(
     return acc
 
 
-class _CarriedBlockMachine(OracleMachine):
-    """Two queries differing only in the leftmost block; accepts when the XOR
-    of the first k output blocks of both replies equals the input difference.
-    The carried block is block 1, which both queries share, so it adds
-    nothing to the relation. Exact at 2k rounds for odd k."""
+class _CarriedBlockMachine(_PairMachine):
+    """Accepts when the XOR of the first k output blocks of both replies
+    equals the input difference. The carried block is block 1, which both
+    queries share, so it adds nothing to the relation. Exact at 2k rounds
+    for odd k."""
 
-    query_budget = 2
-
-    def __init__(self, n: int, k: int, seed: object | None = None) -> None:
-        self.n = n
-        self.k = k
-        self.x_p, self.x_q = _query_pair(n, k, seed)
-
-    def run(self, oracle: PermutationOracle) -> int:
-        if oracle.width != (self.k + 1) * self.n:
-            raise ValueError(f"oracle width {oracle.width} does not match machine")
-        y_p = oracle.query(self.x_p)
-        y_q = oracle.query(self.x_q)
-        return 1 if _relation_residual(y_p, y_q, self.x_p, self.x_q, self.n, self.k) == 0 else 0
+    def _accepts(self, y_p: BitString, y_q: BitString) -> bool:
+        return _relation_residual(y_p, y_q, self.x_p, self.x_q, self.n, self.k) == 0
 
 
 def attack_ufn2_2k(n: int, k: int, seed: object | None = None) -> OracleMachine:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from .bits import BitString
+from .bits import BitString, join_blocks, split_blocks
 from .prbg import FastBitGenerator, derive_seed
 from .prf import (
     DEFAULT_TABLE_CAP,
@@ -164,34 +164,21 @@ class UfnPermutation:
     def width(self) -> int:
         return self.params.state_bits
 
-    def _split(self, value: int) -> tuple[int, ...]:
-        n = self.params.n
-        count = self.params.block_count
-        mask = (1 << n) - 1
-        return tuple((value >> ((count - 1 - i) * n)) & mask for i in range(count))
-
-    def _join(self, blocks: tuple[int, ...]) -> int:
-        n = self.params.n
-        value = 0
-        for b in blocks:
-            value = (value << n) | b
-        return value
-
     def encrypt(self, x: BitString) -> BitString:
         if x.width != self.width:
             raise ValueError(f"expected {self.width}-bit input, got {x.width}")
-        blocks = self._split(x.value)
+        blocks = split_blocks(x.value, self.params.n, self.params.block_count)
         for f in self.rounds:
             blocks = _forward(self.params, f, blocks)
-        return BitString(self.width, self._join(blocks))
+        return BitString(self.width, join_blocks(blocks, self.params.n))
 
     def decrypt(self, y: BitString) -> BitString:
         if y.width != self.width:
             raise ValueError(f"expected {self.width}-bit input, got {y.width}")
-        blocks = self._split(y.value)
+        blocks = split_blocks(y.value, self.params.n, self.params.block_count)
         for f in reversed(self.rounds):
             blocks = _inverse(self.params, f, blocks)
-        return BitString(self.width, self._join(blocks))
+        return BitString(self.width, join_blocks(blocks, self.params.n))
 
     def query(self, x: BitString) -> BitString:
         """Permutation-oracle interface: forward queries only."""
@@ -202,7 +189,7 @@ class UfnPermutation:
         """Block tuples before round 1 and after each round (r+1 entries)."""
         if x.width != self.width:
             raise ValueError(f"expected {self.width}-bit input, got {x.width}")
-        blocks = self._split(x.value)
+        blocks = split_blocks(x.value, self.params.n, self.params.block_count)
         states = [blocks]
         for f in self.rounds:
             blocks = _forward(self.params, f, blocks)

@@ -22,7 +22,6 @@ __all__ = [
     "is_generator",
     "BitGenerator",
     "FastBitGenerator",
-    "fast_generator",
     "BmParams",
     "BmGenerator",
     "bm_generate",
@@ -193,11 +192,6 @@ class FastBitGenerator(BitGenerator):
 
     def reseed(self, seed: object) -> None:
         self._rng.seed(seed if isinstance(seed, int) else derive_seed("fast", seed))
-
-
-def fast_generator(seed: object) -> FastBitGenerator:
-    """Fast seeded stream for experiments (replayable, not cryptographic)."""
-    return FastBitGenerator(seed)
 
 
 def _parse_kv(text: str, fields: tuple[str, ...]) -> dict[str, int]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bits import BitString
+from .bits import BitString, join_blocks
 from .feistel import UfnKind, UfnParams, _forward, ideal_ufn
 from .prbg import FastBitGenerator, derive_seed
 from .stats import chi_square_critical, chi_square_statistic, wilson_halfwidth
@@ -365,10 +365,8 @@ def uniformity_counts(
         for i in range(r):
             f = _SplitMixRound(_splitmix(trial_keys, i + 1), params.round_out_bits)
             blocks = _forward(params, f, blocks)
-        outputs = 0
-        for b in blocks:
-            outputs = (outputs << n) | b
-        bins += np.bincount(outputs.astype(np.intp), minlength=bins.size)
+        outputs = join_blocks(blocks, n).astype(np.intp)
+        bins += np.bincount(outputs, minlength=bins.size)
     return bins.tolist()
 
 

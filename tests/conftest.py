@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from feistel_lab.bits import BitString, partition
+from feistel_lab.bits import split_blocks
 
 # Property tests draw the same examples on every run, so a tier-1 run replays
 # like every other seeded experiment in the lab.
@@ -14,7 +14,7 @@ def leftmost_first_probe():
     """Shared block-convention probe: block 0 is the leftmost, most
     significant chunk of the flat state. Used by the structure and game
     suites so both pin the same layout."""
-    flat = BitString(6, 0b110110)
-    state = partition(flat, 2)
-    expected = (BitString(2, 0b11), BitString(2, 0b01), BitString(2, 0b10))
+    flat = 0b110110
+    state = split_blocks(flat, 2, 3)
+    expected = (0b11, 0b01, 0b10)
     return flat, state, expected

@@ -1,33 +1,34 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as hs
 
-from feistel_lab.bits import BitString, BlockState, concat, partition, xor
+from feistel_lab.bits import BitString, join_blocks, split_blocks
 
 
 def test_xor_definition():
-    assert xor(BitString(4, 0b1010), BitString(4, 0b0110)) == BitString(4, 0b1100)
+    assert BitString(4, 0b1010) ^ BitString(4, 0b0110) == BitString(4, 0b1100)
 
 
 def test_xor_self_inverse_and_identity():
     for v in range(16):
         x = BitString(4, v)
-        assert xor(x, x) == BitString(4, 0)
-        assert xor(x, BitString(4, 0)) == x
+        assert x ^ x == BitString(4, 0)
+        assert x ^ BitString(4, 0) == x
 
 
 def test_xor_width_mismatch():
     with pytest.raises(ValueError):
-        xor(BitString(4, 1), BitString(5, 1))
+        BitString(4, 1).xor(BitString(5, 1))
 
 
 def test_xor_commutative_exhaustive_width8():
     for a in range(0, 256, 7):
         for b in range(256):
             x, y = BitString(8, a), BitString(8, b)
-            assert xor(x, y) == xor(y, x)
+            assert x ^ y == y ^ x
 
 
 def test_xor_associative_exhaustive_width4():
@@ -35,11 +36,11 @@ def test_xor_associative_exhaustive_width4():
     for a in vals:
         for b in vals:
             for c in vals:
-                assert xor(xor(a, b), c) == xor(a, xor(b, c))
+                assert (a ^ b) ^ c == a ^ (b ^ c)
 
 
 def test_concat_definition():
-    out = concat(BitString(2, 0b10), BitString(3, 0b011))
+    out = BitString(2, 0b10).concat(BitString(3, 0b011))
     assert out == BitString(5, 0b10011)
     assert out.width == 5
 
@@ -50,7 +51,7 @@ def test_concat_split_round_trip():
         wa, wb = rng.randint(1, 12), rng.randint(1, 12)
         a = BitString(wa, rng.getrandbits(wa))
         b = BitString(wb, rng.getrandbits(wb))
-        left, right = concat(a, b).split(a.width)
+        left, right = a.concat(b).split(a.width)
         assert (left, right) == (a, b)
 
 
@@ -58,40 +59,50 @@ def test_concat_many_blocks_width():
     n, k = 3, 4
     acc = BitString(n, 0)
     for _ in range(k):
-        acc = concat(acc, BitString(n, 5))
+        acc = acc.concat(BitString(n, 5))
     assert acc.width == (k + 1) * n
 
 
 def test_concat_empty_is_identity():
     x = BitString(6, 0b101101)
     empty = BitString(0, 0)
-    assert concat(x, empty) == x
-    assert concat(empty, x) == x
+    assert x.concat(empty) == x
+    assert empty.concat(x) == x
 
 
 def test_partition_definition():
-    state = partition(BitString(6, 0b110110), 2)
-    assert state.blocks == (BitString(2, 0b11), BitString(2, 0b01), BitString(2, 0b10))
-    assert state.n == 2 and state.count == 3
+    assert split_blocks(0b110110, 2, 3) == (0b11, 0b01, 0b10)
+    assert join_blocks((0b11, 0b01, 0b10), 2) == 0b110110
 
 
 def test_partition_degenerate_single_block():
-    state = partition(BitString(4, 0b1111), 4)
-    assert state.blocks == (BitString(4, 0b1111),)
+    assert split_blocks(0b1111, 4, 1) == (0b1111,)
+    assert join_blocks((0b1111,), 4) == 0b1111
 
 
-def test_partition_non_divisible_errors():
-    with pytest.raises(ValueError):
-        partition(BitString(6, 0b101101), 4)
+@hs.composite
+def _block_states(draw):
+    n = draw(hs.integers(1, 24))
+    count = draw(hs.integers(1, 6))
+    values = draw(hs.lists(hs.integers(0, (1 << n * count) - 1), min_size=1, max_size=8))
+    return n, count, values
 
 
-def test_partition_flatten_mutually_inverse():
-    rng = random.Random(2)
-    for n in range(1, 5):
-        for count in range(1, 5):
-            w = n * count
-            x = BitString(w, rng.getrandbits(w))
-            assert partition(x, n).flatten() == x
+@given(_block_states())
+@example((16, 4, [0, (1 << 64) - 1]))
+@example((24, 6, [(1 << 144) - 1]))
+def test_partition_flatten_mutually_inverse(state):
+    """join_blocks inverts split_blocks on ints; on uint64 arrays, wherever the
+    state fits 64 bits, both agree with the int results element by element."""
+    n, count, values = state
+    per_value = [split_blocks(v, n, count) for v in values]
+    for v, blocks in zip(values, per_value):
+        assert len(blocks) == count and all(b >> n == 0 for b in blocks)
+        assert join_blocks(blocks, n) == v
+    if n * count <= 64:
+        arrays = split_blocks(np.array(values, dtype=np.uint64), n, count)
+        assert [a.tolist() for a in arrays] == [list(col) for col in zip(*per_value)]
+        assert join_blocks(arrays, n).tolist() == values
 
 
 def test_text_form_example():
@@ -99,6 +110,7 @@ def test_text_form_example():
     assert x == BitString(6, 0b101101)
     assert x.text() == "6:2D"
     assert str(x) == "6:2D"
+    assert BitString.parse("12:a3F") == BitString(12, 0xA3F)
 
 
 def test_text_form_round_trip():
@@ -124,7 +136,8 @@ def test_text_form_round_trip_property(x):
 
 
 def test_parse_rejects_bad_forms():
-    for bad in ("2D", "6:2D4", "6:", "-1:0", "4:2Z"):
+    for bad in ("2D", "6:2D4", "6:", "-1:0", "4:2Z", "8:+F", "8: F", "+8:0F", " 8:0F",
+                "8:0_F", "8:0x", "16:0x1F", "٨:0F", "8:０F", ":"):
         with pytest.raises(ValueError):
             BitString.parse(bad)
 
@@ -155,10 +168,3 @@ def test_from_bits_and_complement():
     assert x.complement() == BitString(6, 0b010010)
     with pytest.raises(ValueError):
         BitString.from_bits([0, 2])
-
-
-def test_block_state_rejects_mixed_widths():
-    with pytest.raises(ValueError):
-        BlockState.of(BitString(2, 1), BitString(3, 1))
-    with pytest.raises(ValueError):
-        BlockState(())

@@ -321,6 +321,10 @@ def test_trial_games_and_crypt_do_not_load_numpy(argv):
      "--significance", "1"),
     ("uniformity", "--kind", "source-heavy", "--n", "2", "--k", "2", "--trials", "10",
      "--significance", "nan"),
+    *[("encrypt", "--kind", "ufn2", "--n", "4", "--k", "1", "--rounds", "2",
+       "--key", key, "--in", block)
+      for key, block in (("0x1F", "8:0F"), ("1_F", "8:0F"), ("", "8:0F"),
+                         ("001F", "8:+F"), ("001F", "8: F"), ("001F", "+8:0F"))],
 ])
 def test_bad_input_exits_1_before_any_trial(capsys, monkeypatch, argv):
     def no_trials(*_args):
@@ -328,10 +332,12 @@ def test_bad_input_exits_1_before_any_trial(capsys, monkeypatch, argv):
 
     for name in ("_advantage_counts", "bad_event_counts", "uniformity_counts"):
         monkeypatch.setattr(cli, name, no_trials)
-    code, out, err = run_cli(capsys, *argv, "--seed", "1")
+    seed = () if argv[0] == "encrypt" else ("--seed", "1")
+    code, out, err = run_cli(capsys, *argv, *seed)
     assert code == 1
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+    assert "unrecognized arguments" not in err
 
 
 def test_seed_env_fallback(capsys, monkeypatch):

@@ -3,7 +3,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from feistel_lab import feistel, prbg
-from feistel_lab.bits import BitString, BlockState, partition
+from feistel_lab.bits import BitString, join_blocks, split_blocks
 from feistel_lab.feistel import (
     UfnKind,
     UfnParams,
@@ -19,30 +19,32 @@ B = BitString
 
 
 def one_round(kind, f, state):
-    """Encrypt ``state`` through a one-round permutation with round function
-    ``f``, check that decryption restores it, and return the output blocks."""
-    perm = UfnPermutation(UfnParams(kind, state.n, state.count - 1, 1), [f])
-    x = state.flatten()
+    """Encrypt the 2-bit blocks ``state`` through a one-round permutation with
+    round function ``f``, check that decryption restores them, and return the
+    output blocks."""
+    count = len(state)
+    perm = UfnPermutation(UfnParams(kind, 2, count - 1, 1), [f])
+    x = B(2 * count, join_blocks(state, 2))
     y = perm.encrypt(x)
     assert perm.decrypt(y) == x
-    return partition(y, state.n)
+    return split_blocks(y.value, 2, count)
 
 
 def test_partition_convention_shared_probe(leftmost_first_probe):
     flat, state, expected = leftmost_first_probe
-    assert state.blocks == expected
-    assert state.flatten() == flat
+    assert state == expected
+    assert join_blocks(state, 2) == flat
 
 
 def test_round_balanced_zero_function_swaps():
-    out = one_round(UfnKind.BALANCED, zero_oracle(2, 2), BlockState.of(B(2, 0b10), B(2, 0b01)))
-    assert out.blocks == (B(2, 0b01), B(2, 0b10))
+    out = one_round(UfnKind.BALANCED, zero_oracle(2, 2), (0b10, 0b01))
+    assert out == (0b01, 0b10)
 
 
 def test_round_balanced_identity_function():
     f = CallableOracle(2, 2, lambda x: x)
-    out = one_round(UfnKind.BALANCED, f, BlockState.of(B(2, 0b11), B(2, 0b01)))
-    assert out.blocks == (B(2, 0b01), B(2, 0b10))
+    out = one_round(UfnKind.BALANCED, f, (0b11, 0b01))
+    assert out == (0b01, 0b10)
 
 
 def test_round_balanced_inverse_composition():
@@ -53,16 +55,16 @@ def test_round_balanced_inverse_composition():
 
 
 def test_round_source_heavy_zero_function_rotates():
-    st = BlockState.of(B(2, 0b11), B(2, 0b01), B(2, 0b10))
+    st = (0b11, 0b01, 0b10)
     out = one_round(UfnKind.SOURCE_HEAVY, zero_oracle(4, 2), st)
-    assert out.blocks == (B(2, 0b01), B(2, 0b10), B(2, 0b11))
+    assert out == (0b01, 0b10, 0b11)
 
 
 def test_round_source_heavy_hand_trace():
     f = CallableOracle(4, 2, lambda x: (x >> 2) ^ (x & 3))
-    st = BlockState.of(B(2, 0b11), B(2, 0b01), B(2, 0b10))
+    st = (0b11, 0b01, 0b10)
     out = one_round(UfnKind.SOURCE_HEAVY, f, st)
-    assert out.blocks == (B(2, 0b01), B(2, 0b10), B(2, 0b00))
+    assert out == (0b01, 0b10, 0b00)
 
 
 def test_round_source_heavy_inverse_exhaustive():
@@ -74,14 +76,14 @@ def test_round_source_heavy_inverse_exhaustive():
 
 def test_round_target_heavy_hand_trace():
     f = CallableOracle(2, 4, lambda x: (x << 2) | x)
-    out = one_round(UfnKind.TARGET_HEAVY, f, BlockState.of(B(2, 0b00), B(2, 0b01), B(2, 0b11)))
-    assert out.blocks == (B(2, 0b11), B(2, 0b11), B(2, 0b10))
+    out = one_round(UfnKind.TARGET_HEAVY, f, (0b00, 0b01, 0b11))
+    assert out == (0b11, 0b11, 0b10)
 
 
 def test_round_target_heavy_zero_function():
-    st = BlockState.of(B(2, 0b10), B(2, 0b01), B(2, 0b11))
+    st = (0b10, 0b01, 0b11)
     out = one_round(UfnKind.TARGET_HEAVY, zero_oracle(2, 4), st)
-    assert out.blocks == (B(2, 0b11), B(2, 0b10), B(2, 0b01))
+    assert out == (0b11, 0b10, 0b01)
 
 
 def test_round_target_heavy_inverse_exhaustive():
@@ -93,23 +95,23 @@ def test_round_target_heavy_inverse_exhaustive():
 
 def test_round_ufn2_hand_trace():
     f = CallableOracle(2, 2, lambda x: x ^ 3)
-    out = one_round(UfnKind.UFN2, f, BlockState.of(B(2, 0b00), B(2, 0b01), B(2, 0b11)))
-    assert out.blocks == (B(2, 0b11), B(2, 0b00), B(2, 0b01))
+    out = one_round(UfnKind.UFN2, f, (0b00, 0b01, 0b11))
+    assert out == (0b11, 0b00, 0b01)
 
 
 def test_round_ufn2_zero_function_rotates():
-    st = BlockState.of(B(2, 0b00), B(2, 0b01), B(2, 0b11))
+    st = (0b00, 0b01, 0b11)
     out = one_round(UfnKind.UFN2, zero_oracle(2, 2), st)
-    assert out.blocks == (B(2, 0b11), B(2, 0b00), B(2, 0b01))
+    assert out == (0b11, 0b00, 0b01)
 
 
 def test_round_ufn2_even_k_preserves_xor_sum():
     # k=2: sum in = 00^01^11 = 10; any round function keeps it.
     f = CallableOracle(2, 2, lambda x: x ^ 3)
-    st = BlockState.of(B(2, 0b00), B(2, 0b01), B(2, 0b11))
+    st = (0b00, 0b01, 0b11)
     out = one_round(UfnKind.UFN2, f, st)
-    sum_in = st.blocks[0].value ^ st.blocks[1].value ^ st.blocks[2].value
-    sum_out = out.blocks[0].value ^ out.blocks[1].value ^ out.blocks[2].value
+    sum_in = st[0] ^ st[1] ^ st[2]
+    sum_out = out[0] ^ out[1] ^ out[2]
     assert sum_in == sum_out == 0b10
 
 
@@ -196,11 +198,8 @@ def test_trace_states_consistent_with_encrypt():
     x = B(8, 0b10110100)
     states = perm.trace_states(x)
     assert len(states) == 6
-    assert states[0] == tuple(b.value for b in partition(x, 2).blocks)
-    joined = 0
-    for b in states[-1]:
-        joined = (joined << 2) | b
-    assert joined == perm.encrypt(x).value
+    assert states[0] == (0b10, 0b11, 0b01, 0b00)
+    assert join_blocks(states[-1], 2) == perm.encrypt(x).value
 
 
 def test_constructor_validates_oracle_signature():

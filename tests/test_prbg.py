@@ -8,10 +8,10 @@ from feistel_lab.prbg import (
     BbsParams,
     BmGenerator,
     BmParams,
+    FastBitGenerator,
     bbs_generate,
     bm_generate,
     derive_seed,
-    fast_generator,
     generate_bbs_params,
     is_generator,
     is_probable_prime,
@@ -72,7 +72,7 @@ def test_largest_prime_below_psi_12_by_random_bases():
 def test_fixed_bases_agree_with_random_bases():
     # Odd integers of 16 to 80 bits: both sides of 2^64, and the 79- and
     # 80-bit ones lie above PSI_12 (about 2^78.1), on the random-base path.
-    rng = fast_generator(derive_seed("primality-gate"))
+    rng = FastBitGenerator(derive_seed("primality-gate"))
     primes = 0
     for _ in range(12_000):
         bits = 16 + rng.next_int(16) % 65
@@ -261,26 +261,26 @@ def test_generate_bbs_params_rejects_tiny():
 
 
 def test_fast_generator_replayable():
-    a = fast_generator(7).next_bits(1_000_000)
-    b = fast_generator(7).next_bits(1_000_000)
+    a = FastBitGenerator(7).next_bits(1_000_000)
+    b = FastBitGenerator(7).next_bits(1_000_000)
     assert a == b
 
 
 def test_fast_generator_seed_separation():
     for i in range(100):
-        a = fast_generator(derive_seed("pair", i, 0)).next_bits(128)
-        b = fast_generator(derive_seed("pair", i, 1)).next_bits(128)
+        a = FastBitGenerator(derive_seed("pair", i, 0)).next_bits(128)
+        b = FastBitGenerator(derive_seed("pair", i, 1)).next_bits(128)
         assert a != b, i
 
 
 def test_fast_generator_ones_frequency():
-    bits = fast_generator(123).next_bits(1_000_000)
+    bits = FastBitGenerator(123).next_bits(1_000_000)
     ones = bin(bits.value).count("1")
     assert 0.49 <= ones / 1_000_000 <= 0.51
 
 
 def test_fast_generator_reseed_replays():
-    gen = fast_generator(5)
+    gen = FastBitGenerator(5)
     first = gen.next_bits(256)
     gen.reseed(5)
     assert gen.next_bits(256) == first
@@ -324,4 +324,4 @@ def test_negative_counts_rejected():
     with pytest.raises(ValueError):
         BbsGenerator(params).next_bits(-1)
     with pytest.raises(ValueError):
-        fast_generator(1).next_bits(-1)
+        FastBitGenerator(1).next_bits(-1)
