@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from .bits import BitString
 from .feistel import UfnKind, UfnParams, UfnPermutation, ggm_ufn, ideal_ufn
 from .prbg import FastBitGenerator, derive_seed
-from .prf import DEFAULT_TABLE_CAP, GgmFunctionOracle, IdealFunctionOracle
 from .statcheck import secure_rounds
 
 __all__ = [
@@ -38,8 +37,9 @@ __all__ = [
 
 ALL_KINDS = (UfnKind.BALANCED, UfnKind.SOURCE_HEAVY, UfnKind.TARGET_HEAVY, UfnKind.UFN2)
 
-# Exhausting the state domain is cheap up to this many state bits.
-_AUTO_EXHAUST_STATE_BITS = 14
+# Exhausting the state domain is cheap up to this many state bits, and no
+# round's table then passes 2^14 entries.
+_EXHAUST_STATE_BITS = 14
 
 
 def structure_profile(kind: UfnKind, n: int, k: int) -> UfnParams:
@@ -52,7 +52,7 @@ def structure_profile(kind: UfnKind, n: int, k: int) -> UfnParams:
         state = (k + 1) * n
         if state % 2 != 0:
             raise ValueError(f"balanced structure needs an even state width, got {state}")
-        return UfnParams(UfnKind.BALANCED, state // 2, 1, 3)
+        n, k = state // 2, 1
     return UfnParams(kind, n, k, secure_rounds(kind, k))
 
 
@@ -84,9 +84,9 @@ class BenchConfig:
 
     ``ell`` is the total key budget in bits, shared by every structure and
     split evenly across each structure's rounds; it defaults to 64 times the
-    lcm of the round counts so every split is exact. ``exhaust`` controls
-    whether memoized tables are filled over the whole domain (None = decide
-    by state size).
+    lcm of the round counts so every split is exact. A memoized run that is
+    not ``analytic`` also fills fresh tables over the whole state domain when
+    the state has at most 14 bits, and reports their measured size.
     """
 
     n: int
@@ -95,8 +95,7 @@ class BenchConfig:
     workload: int
     seed: int
     ell: int | None = None
-    exhaust: bool | None = None
-    table_cap: int = DEFAULT_TABLE_CAP
+    analytic: bool = False
 
     def __post_init__(self) -> None:
         if self.prf_mode not in ("memoized", "ggm"):
@@ -152,50 +151,22 @@ class BenchReport:
     structures: tuple[StructureReport, ...]
 
     def to_json_dict(self) -> dict:
-        """Deterministic view: wall-clock timings are deliberately omitted."""
+        """Every field, except the wall-clock timings, which would make seeded
+        output differ from run to run."""
         rows = []
         for s in self.structures:
-            rows.append(
-                {
-                    "kind": s.kind.value,
-                    "rounds": s.rounds,
-                    "p1": s.p1,
-                    "p2": s.p2,
-                    "state_bits": s.state_bits,
-                    "analytic_table_bits": s.analytic_table_bits,
-                    "coarse_table_bits": s.coarse_table_bits,
-                    "coarse_matches_exact": s.coarse_matches_exact,
-                    "measured_table_bits": s.measured_table_bits,
-                    "workload_table_bits": s.workload_table_bits,
-                    "exhausted": s.exhausted,
-                    "analytic_prbg_bits": s.analytic_prbg_bits,
-                    "measured_prbg_bits": s.measured_prbg_bits,
-                    "coarse_prbg_bits": s.coarse_prbg_bits,
-                    "memory_ratio": s.memory_ratio,
-                    "coarse_memory_ratio": s.coarse_memory_ratio,
-                    "time_units": s.time_units,
-                    "time_ratio": s.time_ratio,
-                }
-            )
-        return {
-            "mode": self.mode,
-            "n": self.n,
-            "k": self.k,
-            "ell": self.ell,
-            "workload": self.workload,
-            "seed": self.seed,
-            "structures": rows,
-        }
+            row = dict(vars(s), kind=s.kind.value)
+            del row["seconds_per_encryption"]
+            rows.append(row)
+        return dict(vars(self), structures=rows)
 
 
 def _table_payload_bits(perm: UfnPermutation) -> int:
-    return sum(
-        f.payload_bits for f in perm.rounds if isinstance(f, IdealFunctionOracle)
-    )
+    return sum(f.payload_bits for f in perm.rounds)
 
 
 def _ggm_bits(perm: UfnPermutation) -> int:
-    return sum(f.bits_generated for f in perm.rounds if isinstance(f, GgmFunctionOracle))
+    return sum(f.bits_generated for f in perm.rounds)
 
 
 def _workload_inputs(params: UfnParams, workload: int) -> list[BitString]:
@@ -203,13 +174,10 @@ def _workload_inputs(params: UfnParams, workload: int) -> list[BitString]:
     return [BitString(params.state_bits, t % domain) for t in range(workload)]
 
 
-def _bench_memoized(
-    params: UfnParams, cfg: BenchConfig
-) -> tuple[int | None, int, bool, float]:
+def _bench_memoized(params: UfnParams, cfg: BenchConfig) -> tuple[int | None, int, float]:
     """Returns (exhausted payload bits or None, workload payload bits,
-    exhausted flag, seconds per encryption)."""
-    perm = ideal_ufn(params, derive_seed(cfg.seed, "bench", params.kind.value),
-                     max_entries=cfg.table_cap)
+    seconds per encryption)."""
+    perm = ideal_ufn(params, derive_seed(cfg.seed, "bench", params.kind.value))
     inputs = _workload_inputs(params, cfg.workload)
     started = time.perf_counter()
     for x in inputs:
@@ -218,22 +186,12 @@ def _bench_memoized(
     per_encryption = elapsed / cfg.workload if cfg.workload else 0.0
     workload_bits = _table_payload_bits(perm)
 
-    exhaust = cfg.exhaust
-    if exhaust is None:
-        exhaust = params.state_bits <= _AUTO_EXHAUST_STATE_BITS
-    if not exhaust:
-        return None, workload_bits, False, per_encryption
-    if (1 << params.round_in_bits) > cfg.table_cap:
-        raise RuntimeError(
-            f"exhausting a 2^{params.round_in_bits}-entry table exceeds the cap of "
-            f"{cfg.table_cap}; rerun with exhaust=False (--analytic) to report "
-            "the closed-form figure instead"
-        )
-    full = ideal_ufn(params, derive_seed(cfg.seed, "exhaust", params.kind.value),
-                     max_entries=cfg.table_cap)
+    if cfg.analytic or params.state_bits > _EXHAUST_STATE_BITS:
+        return None, workload_bits, per_encryption
+    full = ideal_ufn(params, derive_seed(cfg.seed, "exhaust", params.kind.value))
     for v in range(1 << params.state_bits):
         full.encrypt(BitString(params.state_bits, v))
-    return _table_payload_bits(full), workload_bits, True, per_encryption
+    return _table_payload_bits(full), workload_bits, per_encryption
 
 
 def _bench_ggm(
@@ -256,44 +214,49 @@ def _bench_ggm(
 
 
 def run_bench(cfg: BenchConfig) -> BenchReport:
-    """Profile every structure kind and attach row-relative ratios."""
+    """Profile every structure kind, with ratios to the cheapest kind."""
     ell = cfg.resolved_ell()
+    profiles = [structure_profile(kind, cfg.n, cfg.k) for kind in ALL_KINDS]
+    memoized = cfg.prf_mode == "memoized"
+    if memoized:
+        tables = [p.r * (1 << p.round_in_bits) * p.round_out_bits for p in profiles]
+        coarse = [coarse_memory_bits(p.kind, cfg.n, cfg.k) for p in profiles]
+        units = [p.r * p.round_out_bits for p in profiles]
+    else:
+        units = [(2 * p.round_in_bits * (ell // p.r) + p.round_out_bits) * p.r
+                 for p in profiles]
     rows: list[StructureReport] = []
-    for kind in ALL_KINDS:
-        params = structure_profile(kind, cfg.n, cfg.k)
-        r, p1, p2 = params.r, params.round_in_bits, params.round_out_bits
-        shape = dict(kind=kind, rounds=r, p1=p1, p2=p2, state_bits=params.state_bits)
-        if cfg.prf_mode == "memoized":
-            analytic_table = r * (1 << p1) * p2
-            coarse_table = coarse_memory_bits(kind, cfg.n, cfg.k)
-            measured, workload_bits, exhausted, per_enc = _bench_memoized(params, cfg)
+    for i, params in enumerate(profiles):
+        shape = dict(kind=params.kind, rounds=params.r, p1=params.round_in_bits,
+                     p2=params.round_out_bits, state_bits=params.state_bits,
+                     time_units=units[i], time_ratio=units[i] / min(units))
+        if memoized:
+            measured, workload_bits, per_enc = _bench_memoized(params, cfg)
             rows.append(
                 StructureReport(
                     **shape,
-                    analytic_table_bits=analytic_table,
-                    coarse_table_bits=coarse_table,
-                    coarse_matches_exact=(coarse_table == analytic_table),
+                    analytic_table_bits=tables[i],
+                    coarse_table_bits=coarse[i],
+                    coarse_matches_exact=(coarse[i] == tables[i]),
                     measured_table_bits=measured,
                     workload_table_bits=workload_bits,
-                    exhausted=exhausted,
+                    exhausted=measured is not None,
                     seconds_per_encryption=per_enc,
-                    time_units=r * p2,
+                    memory_ratio=tables[i] / min(tables),
+                    coarse_memory_ratio=coarse[i] / min(coarse),
                 )
             )
         else:
-            analytic_prbg = (2 * p1 * (ell // r) + p2) * r
             measured, per_enc = _bench_ggm(params, cfg, ell)
             rows.append(
                 StructureReport(
                     **shape,
-                    analytic_prbg_bits=analytic_prbg,
+                    analytic_prbg_bits=units[i],
                     measured_prbg_bits=measured,
-                    coarse_prbg_bits=coarse_ggm_bits(kind, cfg.n, cfg.k, ell),
+                    coarse_prbg_bits=coarse_ggm_bits(params.kind, cfg.n, cfg.k, ell),
                     seconds_per_encryption=per_enc,
-                    time_units=analytic_prbg,
                 )
             )
-    rows = _attach_ratios(rows, cfg.prf_mode)
     return BenchReport(
         mode=cfg.prf_mode,
         n=cfg.n,
@@ -303,26 +266,6 @@ def run_bench(cfg: BenchConfig) -> BenchReport:
         seed=cfg.seed,
         structures=tuple(rows),
     )
-
-
-def _attach_ratios(rows: list[StructureReport], mode: str) -> list[StructureReport]:
-    from dataclasses import replace
-
-    out = list(rows)
-    if mode == "memoized":
-        base = min(r.analytic_table_bits for r in out)
-        coarse_base = min(r.coarse_table_bits for r in out)
-        out = [
-            replace(
-                r,
-                memory_ratio=r.analytic_table_bits / base,
-                coarse_memory_ratio=r.coarse_table_bits / coarse_base,
-            )
-            for r in out
-        ]
-    time_base = min(r.time_units for r in out)
-    out = [replace(r, time_ratio=r.time_units / time_base) for r in out]
-    return out
 
 
 _CSV_HEADER = (

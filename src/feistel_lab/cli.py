@@ -260,8 +260,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         workload=args.workload,
         seed=seed,
         ell=args.ell,
-        exhaust=False if args.analytic else None,
-        table_cap=args.table_cap,
+        analytic=args.analytic,
     )
     report = run_bench(cfg)
     _emit_json(report.to_json_dict(), args.out)
@@ -301,6 +300,10 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None,
                    help=f"run seed (falls back to ${SEED_ENV_VAR}, then a fresh one)")
     p.add_argument("--out", default=None, help="write output to this file instead of stdout")
+
+
+def _add_trial_flags(p: argparse.ArgumentParser) -> None:
+    _add_common_flags(p)
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="worker processes for trial loops, at most the CPU count "
                         "(deterministic aggregation)")
@@ -332,7 +335,7 @@ def build_parser() -> _Parser:
     p.add_argument("--rounds", type=int, default=None,
                    help="rounds of the target build (default: the attackable count)")
     p.add_argument("--trials", type=_positive_int, default=10000)
-    _add_common_flags(p)
+    _add_trial_flags(p)
     p.set_defaults(func=_cmd_game, kind=None)
 
     p = sub.add_parser("advantage", help="acceptance-gap game at an explicit round count")
@@ -340,7 +343,7 @@ def build_parser() -> _Parser:
     _add_structure_flags(p)
     p.add_argument("--rounds", type=int, required=True)
     p.add_argument("--trials", type=_positive_int, default=10000)
-    _add_common_flags(p)
+    _add_trial_flags(p)
     p.set_defaults(func=_cmd_game)
 
     p = sub.add_parser("badprob", help="empirical collision-event probability vs its bound")
@@ -348,7 +351,7 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int, required=True, help="oracle queries per trial")
     p.add_argument("--trials", type=_positive_int, default=10000)
     p.add_argument("--shaping", choices=["adversarial", "uniform"], default="adversarial")
-    _add_common_flags(p)
+    _add_trial_flags(p)
     p.set_defaults(func=_cmd_badprob)
 
     p = sub.add_parser("uniformity", help="chi-square output uniformity over fresh keys")
@@ -357,7 +360,7 @@ def build_parser() -> _Parser:
                    help="rounds (default: the minimal secure count)")
     p.add_argument("--trials", type=_positive_int, default=100000)
     p.add_argument("--significance", type=_open_unit_float, default=0.01)
-    _add_common_flags(p)
+    _add_trial_flags(p)
     p.set_defaults(func=_cmd_uniformity)
 
     p = sub.add_parser("matrix", help="rank of the widened-structure mixing matrix")
@@ -372,7 +375,6 @@ def build_parser() -> _Parser:
     p.add_argument("--ell", type=int, default=None, help="total key bits shared by all structures")
     p.add_argument("--analytic", action="store_true",
                    help="skip table exhaustion; report closed-form figures")
-    p.add_argument("--table-cap", type=int, default=1 << 24)
     p.add_argument("--csv", default=None, help="also write a CSV mirror here")
     _add_common_flags(p)
     p.set_defaults(func=_cmd_bench)
@@ -393,7 +395,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, ValueError, RuntimeError) as exc:
+    except (UsageError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CheckFailure as exc:

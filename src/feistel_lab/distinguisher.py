@@ -60,24 +60,15 @@ class IdealPermutationOracle:
         self._inv: dict[int, int] = {}
         self.query_count = 0
 
-    def _draw_below(self, bound: int) -> int:
-        bits = (bound - 1).bit_length() if bound > 1 else 1
-        while True:
-            v = self._entropy.next_int(bits)
-            if v < bound:
-                return v
-
     def _fresh_value(self) -> int:
-        size = 1 << self.width
+        # Rejection sampling: with u of the 2^w values unused, a draw takes
+        # 2^w/u tries on average, so filling the whole domain takes about
+        # 0.7·w·2^w draws.
         used = self._inv
-        # Rejection is cheap while the table is sparse; fall back to an
-        # explicit census once it stops terminating quickly.
-        for _ in range(128):
+        while True:
             v = self._entropy.next_int(self.width)
             if v not in used:
                 return v
-        unused = [v for v in range(size) if v not in used]
-        return unused[self._draw_below(len(unused))]
 
     def query(self, x: BitString) -> BitString:
         if x.width != self.width:

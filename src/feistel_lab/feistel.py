@@ -22,13 +22,7 @@ from typing import Callable, Sequence
 
 from .bits import BitString, join_blocks, split_blocks
 from .prbg import FastBitGenerator, derive_seed
-from .prf import (
-    DEFAULT_TABLE_CAP,
-    FunctionOracle,
-    GgmFunctionOracle,
-    IdealFunctionOracle,
-    split_master_key,
-)
+from .prf import FunctionOracle, GgmFunctionOracle, IdealFunctionOracle, split_master_key
 
 __all__ = [
     "UfnKind",
@@ -197,9 +191,7 @@ class UfnPermutation:
         return states
 
 
-def ideal_round_oracles(
-    params: UfnParams, seed: object, max_entries: int = DEFAULT_TABLE_CAP
-) -> list[IdealFunctionOracle]:
+def ideal_round_oracles(params: UfnParams, seed: object) -> list[IdealFunctionOracle]:
     """Independent lazily-sampled round functions, one per round.
 
     All rounds of one instance draw their misses from a single stream seeded
@@ -214,10 +206,7 @@ def ideal_round_oracles(
     entropy = FastBitGenerator(derive_seed("ideal-ufn", seed))
     in_bits = params.round_in_bits
     out_bits = params.round_out_bits
-    return [
-        IdealFunctionOracle(in_bits, out_bits, entropy, max_entries)
-        for _ in range(params.r)
-    ]
+    return [IdealFunctionOracle(in_bits, out_bits, entropy) for _ in range(params.r)]
 
 
 def ggm_round_oracles(
@@ -237,10 +226,8 @@ def ggm_round_oracles(
     ]
 
 
-def ideal_ufn(
-    params: UfnParams, seed: object, max_entries: int = DEFAULT_TABLE_CAP
-) -> UfnPermutation:
-    return UfnPermutation(params, ideal_round_oracles(params, seed, max_entries))
+def ideal_ufn(params: UfnParams, seed: object) -> UfnPermutation:
+    return UfnPermutation(params, ideal_round_oracles(params, seed))
 
 
 def ggm_ufn(params: UfnParams, master: BitString, mode: str = "fast") -> UfnPermutation:

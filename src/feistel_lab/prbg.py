@@ -11,6 +11,7 @@ import functools
 import hashlib
 import math
 import random
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -43,19 +44,49 @@ PSI_12 = 318665857834031151167461
 BM_MAX_MODULUS = 1 << 20
 
 
+# Labels that could be read as another part's text: empty, an int, a
+# bit string, a tuple, or anything holding the part separator.
+_RESERVED_LABEL = re.compile(r"|-?[0-9]+|b[0-9]+\.[0-9]+|\(.*\)|.*\x1f.*", re.DOTALL)
+
+
+@functools.lru_cache(maxsize=256)
+def _label(text: str) -> str:
+    """``text`` if it can serve as a seed label. Cached: a few fixed labels
+    go into most seeds, and the pattern costs several times the lookup."""
+    if _RESERVED_LABEL.fullmatch(text):
+        raise ValueError(f"seed label {text!r} is empty, contains the separator, "
+                         "or reads as an int, a bit string or a tuple")
+    return text
+
+
 def _canonical(part: object) -> str:
     if isinstance(part, BitString):
         return f"b{part.width}.{part.value}"
-    return str(part)
+    kind = type(part)
+    if kind is int:
+        return str(part)
+    if kind is str:
+        return _label(part)
+    if kind is tuple:
+        for item in part:
+            if type(item) is not str:  # the repr quotes strs
+                _canonical(item)
+        return str(part)
+    raise TypeError(f"seed parts are ints, strs, bit strings and tuples, not {kind.__name__}")
 
 
 def derive_seed(*parts: object) -> int:
-    """Stable 64-bit sub-seed from labels, integers, or bit strings.
+    """Stable 64-bit sub-seed from labels, integers, bit strings, or tuples
+    of these.
 
     Used to give every trial, round, and oracle its own independent stream
     while keeping whole experiments reproducible from one master seed.
+    Distinct part sequences give distinct hash inputs: an int is its decimal
+    text, a bit string ``b<width>.<value>``, a tuple its repr, and a label
+    (str) is itself, so labels that could be read as one of the others, or
+    that contain the separator, are refused.
     """
-    text = "\x1f".join(_canonical(p) for p in parts)
+    text = "\x1f".join([_canonical(p) for p in parts])
     digest = hashlib.sha256(text.encode()).digest()
     return int.from_bytes(digest[:8], "big")
 

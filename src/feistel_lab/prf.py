@@ -37,6 +37,7 @@ __all__ = [
     "GgmFunctionOracle",
 ]
 
+# Most distinct queries one memo table answers; a guard on memory.
 DEFAULT_TABLE_CAP = 1 << 24
 
 
@@ -86,28 +87,18 @@ class IdealFunctionOracle(FunctionOracle):
     so give each worker whole ``ideal_ufn`` instances, or lock externally.
     """
 
-    def __init__(
-        self,
-        in_bits: int,
-        out_bits: int,
-        entropy: BitGenerator,
-        max_entries: int = DEFAULT_TABLE_CAP,
-    ) -> None:
+    def __init__(self, in_bits: int, out_bits: int, entropy: BitGenerator) -> None:
         super().__init__(in_bits, out_bits)
         self._entropy = entropy
         self._table: dict[int, int] = {}
-        self.max_entries = max_entries
 
     def eval_int(self, x: int) -> int:
         table = self._table
         hit = table.get(x)
         if hit is not None:
             return hit
-        if len(table) >= self.max_entries:
-            raise RuntimeError(
-                f"memo table reached {self.max_entries} entries; "
-                "raise max_entries to allow more distinct queries"
-            )
+        if len(table) >= DEFAULT_TABLE_CAP:
+            raise RuntimeError(f"memo table reached its cap of {DEFAULT_TABLE_CAP} entries")
         val = self._entropy.next_int(self.out_bits)
         table[x] = val
         return val
@@ -122,15 +113,10 @@ class IdealFunctionOracle(FunctionOracle):
         return len(self._table) * self.out_bits
 
 
-def ideal_oracle(
-    in_bits: int,
-    out_bits: int,
-    seed: object,
-    max_entries: int = DEFAULT_TABLE_CAP,
-) -> IdealFunctionOracle:
+def ideal_oracle(in_bits: int, out_bits: int, seed: object) -> IdealFunctionOracle:
     """Fresh lazily-sampled random function, replayable from ``seed``."""
     entropy = FastBitGenerator(derive_seed("ideal-fn", seed))
-    return IdealFunctionOracle(in_bits, out_bits, entropy, max_entries)
+    return IdealFunctionOracle(in_bits, out_bits, entropy)
 
 
 @dataclass(frozen=True)

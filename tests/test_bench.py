@@ -59,7 +59,7 @@ def test_memoized_exhaustion_matches_formula():
 
 def test_memoized_zero_workload():
     report = run_bench(BenchConfig(n=4, k=2, prf_mode="memoized", workload=0, seed=3,
-                                   exhaust=False))
+                                   analytic=True))
     for s in report.structures:
         assert s.workload_table_bits == 0
         assert s.seconds_per_encryption == 0.0
@@ -68,7 +68,7 @@ def test_memoized_zero_workload():
 
 def test_memoized_ordering_and_ratios():
     report = run_bench(BenchConfig(n=4, k=2, prf_mode="memoized", workload=0, seed=4,
-                                   exhaust=False))
+                                   analytic=True))
     rows = by_kind(report)
     bits = {kind: rows[kind].analytic_table_bits for kind in rows}
     assert max(bits, key=bits.get) is UfnKind.SOURCE_HEAVY
@@ -117,13 +117,6 @@ def test_ggm_zero_workload_reports_analytic_only():
     for s in report.structures:
         assert s.measured_prbg_bits is None
         assert s.analytic_prbg_bits is not None
-
-
-def test_table_cap_error_names_fallback():
-    cfg = BenchConfig(n=4, k=2, prf_mode="memoized", workload=0, seed=9,
-                      exhaust=True, table_cap=100)
-    with pytest.raises(RuntimeError, match="analytic"):
-        run_bench(cfg)
 
 
 def test_csv_mirror():

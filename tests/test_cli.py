@@ -377,6 +377,26 @@ def test_bench_json_is_reproducible(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("flag", [("--jobs", "2"), ("--table-cap", "100")])
+def test_bench_has_no_jobs_or_table_cap_flag(capsys, flag):
+    code, out, err = run_cli(capsys, "bench", "--mode", "ggm", "--n", "4", "--k", "2",
+                             "--workload", "0", "--seed", "1", *flag)
+    assert code == 1 and out == ""
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("target", ["out-dir", "csv-missing-dir"])
+def test_unwritable_output_path_is_a_one_line_error(capsys, tmp_path, target):
+    if target == "out-dir":
+        argv = ("matrix", "--k", "3", "--out", str(tmp_path))
+    else:
+        argv = ("bench", "--mode", "ggm", "--n", "4", "--k", "2", "--workload", "0",
+                "--seed", "1", "--csv", str(tmp_path / "missing" / "report.csv"))
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     code = main([])
     assert code == 1

@@ -1,7 +1,10 @@
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as hs
 
+from feistel_lab import prbg
 from feistel_lab.bits import BitString
 from feistel_lab.prbg import (
     BbsGenerator,
@@ -292,6 +295,50 @@ def test_derive_seed_stable_and_separating():
     assert derive_seed("a", 1) != derive_seed("b", 1)
     assert derive_seed(BitString(4, 3)) == derive_seed(BitString(4, 3))
     assert derive_seed(BitString(4, 3)) != derive_seed(BitString(5, 3))
+
+
+@pytest.mark.parametrize("label", ["", "1", "-3", "0", "b4.5", "(1, 2)", "()", "a\x1fb"])
+def test_derive_seed_refuses_labels_that_read_as_other_parts(label):
+    with pytest.raises(ValueError):
+        derive_seed("ok", label)
+
+
+@pytest.mark.parametrize("part", [1.5, None, True, b"ab", (1, 2.0), (("x", None),)])
+def test_derive_seed_refuses_other_part_types(part):
+    with pytest.raises(TypeError):
+        derive_seed("ok", part)
+
+
+_INTS = hs.integers(-3, 3) | hs.integers()
+_BITSTRINGS = hs.integers(0, 3).flatmap(
+    lambda w: hs.integers(0, (1 << w) - 1).map(lambda v: BitString(w, v)))
+_TUPLES = hs.lists(
+    hs.recursive(_INTS | _BITSTRINGS | hs.text(max_size=2),
+                 lambda inner: hs.lists(inner, max_size=2).map(tuple), max_leaves=4),
+    max_size=3,
+).map(tuple)
+# Labels that mimic the text of the other parts, so that a collision turns up
+# if one is possible.
+_LABELS = (hs.text(max_size=4) | _INTS.map(str)
+           | _BITSTRINGS.map(lambda b: f"b{b.width}.{b.value}") | _TUPLES.map(str)
+           | hs.lists(hs.text(max_size=2), min_size=2, max_size=3).map("\x1f".join))
+_PARTS = _INTS | _BITSTRINGS | _TUPLES | _LABELS
+
+
+@given(hs.lists(hs.lists(_PARTS, max_size=3).map(tuple), max_size=16))
+@example([(1,), ("1",)])
+@example([(BitString(4, 5),), ("b4.5",)])
+@example([((1, 2),), ("(1, 2)",)])
+@example([("a\x1fb",), ("a", "b")])
+@example([(), ("",)])
+def test_derive_seed_text_is_injective_on_accepted_parts(candidates):
+    owner = {}
+    for parts in candidates:
+        try:
+            text = "\x1f".join(prbg._canonical(p) for p in parts)
+        except (TypeError, ValueError):
+            continue
+        assert owner.setdefault(text, parts) == parts
 
 
 def test_bm_generator_reseed_changes_stream():

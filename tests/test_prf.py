@@ -1,5 +1,6 @@
 import pytest
 
+from feistel_lab import prf
 from feistel_lab.bits import BitString
 from feistel_lab.prf import (
     CallableOracle,
@@ -45,8 +46,9 @@ def test_ideal_oracle_input_width_checked():
         f.eval(BitString(5, 0))
 
 
-def test_ideal_oracle_table_cap():
-    f = ideal_oracle(8, 4, seed=4, max_entries=4)
+def test_ideal_oracle_table_cap(monkeypatch):
+    monkeypatch.setattr(prf, "DEFAULT_TABLE_CAP", 4)
+    f = ideal_oracle(8, 4, seed=4)
     for v in range(4):
         f.eval_int(v)
     f.eval_int(0)  # replay is fine
