@@ -16,8 +16,6 @@ from .distinguisher import (
     attack_ufn2_even_k,
     calibrate_w_index,
     estimate_advantage,
-    fresh_ideal_factory,
-    fresh_ufn_factory,
     ideal_permutation,
 )
 from .feistel import (

@@ -21,15 +21,14 @@ from concurrent.futures import ProcessPoolExecutor
 from .bench import BenchConfig, report_csv, run_bench
 from .bits import BitString
 from .distinguisher import (
+    GameReport,
     attack_leading_block,
     attack_ufn2_2k,
     attack_ufn2_even_k,
-    fresh_ideal_factory,
-    fresh_ufn_factory,
-    report_from_counts,
+    ideal_permutation,
 )
 from .distinguisher import advantage_counts as _advantage_counts
-from .feistel import UfnKind, UfnParams, UfnPermutation, ggm_ufn
+from .feistel import UfnKind, UfnParams, UfnPermutation, ggm_ufn, ideal_ufn
 from .prbg import derive_seed
 from .prf import ideal_oracle
 from .statcheck import (
@@ -84,6 +83,22 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     return seed
 
 
+def _check_writable(path: str) -> None:
+    """Refuse an output path that is a directory or lies in a missing one."""
+    if os.path.isdir(path):
+        raise UsageError(f"cannot write {path}: it is a directory")
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise UsageError(f"cannot write {path}: no directory {parent}")
+
+
+def _bench_csv_path(args: argparse.Namespace) -> str | None:
+    """``--csv``, else the ``.csv`` next to a ``bench --out`` file."""
+    if args.csv is None and args.out:
+        return os.path.splitext(args.out)[0] + ".csv"
+    return args.csv
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -106,8 +121,8 @@ def _emit_check(report, out_path: str | None) -> int:
     return 0
 
 
-def _run_chunked(worker, cfg: dict, trials: int, jobs: int, combine):
-    """Run a per-range worker over trials [0, trials), in ``jobs`` processes.
+def _run_chunked(worker, args: tuple, trials: int, jobs: int, combine):
+    """Run ``worker(*args, start, count)`` over trials [0, trials), in ``jobs`` processes.
 
     Per-trial seeds are derived from absolute indices, so the aggregate does
     not depend on the chunking. More processes than CPUs would only add
@@ -115,35 +130,34 @@ def _run_chunked(worker, cfg: dict, trials: int, jobs: int, combine):
     """
     jobs = min(jobs, trials, os.cpu_count() or 1)
     if jobs == 1:
-        return combine([worker(cfg, 0, trials)])
+        return combine([worker(*args, 0, trials)])
     # An empty range raises configuration errors before any worker starts.
-    worker(cfg, 0, 0)
+    worker(*args, 0, 0)
     bounds = [trials * i // jobs for i in range(jobs + 1)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(worker, cfg, start, end - start)
+        futures = [pool.submit(worker, *args, start, end - start)
                    for start, end in zip(bounds, bounds[1:])]
         return combine([f.result() for f in futures])
 
 
-def _advantage_worker(cfg: dict, start: int, count: int) -> tuple[int, int]:
-    params = UfnParams(UfnKind(cfg["kind"]), cfg["n"], cfg["k"], cfg["rounds"])
-    _, machine_factory, _ = _ATTACKS[cfg["name"]]
-    return _advantage_counts(
-        machine_factory(cfg["n"], cfg["k"]), fresh_ufn_factory(params),
-        fresh_ideal_factory(params.state_bits), cfg["seed"], start, count,
-    )
+def _column_sums(parts: list) -> list[int]:
+    return [sum(column) for column in zip(*parts)]
 
 
-def _badprob_worker(cfg: dict, start: int, count: int) -> int:
-    return bad_event_counts(
-        cfg["spec"], cfg["n"], cfg["k"], cfg["seed"], start, count, cfg["shaping"]
-    )
+# Module-level workers, so that the pool pickles them by name: the counting
+# functions they call may be rebound to closures, which do not pickle.
+def _advantage_worker(machine, params: UfnParams, seed: int, start: int, count: int):
+    return _advantage_counts(machine, functools.partial(ideal_ufn, params),
+                             functools.partial(ideal_permutation, params.state_bits),
+                             seed, start, count)
 
 
-def _uniformity_worker(cfg: dict, start: int, count: int) -> list[int]:
-    return uniformity_counts(
-        UfnKind(cfg["kind"]), cfg["n"], cfg["k"], cfg["rounds"], cfg["seed"], start, count
-    )
+def _badprob_worker(spec: BadEventSpec, seed: int, start: int, count: int) -> int:
+    return bad_event_counts(spec, seed, start, count)
+
+
+def _uniformity_worker(params: UfnParams, seed: int, start: int, count: int) -> list[int]:
+    return uniformity_counts(params, seed, start, count)
 
 
 def _parse_block(text: str) -> BitString:
@@ -192,56 +206,34 @@ def _cmd_crypt(args: argparse.Namespace) -> int:
 
 def _cmd_game(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
-    target_kind, _, attackable_rounds = _ATTACKS[args.name]
-    kind = UfnKind(args.kind) if args.kind else target_kind
+    target_kind, machine_factory, attackable_rounds = _ATTACKS[args.name]
     rounds = args.rounds if args.rounds is not None else attackable_rounds(args.k)
-    cfg = {
-        "name": args.name,
-        "kind": kind.value,
-        "n": args.n,
-        "k": args.k,
-        "rounds": rounds,
-        "seed": seed,
-    }
-
-    def combine(parts):
-        ones_a = sum(p[0] for p in parts)
-        ones_b = sum(p[1] for p in parts)
-        return report_from_counts(ones_a, ones_b, args.trials, seed)
-
-    report = _run_chunked(_advantage_worker, cfg, args.trials, args.jobs, combine)
-    payload = report.to_json_dict()
-    payload.update({"name": args.name, "kind": kind.value, "n": args.n, "k": args.k,
-                    "rounds": rounds})
+    params = UfnParams(UfnKind(args.kind or target_kind), args.n, args.k, rounds)
+    machine = machine_factory(args.n, args.k)
+    ones_a, ones_b = _run_chunked(_advantage_worker, (machine, params, seed), args.trials,
+                                  args.jobs, _column_sums)
+    payload = GameReport(ones_a, ones_b, args.trials, seed).to_json_dict()
+    payload.update({"name": args.name, "kind": params.kind.value, "n": params.n,
+                    "k": params.k, "rounds": params.r})
     _emit_json(payload, args.out)
     return 0
 
 
 def _cmd_badprob(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
-    spec = BadEventSpec.for_structure(UfnKind(args.kind), args.k, args.m)
-    cfg = {"spec": spec, "n": args.n, "k": args.k, "seed": seed, "shaping": args.shaping}
-    hits = _run_chunked(_badprob_worker, cfg, args.trials, args.jobs, sum)
-    return _emit_check(
-        BadProbReport.from_counts(spec, args.n, args.k, hits, args.trials, seed, args.shaping),
-        args.out,
-    )
+    spec = BadEventSpec(UfnKind(args.kind), args.n, args.k, args.m, args.shaping)
+    hits = _run_chunked(_badprob_worker, (spec, seed), args.trials, args.jobs, sum)
+    return _emit_check(BadProbReport(spec, hits, args.trials, seed), args.out)
 
 
 def _cmd_uniformity(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     kind = UfnKind(args.kind)
     rounds = args.rounds if args.rounds is not None else secure_rounds(kind, args.k)
-    cfg = {"kind": kind.value, "n": args.n, "k": args.k, "rounds": rounds, "seed": seed}
-
-    def combine(parts: list[list[int]]) -> list[int]:
-        return [sum(column) for column in zip(*parts)]
-
-    bins = _run_chunked(_uniformity_worker, cfg, args.trials, args.jobs, combine)
-    return _emit_check(
-        UniformityReport.from_counts(kind, args.n, args.k, rounds, bins, seed, args.significance),
-        args.out,
-    )
+    params = UfnParams(kind, args.n, args.k, rounds)
+    bins = _run_chunked(_uniformity_worker, (params, seed), args.trials, args.jobs,
+                        _column_sums)
+    return _emit_check(UniformityReport(params, bins, seed, args.significance), args.out)
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
@@ -253,24 +245,12 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     mode = {"mem": "memoized", "ggm": "ggm"}[args.mode]
-    cfg = BenchConfig(
-        n=args.n,
-        k=args.k,
-        prf_mode=mode,
-        workload=args.workload,
-        seed=seed,
-        ell=args.ell,
-        analytic=args.analytic,
-    )
-    report = run_bench(cfg)
+    report = run_bench(BenchConfig(n=args.n, k=args.k, prf_mode=mode, workload=args.workload,
+                                   seed=seed, ell=args.ell, analytic=args.analytic))
     _emit_json(report.to_json_dict(), args.out)
-    csv_path = args.csv
-    if csv_path is None and args.out:
-        root, _ = os.path.splitext(args.out)
-        csv_path = root + ".csv"
+    csv_path = _bench_csv_path(args)
     if csv_path:
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write(report_csv(report))
+        _emit(report_csv(report), csv_path)
     return 0
 
 
@@ -394,6 +374,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
+        outputs = [args.out, _bench_csv_path(args) if args.command == "bench" else None]
+        for path in filter(None, outputs):
+            _check_writable(path)
         return args.func(args)
     except (UsageError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

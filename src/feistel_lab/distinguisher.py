@@ -9,10 +9,11 @@ the acceptance rates, their gap, and Wilson 95% intervals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Protocol
 
 from .bits import BitString, join_blocks
-from .feistel import UfnKind, UfnParams, UfnPermutation, ideal_ufn
+from .feistel import UfnKind, UfnParams, ideal_ufn
 from .prbg import BitGenerator, FastBitGenerator, derive_seed
 from .stats import wilson_halfwidth
 
@@ -28,9 +29,6 @@ __all__ = [
     "GameReport",
     "estimate_advantage",
     "advantage_counts",
-    "report_from_counts",
-    "fresh_ufn_factory",
-    "fresh_ideal_factory",
 ]
 
 
@@ -267,20 +265,44 @@ def attack_ufn2_2k(n: int, k: int, seed: object | None = None) -> OracleMachine:
 
 @dataclass(frozen=True)
 class GameReport:
-    """Empirical result of one distinguishing game.
+    """Empirical result of one distinguishing game: accept counts on both sides.
 
     ``ci_halfwidth`` bounds the advantage error conservatively as the sum of
     the two per-rate Wilson half-widths.
     """
 
-    accept_a: float
-    accept_b: float
-    advantage: float
+    ones_a: int
+    ones_b: int
     trials: int
-    ci_halfwidth: float
-    ci_a: float
-    ci_b: float
     seed: int
+
+    def __post_init__(self) -> None:
+        if self.trials < 1:
+            raise ValueError("trials must be >= 1")
+
+    @cached_property
+    def accept_a(self) -> float:
+        return self.ones_a / self.trials
+
+    @cached_property
+    def accept_b(self) -> float:
+        return self.ones_b / self.trials
+
+    @cached_property
+    def advantage(self) -> float:
+        return abs(self.accept_a - self.accept_b)
+
+    @cached_property
+    def ci_a(self) -> float:
+        return wilson_halfwidth(self.ones_a, self.trials)
+
+    @cached_property
+    def ci_b(self) -> float:
+        return wilson_halfwidth(self.ones_b, self.trials)
+
+    @cached_property
+    def ci_halfwidth(self) -> float:
+        return self.ci_a + self.ci_b
 
     def to_json_dict(self) -> dict:
         return {
@@ -329,23 +351,6 @@ def advantage_counts(
     return ones_a, ones_b
 
 
-def report_from_counts(ones_a: int, ones_b: int, trials: int, seed: int) -> GameReport:
-    accept_a = ones_a / trials
-    accept_b = ones_b / trials
-    ci_a = wilson_halfwidth(ones_a, trials)
-    ci_b = wilson_halfwidth(ones_b, trials)
-    return GameReport(
-        accept_a=accept_a,
-        accept_b=accept_b,
-        advantage=abs(accept_a - accept_b),
-        trials=trials,
-        ci_halfwidth=ci_a + ci_b,
-        ci_a=ci_a,
-        ci_b=ci_b,
-        seed=seed,
-    )
-
-
 def estimate_advantage(
     machine: OracleMachine,
     builder_a: OracleFactory,
@@ -354,25 +359,5 @@ def estimate_advantage(
     seed: int,
 ) -> GameReport:
     """Monte-Carlo acceptance gap of ``machine`` between two oracle families."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     ones_a, ones_b = advantage_counts(machine, builder_a, builder_b, seed, 0, trials)
-    return report_from_counts(ones_a, ones_b, trials, seed)
-
-
-def fresh_ufn_factory(params: UfnParams) -> OracleFactory:
-    """Factory of freshly keyed constructions (new ideal rounds per trial)."""
-
-    def build(trial_seed: int) -> UfnPermutation:
-        return ideal_ufn(params, trial_seed)
-
-    return build
-
-
-def fresh_ideal_factory(width: int) -> OracleFactory:
-    """Factory of fresh uniform permutations, one per trial."""
-
-    def build(trial_seed: int) -> IdealPermutationOracle:
-        return ideal_permutation(width, trial_seed)
-
-    return build
+    return GameReport(ones_a, ones_b, trials, seed)

@@ -43,12 +43,14 @@ class UfnKind(str, Enum):
     UFN2 = "ufn2"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UfnParams:
     """One permutation family: structure kind, sub-block width n, ratio k, rounds r.
 
     The state is (k+1) sub-blocks of n bits. ``balanced`` is the k=1 case and
     rejects other ratios; at k=1 all four kinds coincide block for block.
+    Slots keep the fields of an instance that a ``--jobs`` worker unpickles as
+    fast to read as those of a built one; every round reads them.
     """
 
     kind: UfnKind
@@ -235,26 +237,20 @@ def ggm_ufn(params: UfnParams, master: BitString, mode: str = "fast") -> UfnPerm
 
 
 def extend_block_cipher(
-    round_cipher: Callable[[int], FunctionOracle],
-    n: int,
-    k: int,
-    rounds: int | None = None,
-    allow_even_k: bool = False,
+    round_cipher: Callable[[int], FunctionOracle], n: int, k: int
 ) -> UfnPermutation:
-    """Widen an n-bit block cipher to a (k+1)n-bit permutation.
+    """Widen an n-bit block cipher to a (k+1)n-bit permutation of 2k+1 rounds.
 
     ``round_cipher(i)`` must return an independently keyed n -> n instance for
     round i. Even ratios are rejected: with k even, the XOR of all state
     blocks is preserved by every round, so a single query distinguishes the
-    result from a random permutation regardless of the round count. Pass
-    ``allow_even_k=True`` only to reproduce that failure in experiments.
+    result from a random permutation regardless of the round count. Build the
+    ``UfnParams`` directly to study that failure.
     """
-    if k % 2 == 0 and not allow_even_k:
+    if k % 2 == 0:
         raise ValueError(
             f"k={k} is even: the XOR of all blocks would be invariant, giving a "
-            "single-query distinguisher; use odd k (or allow_even_k=True for experiments)"
+            "single-query distinguisher; use odd k"
         )
-    r = 2 * k + 1 if rounds is None else rounds
-    params = UfnParams(UfnKind.UFN2, n, k, r)
-    oracles = [round_cipher(i) for i in range(r)]
-    return UfnPermutation(params, oracles)
+    params = UfnParams(UfnKind.UFN2, n, k, 2 * k + 1)
+    return UfnPermutation(params, [round_cipher(i) for i in range(params.r)])

@@ -13,6 +13,7 @@ Three families of checks:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .bits import BitString, join_blocks
 from .feistel import UfnKind, UfnParams, _forward, ideal_ufn
@@ -60,19 +61,49 @@ def watched_rounds(kind: UfnKind, k: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class BadEventSpec:
-    """Which structure, which rounds to watch, and how many queries."""
+    """One collision-event experiment: structure kind, sub-block width n,
+    ratio k, m queries per trial and their shaping.
+
+    Everything is checked on construction, so a spec that exists runs. The
+    structure (at its secure round count), the watched rounds and the bound
+    are derived from these five fields.
+    """
 
     kind: UfnKind
-    rounds_watched: tuple[int, ...]
+    n: int
+    k: int
     m: int
+    shaping: str = "adversarial"
 
     def __post_init__(self) -> None:
+        self.rounds_watched  # raises for a kind without a collision event
         if self.m < 1:
             raise ValueError("query count m must be >= 1")
+        width = self.params.state_bits  # raises for n or k below 1
+        if self.shaping == "adversarial":
+            if self.m > (1 << self.n):
+                raise ValueError(
+                    f"m={self.m} exceeds the 2^{self.n} distinct values of the varied block"
+                )
+        elif self.shaping == "uniform":
+            if self.m > (1 << width):
+                raise ValueError(f"m={self.m} exceeds the 2^{width} distinct states")
+        else:
+            raise ValueError(
+                f"unknown shaping {self.shaping!r}; expected 'adversarial' or 'uniform'"
+            )
 
-    @classmethod
-    def for_structure(cls, kind: UfnKind, k: int, m: int) -> "BadEventSpec":
-        return cls(kind=kind, rounds_watched=watched_rounds(kind, k), m=m)
+    @cached_property
+    def rounds_watched(self) -> tuple[int, ...]:
+        return watched_rounds(self.kind, self.k)
+
+    @cached_property
+    def params(self) -> UfnParams:
+        return UfnParams(self.kind, self.n, self.k, secure_rounds(self.kind, self.k))
+
+    @cached_property
+    def bound(self) -> float:
+        return bad_event_bound(self.kind, self.n, self.k, self.m)
 
 
 def bad_event_bound(kind: UfnKind, n: int, k: int, m: int) -> float:
@@ -84,50 +115,33 @@ def bad_event_bound(kind: UfnKind, n: int, k: int, m: int) -> float:
     raise ValueError(f"no collision-event bound for kind {kind.value!r}")
 
 
-def _shaped_queries(
-    kind: UfnKind, n: int, k: int, m: int, shaping: str, seed: int
-) -> list[BitString]:
-    width = (k + 1) * n
-    if shaping == "adversarial":
+def _shaped_queries(spec: BadEventSpec, seed: int) -> list[BitString]:
+    width = spec.params.state_bits
+    if spec.shaping == "adversarial":
         # Worst case from the bound derivations: all queries share their
         # trailing blocks and differ in one leading block, so collisions
         # hinge entirely on fresh round-function outputs.
-        if m > (1 << n):
-            raise ValueError(f"m={m} exceeds the 2^{n} distinct values of the varied block")
-        varied = 1 if kind is UfnKind.SOURCE_HEAVY else 0
-        shift = (k - varied) * n
-        return [BitString(width, v << shift) for v in range(m)]
-    if shaping == "uniform":
-        if m > (1 << width):
-            raise ValueError(f"m={m} exceeds the 2^{width} distinct states")
-        gen = FastBitGenerator(seed)
-        seen: set[int] = set()
-        queries = []
-        while len(queries) < m:
-            v = gen.next_int(width)
-            if v not in seen:
-                seen.add(v)
-                queries.append(BitString(width, v))
-        return queries
-    raise ValueError(f"unknown shaping {shaping!r}; expected 'adversarial' or 'uniform'")
+        varied = 1 if spec.kind is UfnKind.SOURCE_HEAVY else 0
+        shift = (spec.k - varied) * spec.n
+        return [BitString(width, v << shift) for v in range(spec.m)]
+    gen = FastBitGenerator(seed)
+    seen: set[int] = set()
+    queries = []
+    while len(queries) < spec.m:
+        v = gen.next_int(width)
+        if v not in seen:
+            seen.add(v)
+            queries.append(BitString(width, v))
+    return queries
 
 
-def bad_event_counts(
-    spec: BadEventSpec,
-    n: int,
-    k: int,
-    seed: int,
-    start: int,
-    count: int,
-    shaping: str = "adversarial",
-) -> int:
+def bad_event_counts(spec: BadEventSpec, seed: int, start: int, count: int) -> int:
     """Trials in [start, start+count) whose watched rounds saw a collision."""
-    params = UfnParams(spec.kind, n, k, secure_rounds(spec.kind, k))
     source_heavy = spec.kind is UfnKind.SOURCE_HEAVY
     hits = 0
     for t in range(start, start + count):
-        perm = ideal_ufn(params, derive_seed(seed, "trial", t))
-        queries = _shaped_queries(spec.kind, n, k, spec.m, shaping, derive_seed(seed, "queries", t))
+        perm = ideal_ufn(spec.params, derive_seed(seed, "trial", t))
+        queries = _shaped_queries(spec, derive_seed(seed, "queries", t))
         seen: list[set] = [set() for _ in spec.rounds_watched]
         hit = False
         for q in queries:
@@ -153,37 +167,27 @@ class BadProbReport:
     """
 
     spec: BadEventSpec
-    n: int
-    k: int
-    trials: int
     hits: int
-    empirical: float
-    ci_halfwidth: float
-    bound: float
-    shaping: str
+    trials: int
     seed: int
 
-    @classmethod
-    def from_counts(
-        cls, spec: BadEventSpec, n: int, k: int, hits: int, trials: int, seed: int,
-        shaping: str = "adversarial",
-    ) -> "BadProbReport":
-        if trials < 1:
+    def __post_init__(self) -> None:
+        if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        return cls(
-            spec=spec,
-            n=n,
-            k=k,
-            trials=trials,
-            hits=hits,
-            empirical=hits / trials,
-            ci_halfwidth=wilson_halfwidth(hits, trials),
-            bound=bad_event_bound(spec.kind, n, k, spec.m),
-            shaping=shaping,
-            seed=seed,
-        )
 
     @property
+    def bound(self) -> float:
+        return self.spec.bound
+
+    @cached_property
+    def empirical(self) -> float:
+        return self.hits / self.trials
+
+    @cached_property
+    def ci_halfwidth(self) -> float:
+        return wilson_halfwidth(self.hits, self.trials)
+
+    @cached_property
     def passed(self) -> bool:
         return self.empirical <= self.bound + 3 * self.ci_halfwidth
 
@@ -194,32 +198,25 @@ class BadProbReport:
         )
 
     def to_json_dict(self) -> dict:
+        spec = self.spec
         return {
-            "kind": self.spec.kind.value,
-            "n": self.n,
-            "k": self.k,
-            "m": self.spec.m,
+            "kind": spec.kind.value,
+            "n": spec.n,
+            "k": spec.k,
+            "m": spec.m,
             "trials": self.trials,
             "seed": self.seed,
-            "shaping": self.shaping,
-            "watched_rounds": list(self.spec.rounds_watched),
+            "shaping": spec.shaping,
+            "watched_rounds": list(spec.rounds_watched),
             "bound": self.bound,
             "empirical": self.empirical,
             "ci": self.ci_halfwidth,
         }
 
 
-def estimate_bad_prob(
-    spec: BadEventSpec,
-    n: int,
-    k: int,
-    trials: int,
-    seed: int,
-    shaping: str = "adversarial",
-) -> BadProbReport:
+def estimate_bad_prob(spec: BadEventSpec, trials: int, seed: int) -> BadProbReport:
     """Collision-event frequency over trials [0, trials) against its bound."""
-    hits = bad_event_counts(spec, n, k, seed, 0, trials, shaping)
-    return BadProbReport.from_counts(spec, n, k, hits, trials, seed, shaping)
+    return BadProbReport(spec, bad_event_counts(spec, seed, 0, trials), trials, seed)
 
 
 @dataclass(frozen=True)
@@ -332,12 +329,10 @@ class _SplitMixRound:
         return _splitmix(self._key, x + 1) >> self._shift
 
 
-def uniformity_counts(
-    kind: UfnKind, n: int, k: int, r: int, seed: object, start: int, count: int
-) -> list[int]:
+def uniformity_counts(params: UfnParams, seed: object, start: int, count: int) -> list[int]:
     """Histogram of outputs at the all-zero input over trials [start, start+count).
 
-    Trial t keys its own r-round instance from counters alone: with
+    Trial t keys its own ``params.r``-round instance from counters alone: with
     S = ``derive_seed("uniformity-keys", seed)``, its key is T_t = z(S, t+1),
     round i's key is K_i = z(T_t, i+1) and round i computes
     f_i(x) = z(K_i, x+1) >> (64 - out_bits), where z is ``_splitmix``. A key
@@ -349,7 +344,6 @@ def uniformity_counts(
     """
     import numpy as np
 
-    params = UfnParams(kind, n, k, r)
     if params.state_bits > _MAX_UNIFORMITY_STATE_BITS:
         raise ValueError(
             f"state space of {params.state_bits} bits is too large to bin "
@@ -362,10 +356,10 @@ def uniformity_counts(
         hi = min(lo + _UNIFORMITY_BATCH, end)
         trial_keys = _splitmix(master, np.arange(lo + 1, hi + 1, dtype=np.uint64))
         blocks = (np.zeros(hi - lo, dtype=np.uint64),) * params.block_count
-        for i in range(r):
+        for i in range(params.r):
             f = _SplitMixRound(_splitmix(trial_keys, i + 1), params.round_out_bits)
             blocks = _forward(params, f, blocks)
-        outputs = join_blocks(blocks, n).astype(np.intp)
+        outputs = join_blocks(blocks, params.n).astype(np.intp)
         bins += np.bincount(outputs, minlength=bins.size)
     return bins.tolist()
 
@@ -377,37 +371,32 @@ class UniformityReport:
     The check passes when the statistic stays below the critical value.
     """
 
-    kind: UfnKind
-    n: int
-    k: int
-    r: int
-    trials: int
+    params: UfnParams
+    bins: list[int]
     seed: int
-    dof: int
-    statistic: float
-    critical_value: float
-    significance: float
+    significance: float = 0.01
 
-    @classmethod
-    def from_counts(
-        cls, kind: UfnKind, n: int, k: int, r: int, bins: list[int], seed: int,
-        significance: float = 0.01,
-    ) -> "UniformityReport":
-        dof = len(bins) - 1
-        return cls(
-            kind=kind,
-            n=n,
-            k=k,
-            r=r,
-            trials=sum(bins),
-            seed=seed,
-            dof=dof,
-            statistic=chi_square_statistic(bins),
-            critical_value=chi_square_critical(dof, significance),
-            significance=significance,
-        )
+    def __post_init__(self) -> None:
+        if self.trials < 1:
+            raise ValueError("trials must be >= 1")
 
-    @property
+    @cached_property
+    def trials(self) -> int:
+        return sum(self.bins)
+
+    @cached_property
+    def dof(self) -> int:
+        return len(self.bins) - 1
+
+    @cached_property
+    def statistic(self) -> float:
+        return chi_square_statistic(self.bins)
+
+    @cached_property
+    def critical_value(self) -> float:
+        return chi_square_critical(self.dof, self.significance)
+
+    @cached_property
     def passed(self) -> bool:
         return self.statistic < self.critical_value
 
@@ -418,11 +407,12 @@ class UniformityReport:
         )
 
     def to_json_dict(self) -> dict:
+        params = self.params
         return {
-            "kind": self.kind.value,
-            "n": self.n,
-            "k": self.k,
-            "rounds": self.r,
+            "kind": params.kind.value,
+            "n": params.n,
+            "k": params.k,
+            "rounds": params.r,
             "trials": self.trials,
             "seed": self.seed,
             "dof": self.dof,
@@ -434,13 +424,7 @@ class UniformityReport:
 
 
 def conditional_uniformity_check(
-    kind: UfnKind,
-    n: int,
-    k: int,
-    r: int,
-    trials: int,
-    seed: int,
-    significance: float = 0.01,
+    params: UfnParams, trials: int, seed: int, significance: float = 0.01
 ) -> UniformityReport:
     """Chi-square uniformity of outputs over trials [0, trials).
 
@@ -451,5 +435,5 @@ def conditional_uniformity_check(
     """
     if not 0.0 < significance < 1.0:
         raise ValueError(f"significance must lie in (0, 1), got {significance}")
-    bins = uniformity_counts(kind, n, k, r, seed, 0, trials)
-    return UniformityReport.from_counts(kind, n, k, r, bins, seed, significance)
+    bins = uniformity_counts(params, seed, 0, trials)
+    return UniformityReport(params, bins, seed, significance)

@@ -8,6 +8,7 @@ tolerances.
 import json
 import random
 import time
+from functools import partial
 
 from feistel_lab.bits import BitString
 from feistel_lab.cli import main as cli_main
@@ -16,8 +17,7 @@ from feistel_lab.distinguisher import (
     attack_ufn2_2k,
     attack_ufn2_even_k,
     estimate_advantage,
-    fresh_ideal_factory,
-    fresh_ufn_factory,
+    ideal_permutation,
 )
 from feistel_lab.feistel import UfnKind, UfnParams, ideal_ufn
 from feistel_lab.prbg import BbsParams, BmParams, bbs_generate, bm_generate
@@ -84,8 +84,8 @@ def _two_query_criterion(kind, machine, vulnerable_rounds, num, desc):
         params = UfnParams(kind, n, k, vulnerable_rounds)
         report = estimate_advantage(
             machine,
-            fresh_ufn_factory(params),
-            fresh_ideal_factory(params.state_bits),
+            partial(ideal_ufn, params),
+            partial(ideal_permutation, params.state_bits),
             trials=10_000,
             seed=2000 + num,
         )
@@ -124,8 +124,8 @@ def test_criterion_4_even_k_attack_every_round_count():
             params = UfnParams(UfnKind.UFN2, n, k, r)
             report = estimate_advantage(
                 machine,
-                fresh_ufn_factory(params),
-                fresh_ideal_factory(params.state_bits),
+                partial(ideal_ufn, params),
+                partial(ideal_permutation, params.state_bits),
                 trials=1000,
                 seed=(400 + r),
             )
@@ -133,8 +133,8 @@ def test_criterion_4_even_k_attack_every_round_count():
         params = UfnParams(UfnKind.UFN2, n, k, 2 * k + 1)
         report = estimate_advantage(
             machine,
-            fresh_ufn_factory(params),
-            fresh_ideal_factory(params.state_bits),
+            partial(ideal_ufn, params),
+            partial(ideal_permutation, params.state_bits),
             trials=10_000,
             seed=444,
         )
@@ -149,8 +149,8 @@ def test_criterion_5_2k_round_attack():
         params = UfnParams(UfnKind.UFN2, n, k, 2 * k)
         report = estimate_advantage(
             machine,
-            fresh_ufn_factory(params),
-            fresh_ideal_factory(params.state_bits),
+            partial(ideal_ufn, params),
+            partial(ideal_permutation, params.state_bits),
             trials=10_000,
             seed=555,
         )
@@ -170,8 +170,8 @@ def test_criterion_6_secure_rounds_and_uniformity():
             params = UfnParams(kind, 4, k, r)
             report = estimate_advantage(
                 machine,
-                fresh_ufn_factory(params),
-                fresh_ideal_factory(params.state_bits),
+                partial(ideal_ufn, params),
+                partial(ideal_permutation, params.state_bits),
                 trials=10_000,
                 seed=(600, kind.value),
             )
@@ -183,7 +183,7 @@ def test_criterion_6_secure_rounds_and_uniformity():
             (UfnKind.UFN2, 2, 3, 7),
         ]
         for kind, n, k, r in uniform_grid:
-            report = conditional_uniformity_check(kind, n, k, r, trials=100_000,
+            report = conditional_uniformity_check(UfnParams(kind, n, k, r), trials=100_000,
                                                   seed=(660, kind.value))
             assert report.passed, (kind, report.statistic, report.critical_value)
         elapsed = time.perf_counter() - started
@@ -219,9 +219,9 @@ def test_criterion_8_collision_bounds_grid():
             for n in (4, 8):
                 for k in (2, 3):
                     for m in (2, 4, 8):
-                        spec = BadEventSpec.for_structure(kind, k, m)
                         report = estimate_bad_prob(
-                            spec, n, k, trials=10_000, seed=(800, kind.value, n, k, m)
+                            BadEventSpec(kind, n, k, m), trials=10_000,
+                            seed=(800, kind.value, n, k, m),
                         )
                         assert report.empirical <= report.bound + 3 * report.ci_halfwidth, (
                             kind, n, k, m, report.empirical, report.bound,

@@ -325,6 +325,9 @@ def test_trial_games_and_crypt_do_not_load_numpy(argv):
        "--key", key, "--in", block)
       for key, block in (("0x1F", "8:0F"), ("1_F", "8:0F"), ("", "8:0F"),
                          ("001F", "8:+F"), ("001F", "8: F"), ("001F", "+8:0F"))],
+    ("badprob", "--kind", "ufn2", "--n", "4", "--k", "3", "--m", "17"),
+    ("badprob", "--kind", "target-heavy", "--n", "2", "--k", "2", "--m", "65",
+     "--shaping", "uniform"),
 ])
 def test_bad_input_exits_1_before_any_trial(capsys, monkeypatch, argv):
     def no_trials(*_args):
@@ -385,16 +388,73 @@ def test_bench_has_no_jobs_or_table_cap_flag(capsys, flag):
     assert "unrecognized arguments" in err
 
 
-@pytest.mark.parametrize("target", ["out-dir", "csv-missing-dir"])
-def test_unwritable_output_path_is_a_one_line_error(capsys, tmp_path, target):
+@pytest.mark.parametrize("target", ["out-dir", "csv-missing-dir", "out-missing-dir",
+                                    "derived-csv-dir"])
+def test_unwritable_output_path_is_a_one_line_error(capsys, monkeypatch, tmp_path, target):
+    def no_trials(*_args):
+        raise AssertionError("a trial loop started")
+
+    for name in ("_advantage_counts", "bad_event_counts", "uniformity_counts"):
+        monkeypatch.setattr(cli, name, no_trials)
+    bench = ("bench", "--mode", "ggm", "--n", "4", "--k", "2", "--workload", "0",
+             "--seed", "1")
     if target == "out-dir":
         argv = ("matrix", "--k", "3", "--out", str(tmp_path))
+    elif target == "csv-missing-dir":
+        argv = (*bench, "--csv", str(tmp_path / "missing" / "report.csv"))
+    elif target == "out-missing-dir":
+        argv = ("attack", "--name", "src-k1", "--n", "4", "--k", "2", "--trials", "100000",
+                "--seed", "7", "--out", str(tmp_path / "missing" / "x.json"))
     else:
-        argv = ("bench", "--mode", "ggm", "--n", "4", "--k", "2", "--workload", "0",
-                "--seed", "1", "--csv", str(tmp_path / "missing" / "report.csv"))
-    code, _, err = run_cli(capsys, *argv)
-    assert code == 1
+        (tmp_path / "report.csv").mkdir()
+        argv = (*bench, "--out", str(tmp_path / "report.json"))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        ["report.csv"] if target == "derived-csv-dir" else [])
+
+
+# Seeded stdout of each trial command, captured before the reports held their
+# specs; --jobs 2 gives the same bytes as one process.
+_GOLDEN_JSON = {
+    "attack": (
+        ("attack", "--name", "ufn2-2k", "--n", "4", "--k", "3", "--trials", "300",
+         "--seed", "7"),
+        '{"accept_a":1.0,"accept_b":0.07,"advantage":0.9299999999999999,'
+        '"ci":0.03552101841165142,"ci_a":0.00632148561227297,"ci_b":0.02919953279937845,'
+        '"k":3,"kind":"ufn2","n":4,"name":"ufn2-2k","rounds":6,"schema":1,"seed":7,'
+        '"trials":300}\n',
+    ),
+    "advantage": (
+        ("advantage", "--name", "src-k1", "--kind", "source-heavy", "--n", "4", "--k", "2",
+         "--rounds", "4", "--trials", "300", "--seed", "7", "--jobs", "2"),
+        '{"accept_a":0.09,"accept_b":0.06333333333333334,"advantage":0.026666666666666658,'
+        '"ci":0.06053060764738766,"ci_a":0.03259339259658449,"ci_b":0.02793721505080317,'
+        '"k":2,"kind":"source-heavy","n":4,"name":"src-k1","rounds":4,"schema":1,"seed":7,'
+        '"trials":300}\n',
+    ),
+    "badprob": (
+        ("badprob", "--kind", "ufn2", "--n", "4", "--k", "3", "--m", "4", "--trials", "300",
+         "--seed", "5", "--shaping", "uniform"),
+        '{"bound":2.0,"ci":0.04813401556615449,"empirical":0.76,"k":3,"kind":"ufn2","m":4,'
+        '"n":4,"schema":1,"seed":5,"shaping":"uniform","trials":300,'
+        '"watched_rounds":[3,4,5,6]}\n',
+    ),
+    "uniformity": (
+        ("uniformity", "--kind", "source-heavy", "--n", "2", "--k", "2", "--trials", "2000",
+         "--seed", "11"),
+        '{"critical":92.01002361413215,"dof":63,"k":2,"kind":"source-heavy","n":2,'
+        '"passed":true,"rounds":4,"schema":1,"seed":11,"significance":0.01,'
+        '"statistic":68.8,"trials":2000}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(_GOLDEN_JSON))
+def test_trial_json_golden(capsys, command):
+    argv, expected = _GOLDEN_JSON[command]
+    assert run_cli(capsys, *argv) == (0, expected, "")
 
 
 def test_missing_subcommand_is_usage_error(capsys):

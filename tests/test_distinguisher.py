@@ -1,7 +1,10 @@
+from functools import partial
+
 import pytest
 
 from feistel_lab.bits import BitString, split_blocks
 from feistel_lab.distinguisher import (
+    GameReport,
     OracleMachine,
     advantage_counts,
     attack_leading_block,
@@ -9,10 +12,7 @@ from feistel_lab.distinguisher import (
     attack_ufn2_even_k,
     calibrate_w_index,
     estimate_advantage,
-    fresh_ideal_factory,
-    fresh_ufn_factory,
     ideal_permutation,
-    report_from_counts,
 )
 from feistel_lab.feistel import UfnKind, UfnParams, ideal_ufn
 
@@ -153,8 +153,8 @@ def test_acceptance_rate_against_ideal_is_one_in_2n():
     machine = attack_leading_block(n, k)
     report = estimate_advantage(
         machine,
-        fresh_ideal_factory((k + 1) * n),
-        fresh_ideal_factory((k + 1) * n),
+        partial(ideal_permutation, (k + 1) * n),
+        partial(ideal_permutation, (k + 1) * n),
         trials=3000,
         seed=9,
     )
@@ -166,7 +166,7 @@ def test_acceptance_rate_against_ideal_is_one_in_2n():
 def test_same_factory_means_zero_advantage():
     n, k = 4, 2
     machine = attack_leading_block(n, k)
-    factory = fresh_ideal_factory((k + 1) * n)
+    factory = partial(ideal_permutation, (k + 1) * n)
     report = estimate_advantage(machine, factory, factory, trials=500, seed=4)
     assert report.advantage == 0.0
     assert report.accept_a == report.accept_b
@@ -176,7 +176,8 @@ def test_reports_are_reproducible():
     n, k = 4, 2
     machine = attack_leading_block(n, k)
     params = UfnParams(UfnKind.TARGET_HEAVY, n, k, k + 1)
-    args = (machine, fresh_ufn_factory(params), fresh_ideal_factory(params.state_bits))
+    args = (machine, partial(ideal_ufn, params),
+            partial(ideal_permutation, params.state_bits))
     assert estimate_advantage(*args, trials=400, seed=8) == estimate_advantage(
         *args, trials=400, seed=8
     )
@@ -188,8 +189,8 @@ def test_secure_rounds_have_no_advantage():
     params = UfnParams(UfnKind.SOURCE_HEAVY, n, k, k + 2)
     report = estimate_advantage(
         machine,
-        fresh_ufn_factory(params),
-        fresh_ideal_factory(params.state_bits),
+        partial(ideal_ufn, params),
+        partial(ideal_permutation, params.state_bits),
         trials=3000,
         seed=21,
     )
@@ -197,7 +198,7 @@ def test_secure_rounds_have_no_advantage():
 
 
 def test_report_fields_consistent():
-    report = report_from_counts(900, 60, 1000, seed=5)
+    report = GameReport(900, 60, 1000, seed=5)
     assert report.accept_a == 0.9
     assert report.accept_b == 0.06
     assert report.advantage == pytest.approx(0.84)
@@ -209,7 +210,7 @@ def test_report_fields_consistent():
 
 def test_estimate_advantage_needs_trials():
     machine = attack_leading_block(4, 2)
-    factory = fresh_ideal_factory(12)
+    factory = partial(ideal_permutation, 12)
     with pytest.raises(ValueError):
         estimate_advantage(machine, factory, factory, trials=0, seed=1)
 
@@ -227,5 +228,6 @@ class _OverBudgetMachine(OracleMachine):
 def test_advantage_counts_enforce_the_query_budget():
     params = UfnParams(UfnKind.SOURCE_HEAVY, 4, 2, 4)
     with pytest.raises(RuntimeError, match="exceeded its query budget of 1"):
-        advantage_counts(_OverBudgetMachine(), fresh_ufn_factory(params),
-                         fresh_ideal_factory(params.state_bits), seed=1, start=0, count=3)
+        advantage_counts(_OverBudgetMachine(), partial(ideal_ufn, params),
+                         partial(ideal_permutation, params.state_bits), seed=1, start=0,
+                         count=3)

@@ -248,9 +248,17 @@ def test_extend_block_cipher_shape():
 def test_extend_block_cipher_rejects_even_k():
     with pytest.raises(ValueError, match="single-query"):
         extend_block_cipher(lambda i: ideal_oracle(8, 8, seed=i), n=8, k=2)
-    wide = extend_block_cipher(lambda i: ideal_oracle(8, 8, seed=i), n=8, k=2,
-                               allow_even_k=True)
-    assert wide.params.k == 2
+    # The invariant behind the rejection: with k even, every round keeps the
+    # XOR of all blocks.
+    wide = UfnPermutation(UfnParams(UfnKind.UFN2, 8, 2, 5),
+                          [ideal_oracle(8, 8, seed=i) for i in range(5)])
+    for v in (0, 1, 0x123456, 0xA5A5A5, 0xFFFFFF):
+        x = B(24, v)
+        xor_in = xor_out = 0
+        for a, b in zip(split_blocks(x.value, 8, 3), split_blocks(wide.encrypt(x).value, 8, 3)):
+            xor_in ^= a
+            xor_out ^= b
+        assert xor_in == xor_out, v
 
 
 def test_extend_block_cipher_bijective():

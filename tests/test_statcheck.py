@@ -119,78 +119,97 @@ def test_bound_values_by_substitution():
         bad_event_bound(UfnKind.BALANCED, 8, 2, 4)
 
 
+def test_bad_event_spec_derives_rounds_structure_and_bound():
+    spec = BadEventSpec(UfnKind.UFN2, 4, 3, 4)
+    assert spec.rounds_watched == (3, 4, 5, 6)
+    assert spec.params == UfnParams(UfnKind.UFN2, 4, 3, 7)
+    assert spec.bound == bad_event_bound(UfnKind.UFN2, 4, 3, 4)
+    assert spec.shaping == "adversarial"
+
+
+@pytest.mark.parametrize("args", [
+    (UfnKind.BALANCED, 4, 1, 2),
+    (UfnKind.UFN2, 0, 3, 2),
+    (UfnKind.UFN2, 4, 0, 2),
+    (UfnKind.TARGET_HEAVY, 2, 2, 65, "uniform"),
+], ids=["balanced", "n0", "k0", "m-over-2^state"])
+def test_bad_event_spec_is_checked_on_construction(args):
+    with pytest.raises(ValueError):
+        BadEventSpec(*args)
+
+
 def test_single_query_never_collides():
-    spec = BadEventSpec.for_structure(UfnKind.SOURCE_HEAVY, 2, 1)
-    report = estimate_bad_prob(spec, 4, 2, trials=200, seed=1)
+    spec = BadEventSpec(UfnKind.SOURCE_HEAVY, 4, 2, 1)
+    report = estimate_bad_prob(spec, trials=200, seed=1)
     assert report.empirical == 0.0
 
 
 def test_bad_prob_below_bound_small_run():
-    spec = BadEventSpec.for_structure(UfnKind.SOURCE_HEAVY, 2, 4)
-    report = estimate_bad_prob(spec, 8, 2, trials=2000, seed=5)
+    spec = BadEventSpec(UfnKind.SOURCE_HEAVY, 8, 2, 4)
+    report = estimate_bad_prob(spec, trials=2000, seed=5)
     assert report.bound == 0.09375
     assert report.empirical <= report.bound + 3 * report.ci_halfwidth
     assert report.hits > 0  # the shaping actually provokes collisions
 
 
 def test_bad_prob_uniform_shaping_also_below_bound():
-    spec = BadEventSpec.for_structure(UfnKind.TARGET_HEAVY, 2, 4)
-    report = estimate_bad_prob(spec, 4, 2, trials=1000, seed=6, shaping="uniform")
-    assert report.shaping == "uniform"
+    spec = BadEventSpec(UfnKind.TARGET_HEAVY, 4, 2, 4, shaping="uniform")
+    report = estimate_bad_prob(spec, trials=1000, seed=6)
+    assert report.spec.shaping == "uniform"
     assert report.empirical <= report.bound + 3 * report.ci_halfwidth
 
 
 def test_bad_prob_rejects_oversized_m():
-    spec = BadEventSpec.for_structure(UfnKind.TARGET_HEAVY, 2, 17)
     with pytest.raises(ValueError):
-        estimate_bad_prob(spec, 4, 2, trials=10, seed=1)
+        BadEventSpec(UfnKind.TARGET_HEAVY, 4, 2, 17)
 
 
 def test_bad_prob_rejects_bad_args():
     with pytest.raises(ValueError):
-        BadEventSpec.for_structure(UfnKind.SOURCE_HEAVY, 2, 0)
-    spec = BadEventSpec.for_structure(UfnKind.SOURCE_HEAVY, 2, 2)
+        BadEventSpec(UfnKind.SOURCE_HEAVY, 4, 2, 0)
+    spec = BadEventSpec(UfnKind.SOURCE_HEAVY, 4, 2, 2)
     with pytest.raises(ValueError):
-        estimate_bad_prob(spec, 4, 2, trials=0, seed=1)
+        estimate_bad_prob(spec, trials=0, seed=1)
     with pytest.raises(ValueError):
-        estimate_bad_prob(spec, 4, 2, trials=10, seed=1, shaping="weird")
+        BadEventSpec(UfnKind.SOURCE_HEAVY, 4, 2, 2, shaping="weird")
 
 
 def test_bad_prob_reproducible():
-    spec = BadEventSpec.for_structure(UfnKind.UFN2, 3, 4)
-    a = estimate_bad_prob(spec, 4, 3, trials=500, seed=7)
-    b = estimate_bad_prob(spec, 4, 3, trials=500, seed=7)
+    spec = BadEventSpec(UfnKind.UFN2, 4, 3, 4)
+    a = estimate_bad_prob(spec, trials=500, seed=7)
+    b = estimate_bad_prob(spec, trials=500, seed=7)
     assert a == b
 
 
 def test_uniformity_passes_at_secure_rounds():
-    report = conditional_uniformity_check(UfnKind.SOURCE_HEAVY, 2, 2, 4, trials=20000, seed=11)
+    report = conditional_uniformity_check(UfnParams(UfnKind.SOURCE_HEAVY, 2, 2, 4), trials=20000,
+                                          seed=11)
     assert report.passed
     assert report.dof == 63
 
 
 def test_uniformity_fails_decisively_for_even_k():
     # The conserved XOR-sum confines outputs to a sixteenth of the space.
-    report = conditional_uniformity_check(UfnKind.UFN2, 2, 2, 5, trials=5000, seed=12)
+    report = conditional_uniformity_check(UfnParams(UfnKind.UFN2, 2, 2, 5), trials=5000, seed=12)
     assert not report.passed
     assert report.statistic > 10 * report.critical_value
 
 
 def test_uniformity_rejects_large_state():
     with pytest.raises(ValueError):
-        conditional_uniformity_check(UfnKind.SOURCE_HEAVY, 4, 3, 5, trials=10, seed=1)
+        conditional_uniformity_check(UfnParams(UfnKind.SOURCE_HEAVY, 4, 3, 5), trials=10, seed=1)
 
 
 def test_uniformity_rejects_bad_trials():
     with pytest.raises(ValueError):
-        conditional_uniformity_check(UfnKind.SOURCE_HEAVY, 2, 2, 4, trials=0, seed=1)
+        conditional_uniformity_check(UfnParams(UfnKind.SOURCE_HEAVY, 2, 2, 4), trials=0, seed=1)
 
 
 def test_bad_prob_report_verdict_and_json():
-    spec = BadEventSpec.for_structure(UfnKind.SOURCE_HEAVY, 2, 4)
-    within = BadProbReport.from_counts(spec, 8, 2, hits=90, trials=1000, seed=1)
+    spec = BadEventSpec(UfnKind.SOURCE_HEAVY, 8, 2, 4)
+    within = BadProbReport(spec, hits=90, trials=1000, seed=1)
     assert within.bound == 0.09375 and within.passed
-    above = BadProbReport.from_counts(spec, 8, 2, hits=300, trials=1000, seed=1)
+    above = BadProbReport(spec, hits=300, trials=1000, seed=1)
     assert above.empirical > above.bound + 3 * above.ci_halfwidth
     assert not above.passed and "exceeds bound" in above.failure_message()
     payload = within.to_json_dict()
@@ -198,19 +217,36 @@ def test_bad_prob_report_verdict_and_json():
                             "watched_rounds", "bound", "empirical", "ci"}
     assert payload["watched_rounds"] == [1, 2, 3] and payload["ci"] == within.ci_halfwidth
     with pytest.raises(ValueError):
-        BadProbReport.from_counts(spec, 8, 2, hits=0, trials=0, seed=1)
+        BadProbReport(spec, hits=0, trials=0, seed=1)
 
 
 def test_uniformity_report_verdict_and_json():
-    flat = UniformityReport.from_counts(UfnKind.UFN2, 1, 1, 3, [25, 25, 25, 25], seed=2)
+    flat = UniformityReport(UfnParams(UfnKind.UFN2, 1, 1, 3), [25, 25, 25, 25], seed=2)
     assert (flat.trials, flat.dof, flat.statistic) == (100, 3, 0.0) and flat.passed
-    skewed = UniformityReport.from_counts(UfnKind.UFN2, 1, 1, 3, [100, 0, 0, 0], seed=2)
+    skewed = UniformityReport(UfnParams(UfnKind.UFN2, 1, 1, 3), [100, 0, 0, 0], seed=2)
     assert skewed.statistic > skewed.critical_value and not skewed.passed
     assert "critical value" in skewed.failure_message()
     payload = skewed.to_json_dict()
     assert set(payload) == {"kind", "n", "k", "rounds", "trials", "seed", "dof",
                             "statistic", "critical", "significance", "passed"}
     assert payload["passed"] is False and payload["critical"] == skewed.critical_value
+
+
+def test_uniformity_report_computes_each_value_once(monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for name in ("chi_square_statistic", "chi_square_critical"):
+        monkeypatch.setattr(statcheck, name, counted(name, getattr(statcheck, name)))
+    report = UniformityReport(UfnParams(UfnKind.UFN2, 1, 1, 3), [100, 0, 0, 0], seed=2)
+    report.to_json_dict()
+    assert not report.passed and report.failure_message()
+    assert sorted(calls) == ["chi_square_critical", "chi_square_statistic"]
 
 
 @pytest.mark.parametrize("significance", [0.0, 1.0, -0.5, 2.0, float("nan")])
@@ -226,8 +262,8 @@ def test_uniformity_check_rejects_significance_before_any_trial(monkeypatch, sig
 
     monkeypatch.setattr(statcheck, "uniformity_counts", no_trials)
     with pytest.raises(ValueError, match="significance"):
-        conditional_uniformity_check(UfnKind.SOURCE_HEAVY, 2, 2, 4, trials=20000, seed=1,
-                                     significance=significance)
+        conditional_uniformity_check(UfnParams(UfnKind.SOURCE_HEAVY, 2, 2, 4), trials=20000,
+                                     seed=1, significance=significance)
 
 
 def test_chi_square_critical_matches_the_distribution_quantile():
@@ -288,13 +324,13 @@ def test_uniformity_counts_match_the_scalar_twin_bit_for_bit(kind, n, k, r):
     for t in range(300):
         expected = [0] * (1 << params.state_bits)
         expected[_scalar_trial_output(params, seed, t)] = 1
-        assert uniformity_counts(kind, n, k, r, seed, t, 1) == expected, t
+        assert uniformity_counts(params, seed, t, 1) == expected, t
         total = [a + b for a, b in zip(total, expected)]
-    assert uniformity_counts(kind, n, k, r, seed, 0, 300) == total
+    assert uniformity_counts(params, seed, 0, 300) == total
 
 
 def test_uniformity_counts_golden_histogram():
-    assert uniformity_counts(UfnKind.BALANCED, 2, 1, 3, 5, 0, 100) == [
+    assert uniformity_counts(UfnParams(UfnKind.BALANCED, 2, 1, 3), 5, 0, 100) == [
         6, 5, 6, 7, 7, 5, 4, 6, 7, 3, 8, 14, 7, 5, 6, 4]
 
 
@@ -306,13 +342,13 @@ def test_uniformity_counts_golden_histogram():
     batch=hs.integers(1, 40),
 )
 def test_uniformity_counts_add_up_over_any_split(kind, trials, cuts, batch):
-    k = 1 if kind is UfnKind.BALANCED else 2
-    whole = uniformity_counts(kind, 2, k, 3, 23, 0, trials)
+    params = UfnParams(kind, 2, 1 if kind is UfnKind.BALANCED else 2, 3)
+    whole = uniformity_counts(params, 23, 0, trials)
     bounds = sorted({0, trials, *(c % (trials + 1) for c in cuts)})
     with pytest.MonkeyPatch.context() as mp:
         # Small batches put batch boundaries inside and across the parts.
         mp.setattr(statcheck, "_UNIFORMITY_BATCH", batch)
-        parts = [uniformity_counts(kind, 2, k, 3, 23, lo, hi - lo)
+        parts = [uniformity_counts(params, 23, lo, hi - lo)
                  for lo, hi in zip(bounds, bounds[1:])]
     assert [sum(column) for column in zip(*parts)] == whole
     assert sum(whole) == trials
