@@ -178,11 +178,6 @@ def _build_cipher(args: argparse.Namespace):
     except ValueError as exc:
         raise UsageError(f"--key must be hex digits, got {key_hex!r}") from exc
     if args.prf == "ggm":
-        if master.width % params.r != 0:
-            raise UsageError(
-                f"key width {master.width} is not divisible by {params.r} rounds; "
-                "pad the key or change the round count"
-            )
         return ggm_ufn(params, master, mode=args.expander)
     # encrypt and decrypt run as separate commands that visit the rounds in
     # opposite orders. An ideal_ufn instance draws all rounds from one stream

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Protocol
 
-from .bits import BitString, join_blocks
+from .bits import join_blocks
 from .feistel import UfnKind, UfnParams, ideal_ufn
 from .prbg import BitGenerator, FastBitGenerator, derive_seed
 from .stats import wilson_halfwidth
@@ -33,12 +33,12 @@ __all__ = [
 
 
 class PermutationOracle(Protocol):
-    """Queryable bijection on a fixed state width that counts its queries."""
+    """Queryable bijection on the int states [0, 2^width) that counts its queries."""
 
     width: int
     query_count: int
 
-    def query(self, x: BitString) -> BitString: ...
+    def query(self, x: int) -> int: ...
 
 
 class IdealPermutationOracle:
@@ -61,25 +61,24 @@ class IdealPermutationOracle:
     def _fresh_value(self) -> int:
         # Rejection sampling: with u of the 2^w values unused, a draw takes
         # 2^w/u tries on average, so filling the whole domain takes about
-        # 0.7·w·2^w draws.
+        # 0.7·w·2^w draws. It is only called for an unmapped in-range query,
+        # so at least one value is unused and the loop ends.
         used = self._inv
         while True:
             v = self._entropy.next_int(self.width)
             if v not in used:
                 return v
 
-    def query(self, x: BitString) -> BitString:
-        if x.width != self.width:
-            raise ValueError(f"expected {self.width}-bit query, got {x.width}")
+    def query(self, x: int) -> int:
+        if not 0 <= x < 1 << self.width:
+            raise ValueError(f"query {x} does not fit in {self.width} bits")
         self.query_count += 1
-        hit = self._fwd.get(x.value)
+        hit = self._fwd.get(x)
         if hit is None:
-            if len(self._fwd) >= (1 << self.width):
-                raise RuntimeError("permutation domain exhausted")
             hit = self._fresh_value()
-            self._fwd[x.value] = hit
-            self._inv[hit] = x.value
-        return BitString(self.width, hit)
+            self._fwd[x] = hit
+            self._inv[hit] = x
+        return hit
 
 
 def ideal_permutation(width: int, seed: object) -> IdealPermutationOracle:
@@ -96,8 +95,8 @@ class OracleMachine:
         raise NotImplementedError
 
 
-def _query_pair(n: int, k: int, seed: object | None) -> tuple[BitString, BitString]:
-    """Two (k+1)n-bit queries that differ exactly in the leftmost block."""
+def _query_pair(n: int, k: int, seed: object | None) -> tuple[int, int]:
+    """Two (k+1)n-bit int queries that differ exactly in the leftmost block."""
     if seed is None:
         shared = [0] * k
         left_p, left_q = 0, (1 << n) - 1
@@ -107,10 +106,7 @@ def _query_pair(n: int, k: int, seed: object | None) -> tuple[BitString, BitStri
         left_p = gen.next_int(n)
         delta = gen.next_int(n) or 1
         left_q = left_p ^ delta
-    width = (k + 1) * n
-    x_p = BitString(width, join_blocks([left_p, *shared], n))
-    x_q = BitString(width, join_blocks([left_q, *shared], n))
-    return x_p, x_q
+    return join_blocks([left_p, *shared], n), join_blocks([left_q, *shared], n)
 
 
 class _PairMachine(OracleMachine):
@@ -131,7 +127,7 @@ class _PairMachine(OracleMachine):
         y_q = oracle.query(self.x_q)
         return 1 if self._accepts(y_p, y_q) else 0
 
-    def _accepts(self, y_p: BitString, y_q: BitString) -> bool:
+    def _accepts(self, y_p: int, y_q: int) -> bool:
         raise NotImplementedError
 
 
@@ -143,11 +139,8 @@ class _LeadingBlockXorMachine(_PairMachine):
     with round-function outputs that both queries share.
     """
 
-    def _accepts(self, y_p: BitString, y_q: BitString) -> bool:
-        shift = self.k * self.n
-        in_delta = (self.x_p.value >> shift) ^ (self.x_q.value >> shift)
-        out_delta = (y_p.value >> shift) ^ (y_q.value >> shift)
-        return in_delta == out_delta
+    def _accepts(self, y_p: int, y_q: int) -> bool:
+        return (self.x_p ^ self.x_q ^ y_p ^ y_q) >> (self.k * self.n) == 0
 
 
 def attack_leading_block(n: int, k: int, seed: object | None = None) -> OracleMachine:
@@ -169,23 +162,23 @@ class _XorSumMachine(OracleMachine):
         self.n = n
         self.k = k
         if seed is None:
-            self.x = BitString((k + 1) * n, 0)
+            self.x = 0
         else:
             gen = FastBitGenerator(derive_seed("xor-sum-query", seed))
-            self.x = gen.next_bits((k + 1) * n)
+            self.x = gen.next_int((k + 1) * n)
 
     def run(self, oracle: PermutationOracle) -> int:
         if oracle.width != (self.k + 1) * self.n:
             raise ValueError(f"oracle width {oracle.width} does not match machine")
         y = oracle.query(self.x)
-        return 1 if _block_xor_sum(self.x, self.n) == _block_xor_sum(y, self.n) else 0
+        return 1 if _block_xor_sum(self.x ^ y, self.n, self.k + 1) == 0 else 0
 
 
-def _block_xor_sum(x: BitString, n: int) -> int:
+def _block_xor_sum(v: int, n: int, count: int) -> int:
+    """XOR of the ``count`` lowest n-bit blocks of ``v``."""
     acc = 0
-    v = x.value
     mask = (1 << n) - 1
-    for _ in range(x.width // n):
+    for _ in range(count):
         acc ^= v & mask
         v >>= n
     return acc
@@ -219,7 +212,7 @@ def calibrate_w_index(n: int, k: int, probes: int = 64, seed: object = "w-cal") 
         keep = set()
         for idx in candidates:
             shift = (k - idx) * n
-            w_delta = ((x_p.value >> shift) ^ (x_q.value >> shift)) & ((1 << n) - 1)
+            w_delta = ((x_p ^ x_q) >> shift) & ((1 << n) - 1)
             if base ^ w_delta == 0:
                 keep.add(idx)
         candidates = keep
@@ -228,19 +221,9 @@ def calibrate_w_index(n: int, k: int, probes: int = 64, seed: object = "w-cal") 
     return min(candidates)
 
 
-def _relation_residual(
-    y_p: BitString, y_q: BitString, x_p: BitString, x_q: BitString, n: int, k: int
-) -> int:
+def _relation_residual(y_p: int, y_q: int, x_p: int, x_q: int, n: int, k: int) -> int:
     """XOR of the first k output blocks of both replies plus the input delta."""
-    mask = (1 << n) - 1
-    acc = 0
-    for i in range(k):
-        shift = (k - i) * n
-        acc ^= (y_p.value >> shift) & mask
-        acc ^= (y_q.value >> shift) & mask
-    shift = k * n
-    acc ^= ((x_p.value >> shift) ^ (x_q.value >> shift)) & mask
-    return acc
+    return _block_xor_sum((y_p ^ y_q) >> n, n, k) ^ ((x_p ^ x_q) >> (k * n))
 
 
 class _CarriedBlockMachine(_PairMachine):
@@ -249,7 +232,7 @@ class _CarriedBlockMachine(_PairMachine):
     queries share, so it adds nothing to the relation. Exact at 2k rounds
     for odd k."""
 
-    def _accepts(self, y_p: BitString, y_q: BitString) -> bool:
+    def _accepts(self, y_p: int, y_q: int) -> bool:
         return _relation_residual(y_p, y_q, self.x_p, self.x_q, self.n, self.k) == 0
 
 

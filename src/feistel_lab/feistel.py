@@ -154,38 +154,47 @@ class UfnPermutation:
                 )
         self.params = params
         self.rounds = tuple(rounds)
+        self.width = params.state_bits
         self.query_count = 0
 
-    @property
-    def width(self) -> int:
-        return self.params.state_bits
+    def _blocks(self, x: int) -> tuple[int, ...]:
+        if not 0 <= x < 1 << self.width:
+            raise ValueError(f"state {x} does not fit in {self.width} bits")
+        return split_blocks(x, self.params.n, self.params.block_count)
+
+    def _through(self, step, rounds, x: int) -> int:
+        """The round loop of ``encrypt``, ``decrypt`` and ``query``. ``step`` is
+        ``_forward`` or ``_inverse``, read from the module at each call so
+        that a rebound step is the one used."""
+        params = self.params
+        blocks = self._blocks(x)
+        for f in rounds:
+            blocks = step(params, f, blocks)
+        return join_blocks(blocks, params.n)
+
+    def _value(self, x: BitString) -> int:
+        if x.width != self.width:
+            raise ValueError(f"expected {self.width}-bit input, got {x.width}")
+        return x.value
 
     def encrypt(self, x: BitString) -> BitString:
-        if x.width != self.width:
-            raise ValueError(f"expected {self.width}-bit input, got {x.width}")
-        blocks = split_blocks(x.value, self.params.n, self.params.block_count)
-        for f in self.rounds:
-            blocks = _forward(self.params, f, blocks)
-        return BitString(self.width, join_blocks(blocks, self.params.n))
+        return BitString(self.width, self._through(_forward, self.rounds, self._value(x)))
 
     def decrypt(self, y: BitString) -> BitString:
-        if y.width != self.width:
-            raise ValueError(f"expected {self.width}-bit input, got {y.width}")
-        blocks = split_blocks(y.value, self.params.n, self.params.block_count)
-        for f in reversed(self.rounds):
-            blocks = _inverse(self.params, f, blocks)
-        return BitString(self.width, join_blocks(blocks, self.params.n))
+        x = self._through(_inverse, reversed(self.rounds), self._value(y))
+        return BitString(self.width, x)
 
-    def query(self, x: BitString) -> BitString:
-        """Permutation-oracle interface: forward queries only."""
+    def query(self, x: int) -> int:
+        """Permutation-oracle interface: forward queries on int states. A
+        state outside [0, 2^width) raises ValueError and is not counted."""
+        y = self._through(_forward, self.rounds, x)
         self.query_count += 1
-        return self.encrypt(x)
+        return y
 
-    def trace_states(self, x: BitString) -> list[tuple[int, ...]]:
-        """Block tuples before round 1 and after each round (r+1 entries)."""
-        if x.width != self.width:
-            raise ValueError(f"expected {self.width}-bit input, got {x.width}")
-        blocks = split_blocks(x.value, self.params.n, self.params.block_count)
+    def trace_states(self, x: int) -> list[tuple[int, ...]]:
+        """Block tuples of the int state ``x`` before round 1 and after each
+        round (r+1 entries)."""
+        blocks = self._blocks(x)
         states = [blocks]
         for f in self.rounds:
             blocks = _forward(self.params, f, blocks)

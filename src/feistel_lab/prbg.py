@@ -216,10 +216,10 @@ class FastBitGenerator(BitGenerator):
     def next_bits(self, count: int) -> BitString:
         if count < 0:
             raise ValueError("count must be >= 0")
-        return BitString(count, self._rng.getrandbits(count) if count else 0)
+        return BitString(count, self._rng.getrandbits(count))
 
     def next_int(self, bits: int) -> int:
-        return self._rng.getrandbits(bits) if bits else 0
+        return self._rng.getrandbits(bits)
 
     def reseed(self, seed: object) -> None:
         self._rng.seed(seed if isinstance(seed, int) else derive_seed("fast", seed))

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bits import BitString, join_blocks
+from .bits import join_blocks
 from .feistel import UfnKind, UfnParams, _forward, ideal_ufn
 from .prbg import FastBitGenerator, derive_seed
 from .stats import chi_square_critical, chi_square_statistic, wilson_halfwidth
@@ -115,33 +115,37 @@ def bad_event_bound(kind: UfnKind, n: int, k: int, m: int) -> float:
     raise ValueError(f"no collision-event bound for kind {kind.value!r}")
 
 
-def _shaped_queries(spec: BadEventSpec, seed: int) -> list[BitString]:
+def _adversarial_queries(spec: BadEventSpec) -> list[int]:
+    # Worst case from the bound derivations: all queries share their
+    # trailing blocks and differ in one leading block, so collisions hinge
+    # entirely on fresh round-function outputs.
+    varied = 1 if spec.kind is UfnKind.SOURCE_HEAVY else 0
+    shift = (spec.k - varied) * spec.n
+    return [v << shift for v in range(spec.m)]
+
+
+def _uniform_queries(spec: BadEventSpec, seed: int) -> list[int]:
+    """m distinct uniform int states drawn from ``seed``."""
     width = spec.params.state_bits
-    if spec.shaping == "adversarial":
-        # Worst case from the bound derivations: all queries share their
-        # trailing blocks and differ in one leading block, so collisions
-        # hinge entirely on fresh round-function outputs.
-        varied = 1 if spec.kind is UfnKind.SOURCE_HEAVY else 0
-        shift = (spec.k - varied) * spec.n
-        return [BitString(width, v << shift) for v in range(spec.m)]
     gen = FastBitGenerator(seed)
-    seen: set[int] = set()
-    queries = []
+    queries: dict[int, None] = {}  # keeps the first draw of each state, in order
     while len(queries) < spec.m:
-        v = gen.next_int(width)
-        if v not in seen:
-            seen.add(v)
-            queries.append(BitString(width, v))
-    return queries
+        queries[gen.next_int(width)] = None
+    return list(queries)
 
 
 def bad_event_counts(spec: BadEventSpec, seed: int, start: int, count: int) -> int:
-    """Trials in [start, start+count) whose watched rounds saw a collision."""
+    """Trials in [start, start+count) whose watched rounds saw a collision.
+
+    Adversarial queries are the same in every trial; uniform ones are drawn
+    per trial from ``derive_seed(seed, "queries", t)``.
+    """
     source_heavy = spec.kind is UfnKind.SOURCE_HEAVY
+    fixed = _adversarial_queries(spec) if spec.shaping == "adversarial" else None
     hits = 0
     for t in range(start, start + count):
         perm = ideal_ufn(spec.params, derive_seed(seed, "trial", t))
-        queries = _shaped_queries(spec, derive_seed(seed, "queries", t))
+        queries = fixed or _uniform_queries(spec, derive_seed(seed, "queries", t))
         seen: list[set] = [set() for _ in spec.rounds_watched]
         hit = False
         for q in queries:

@@ -1,6 +1,8 @@
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from feistel_lab.bits import BitString, split_blocks
 from feistel_lab.distinguisher import (
@@ -15,6 +17,7 @@ from feistel_lab.distinguisher import (
     ideal_permutation,
 )
 from feistel_lab.feistel import UfnKind, UfnParams, ideal_ufn
+from feistel_lab.statcheck import BadEventSpec, bad_event_counts
 
 
 class CountingOracle:
@@ -30,29 +33,31 @@ class CountingOracle:
 
 def test_ideal_permutation_injective_and_deterministic():
     perm = ideal_permutation(8, seed=1)
-    a = perm.query(BitString(8, 3))
-    b = perm.query(BitString(8, 200))
+    a = perm.query(3)
+    b = perm.query(200)
     assert a != b
-    assert perm.query(BitString(8, 3)) == a
+    assert perm.query(3) == a
 
 
 def test_ideal_permutation_exhaustion_is_a_permutation():
     perm = ideal_permutation(2, seed=2)
-    outs = {perm.query(BitString(2, v)).value for v in range(4)}
+    outs = {perm.query(v) for v in range(4)}
     assert outs == {0, 1, 2, 3}
 
 
 def test_ideal_permutation_many_widths():
     for width in (1, 3, 6):
         perm = ideal_permutation(width, seed=width)
-        outs = {perm.query(BitString(width, v)).value for v in range(1 << width)}
+        outs = {perm.query(v) for v in range(1 << width)}
         assert outs == set(range(1 << width))
 
 
 def test_ideal_permutation_width_check():
     perm = ideal_permutation(4, seed=3)
-    with pytest.raises(ValueError):
-        perm.query(BitString(5, 0))
+    for x in (1 << 4, 1 << 5, -1):
+        with pytest.raises(ValueError):
+            perm.query(x)
+    assert perm.query_count == 0
     with pytest.raises(ValueError):
         ideal_permutation(0, seed=1)
 
@@ -86,8 +91,8 @@ def test_source_heavy_attack_relation_instance():
     # n=2, k=2: queries (00,01,10) and (11,01,10); accept iff the first
     # output blocks XOR to 11.
     machine = attack_leading_block(2, 2)
-    xp = split_blocks(machine.x_p.value, 2, 3)
-    xq = split_blocks(machine.x_q.value, 2, 3)
+    xp = split_blocks(machine.x_p, 2, 3)
+    xq = split_blocks(machine.x_q, 2, 3)
     assert xp[1:] == xq[1:]
     assert (xp[0] ^ xq[0]) == 0b11
 
@@ -219,9 +224,8 @@ class _OverBudgetMachine(OracleMachine):
     query_budget = 1
 
     def run(self, oracle):
-        x = BitString(oracle.width, 0)
-        oracle.query(x)
-        oracle.query(x)
+        oracle.query(0)
+        oracle.query(0)
         return 1
 
 
@@ -231,3 +235,126 @@ def test_advantage_counts_enforce_the_query_budget():
         advantage_counts(_OverBudgetMachine(), partial(ideal_ufn, params),
                          partial(ideal_permutation, params.state_bits), seed=1, start=0,
                          count=3)
+
+
+# Reference twin: the machine relations as they were first stated, block by
+# block on BitStrings. The machines state them as int expressions.
+def _twin_leading_block(xs, ys, n, k):
+    shift = k * n
+    in_delta = (xs[0].value >> shift) ^ (xs[1].value >> shift)
+    out_delta = (ys[0].value >> shift) ^ (ys[1].value >> shift)
+    return in_delta == out_delta
+
+
+def _twin_block_xor_sum(x, n):
+    acc = 0
+    v = x.value
+    mask = (1 << n) - 1
+    for _ in range(x.width // n):
+        acc ^= v & mask
+        v >>= n
+    return acc
+
+
+def _twin_xor_sum(xs, ys, n, k):
+    return _twin_block_xor_sum(xs[0], n) == _twin_block_xor_sum(ys[0], n)
+
+
+def _twin_carried_block(xs, ys, n, k):
+    mask = (1 << n) - 1
+    acc = 0
+    for i in range(k):
+        shift = (k - i) * n
+        acc ^= (ys[0].value >> shift) & mask
+        acc ^= (ys[1].value >> shift) & mask
+    shift = k * n
+    acc ^= ((xs[0].value >> shift) ^ (xs[1].value >> shift)) & mask
+    return acc == 0
+
+
+# Attack -> (machine factory, its twin, vulnerable structure, attackable rounds at k).
+_TWINS = {
+    "src-k1": (attack_leading_block, _twin_leading_block, UfnKind.SOURCE_HEAVY,
+               lambda k: k + 1),
+    "tgt-k1": (attack_leading_block, _twin_leading_block, UfnKind.TARGET_HEAVY,
+               lambda k: k + 1),
+    "ufn2-even": (attack_ufn2_even_k, _twin_xor_sum, UfnKind.UFN2, lambda k: 2 * k + 1),
+    "ufn2-2k": (attack_ufn2_2k, _twin_carried_block, UfnKind.UFN2, lambda k: 2 * k),
+}
+
+
+class _RecordingOracle:
+    """Passes queries to ``inner``, XORs ``flip`` into the first reply, and
+    records every query and reply."""
+
+    def __init__(self, inner, flip):
+        self.inner = inner
+        self.width = inner.width
+        self.query_count = 0
+        self.flip = flip
+        self.queries = []
+        self.replies = []
+
+    def query(self, x):
+        self.query_count += 1
+        y = self.inner.query(x)
+        if not self.replies:
+            y ^= self.flip
+        self.queries.append(x)
+        self.replies.append(y)
+        return y
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=hs.sampled_from(sorted(_TWINS)),
+    n=hs.integers(1, 16),
+    k=hs.integers(1, 6),
+    vulnerable=hs.booleans(),
+    query_seed=hs.one_of(hs.none(), hs.integers(0, 1 << 32)),
+    seed=hs.integers(0, 1 << 32),
+    flip_bit=hs.one_of(hs.none(), hs.integers(0, 6 * 16)),
+)
+def test_int_relations_agree_with_the_bitstring_twin(name, n, k, vulnerable, query_seed,
+                                                     seed, flip_bit):
+    factory, twin, kind, rounds = _TWINS[name]
+    if name == "ufn2-even":
+        k += k % 2
+    elif name == "ufn2-2k":
+        k -= 1 - k % 2
+    machine = factory(n, k, query_seed)
+    width = (k + 1) * n
+    if vulnerable:
+        inner = ideal_ufn(UfnParams(kind, n, k, rounds(k)), seed)
+    else:
+        inner = ideal_permutation(width, seed)
+    flip = 0 if flip_bit is None else 1 << (flip_bit % width)
+    oracle = _RecordingOracle(inner, flip)
+    verdict = machine.run(oracle)
+    xs = [BitString(width, x) for x in oracle.queries]
+    ys = [BitString(width, y) for y in oracle.replies]
+    assert verdict == int(twin(xs, ys, n, k))
+    if vulnerable and not flip:
+        assert verdict == 1
+
+
+def test_trial_loops_build_no_bitstring(monkeypatch):
+    built = []
+    post_init = BitString.__post_init__
+
+    def counted(bits):
+        built.append(bits)
+        post_init(bits)
+
+    monkeypatch.setattr(BitString, "__post_init__", counted)
+    n = 4
+    for name, (factory, _, kind, rounds) in _TWINS.items():
+        k = 2 if name != "ufn2-2k" else 3
+        params = UfnParams(kind, n, k, rounds(k))
+        advantage_counts(factory(n, k, seed=1), partial(ideal_ufn, params),
+                         partial(ideal_permutation, params.state_bits), seed=2, start=0,
+                         count=10)
+    for shaping in ("adversarial", "uniform"):
+        bad_event_counts(BadEventSpec(UfnKind.UFN2, n, 3, 8, shaping), seed=3, start=0,
+                         count=10)
+    assert built == []

@@ -164,7 +164,10 @@ def test_decrypt_inverts_encrypt(kind, n, k, r, x, seed):
     params = UfnParams(kind, n, k, r)
     perm = ideal_ufn(params, seed=seed)
     x = B(params.state_bits, x % (1 << params.state_bits))
-    assert perm.decrypt(perm.encrypt(x)) == x
+    y = perm.encrypt(x)
+    assert perm.decrypt(y) == x
+    assert perm.query(x.value) == y.value
+    assert join_blocks(perm.trace_states(x.value)[-1], n) == y.value
 
 
 def test_bijectivity_small_grid():
@@ -195,11 +198,11 @@ def test_all_kinds_coincide_at_k1():
 def test_trace_states_consistent_with_encrypt():
     params = UfnParams(UfnKind.UFN2, 2, 3, 5)
     perm = ideal_ufn(params, seed=23)
-    x = B(8, 0b10110100)
+    x = 0b10110100
     states = perm.trace_states(x)
     assert len(states) == 6
     assert states[0] == (0b10, 0b11, 0b01, 0b00)
-    assert join_blocks(states[-1], 2) == perm.encrypt(x).value
+    assert join_blocks(states[-1], 2) == perm.encrypt(B(8, x)).value
 
 
 def test_constructor_validates_oracle_signature():
@@ -225,6 +228,11 @@ def test_width_mismatch_errors():
         perm.encrypt(B(4, 0))
     with pytest.raises(ValueError):
         perm.decrypt(B(7, 0))
+    for x in (1 << 6, -1):
+        for method in (perm.query, perm.trace_states):
+            with pytest.raises(ValueError):
+                method(x)
+    assert perm.query_count == 0
 
 
 def test_ggm_ufn_is_deterministic():
