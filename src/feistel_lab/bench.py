@@ -102,6 +102,8 @@ class BenchConfig:
             raise ValueError("prf_mode must be 'memoized' or 'ggm'")
         if self.workload < 0:
             raise ValueError("workload must be >= 0")
+        if self.ell is not None and self.ell < 1:
+            raise ValueError("ell must be >= 1")
 
     def resolved_ell(self) -> int:
         rounds = [structure_profile(kind, self.n, self.k).r for kind in ALL_KINDS]

@@ -120,14 +120,14 @@ def _random_bases(num: int, rounds: int) -> Iterator[int]:
     return (rng.randrange(2, num - 1) for _ in range(rounds))
 
 
-def is_probable_prime(num: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
+def is_probable_prime(num: int) -> bool:
     """Primality by trial division and strong-probable-prime tests.
 
     Below ``PSI_12`` the verdict is exact: every composite there fails a
     strong test to one of the twelve prime bases 2..37 (Sorenson and
     Webster, *Strong pseudoprimes to twelve prime bases*, Math. Comp. 86,
-    2017). At or above it, ``rounds`` bases are drawn from a stream seeded
-    by ``num``, so the verdict is still a fixed function of ``num``.
+    2017). At or above it, ``MILLER_RABIN_ROUNDS`` bases are drawn from a stream
+    seeded by ``num``, so the verdict is still a fixed function of ``num``.
     """
     if num < 2:
         return False
@@ -136,7 +136,7 @@ def is_probable_prime(num: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
             return num == small
     if num < PSI_12:
         return _strong_probable_prime(num, _SMALL_PRIMES)
-    return _strong_probable_prime(num, _random_bases(num, rounds))
+    return _strong_probable_prime(num, _random_bases(num, MILLER_RABIN_ROUNDS))
 
 
 def _pollard_rho(num: int) -> int:

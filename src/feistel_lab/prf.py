@@ -53,11 +53,6 @@ class FunctionOracle:
     def eval_int(self, x: int) -> int:
         raise NotImplementedError
 
-    def eval(self, x: BitString) -> BitString:
-        if x.width != self.in_bits:
-            raise ValueError(f"expected {self.in_bits}-bit input, got {x.width}")
-        return BitString(self.out_bits, self.eval_int(x.value))
-
 
 class CallableOracle(FunctionOracle):
     """Wrap a plain int -> int function; handy for stubs and known functions."""

@@ -141,3 +141,6 @@ def test_config_validation():
         BenchConfig(n=4, k=2, prf_mode="mystery", workload=1, seed=1)
     with pytest.raises(ValueError):
         BenchConfig(n=4, k=2, prf_mode="ggm", workload=-1, seed=1)
+    for ell in (0, -60):
+        with pytest.raises(ValueError, match="ell"):
+            BenchConfig(n=4, k=2, prf_mode="ggm", workload=1, seed=1, ell=ell)

@@ -281,6 +281,20 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
     assert real_build() is not real_build()
 
 
+def _heavy_modules_loaded(argv):
+    """Which of numpy and scipy a fresh interpreter has loaded after one command."""
+    script = ("import sys; from feistel_lab.cli import main; rc = main(sys.argv[1:]); "
+              "print(sorted({'numpy', 'scipy'} & set(sys.modules)), file=sys.stderr); "
+              "sys.exit(rc)")
+    src = str(Path(feistel_lab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr.strip().splitlines()[-1]
+
+
 @pytest.mark.parametrize("argv", [
     ("attack", "--name", "src-k1", "--n", "4", "--k", "2", "--trials", "50", "--seed", "1"),
     ("badprob", "--kind", "source-heavy", "--n", "8", "--k", "2", "--m", "4",
@@ -290,16 +304,13 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
 ], ids=lambda argv: argv[0])
 def test_trial_games_and_crypt_do_not_load_numpy(argv):
     # numpy adds about 11 MB to a process; only the uniformity check needs it.
-    script = ("import sys; from feistel_lab.cli import main; rc = main(sys.argv[1:]); "
-              "print('numpy loaded' if 'numpy' in sys.modules else 'numpy absent', "
-              "file=sys.stderr); sys.exit(rc)")
-    src = str(Path(feistel_lab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.strip().splitlines()[-1] == "numpy absent"
+    assert _heavy_modules_loaded(argv) == "[]"
+
+
+def test_uniformity_loads_numpy_but_not_scipy():
+    # scipy serves only as the tests' reference for the chi-square critical value.
+    assert _heavy_modules_loaded(("uniformity", "--kind", "ufn2", "--n", "2", "--k", "3",
+                                  "--trials", "2000", "--seed", "1")) == "['numpy']"
 
 
 @pytest.mark.parametrize("argv", [
@@ -444,7 +455,7 @@ _GOLDEN_JSON = {
     "uniformity": (
         ("uniformity", "--kind", "source-heavy", "--n", "2", "--k", "2", "--trials", "2000",
          "--seed", "11"),
-        '{"critical":92.01002361413215,"dof":63,"k":2,"kind":"source-heavy","n":2,'
+        '{"critical":92.01002361413191,"dof":63,"k":2,"kind":"source-heavy","n":2,'
         '"passed":true,"rounds":4,"schema":1,"seed":11,"significance":0.01,'
         '"statistic":68.8,"trials":2000}\n',
     ),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from feistel_lab import statcheck
+from feistel_lab import statcheck, stats
 from feistel_lab.bits import BitString
 from feistel_lab.feistel import UfnKind, UfnParams, UfnPermutation
 from feistel_lab.prbg import derive_seed
@@ -249,10 +249,13 @@ def test_uniformity_report_computes_each_value_once(monkeypatch):
     assert sorted(calls) == ["chi_square_critical", "chi_square_statistic"]
 
 
-@pytest.mark.parametrize("significance", [0.0, 1.0, -0.5, 2.0, float("nan")])
-def test_chi_square_critical_needs_significance_in_unit_interval(significance):
+@pytest.mark.parametrize(("dof", "significance"), [
+    *(pytest.param(3, s, id=str(s)) for s in (0.0, 1.0, -0.5, 2.0, float("nan"))),
+    *(pytest.param(dof, 0.05, id=f"dof{dof}") for dof in (0, -1)),
+])
+def test_chi_square_critical_needs_significance_in_unit_interval(dof, significance):
     with pytest.raises(ValueError):
-        chi_square_critical(3, significance)
+        chi_square_critical(dof, significance)
 
 
 @pytest.mark.parametrize("significance", [0.0, 1.0, 2.0, float("nan")])
@@ -266,14 +269,30 @@ def test_uniformity_check_rejects_significance_before_any_trial(monkeypatch, sig
                                      seed=1, significance=significance)
 
 
-def test_chi_square_critical_matches_the_distribution_quantile():
+def test_chi_square_critical_matches_the_distribution_quantile(monkeypatch):
     from scipy.stats import chi2
+
+    steps = []
+    tails = stats._log_gamma_tails
+    monkeypatch.setattr(stats, "_log_gamma_tails", lambda a, y: steps.append(1) or tails(a, y))
+
+    def check(dofs, significance, expected):
+        got = []
+        for d in dofs:
+            steps.clear()
+            got.append(chi_square_critical.__wrapped__(int(d), significance))
+            # Ended by its own rule, before the Newton step cap.
+            assert len(steps) < stats._NEWTON_STEPS, (d, significance)
+        assert np.max(np.abs(np.array(got) - expected) / expected) < 1e-10, significance
 
     dofs = np.concatenate([np.arange(1, 300), np.arange(511, 4096)])
     for significance in (1e-6, 1e-4, 0.001, 0.01, 0.05, 0.1, 0.5):
-        expected = chi2.ppf(1.0 - significance, dofs)
-        got = np.array([chi_square_critical(int(d), significance) for d in dofs])
-        assert np.max(np.abs(got - expected) / expected) < 1e-10, significance
+        check(dofs, significance, chi2.ppf(1.0 - significance, dofs))
+    # Extreme levels of both tails on a coarser grid. chi2.ppf would read 1 - 1e-300 as 1,
+    # so the reference is the upper quantile itself.
+    dofs = np.concatenate([np.arange(1, 64), np.arange(64, 4096, 64)])
+    for significance in (1e-300, 1e-12, 0.9, 0.999999, 1 - 1e-12):
+        check(dofs, significance, chi2.isf(significance, dofs))
 
 
 _M64 = (1 << 64) - 1
