@@ -1,11 +1,15 @@
-"""Fixed-width bit strings and the split of a state into equal-width blocks."""
+"""Fixed-width bit strings, 64-bit lanes in one int, and the split of a state into blocks."""
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from typing import Iterable, Sequence
 
-__all__ = ["BitString", "split_blocks", "join_blocks"]
+__all__ = ["BitString", "Lanes", "split_blocks", "join_blocks"]
+
+_M64 = (1 << 64) - 1
 
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
@@ -98,9 +102,69 @@ class BitString:
         return BitString(self.width, self.value ^ ((1 << self.width) - 1))
 
 
+@lru_cache(maxsize=8)
+def _lane_masks(count: int) -> tuple[int, int]:  # 1, and 2^64 - 1, in every lane
+    ones = int.from_bytes((b"\x01" + bytes(15)) * count, "little")
+    return ones, ones * _M64
+
+
+@dataclass(slots=True)
+class Lanes:
+    """``count`` unsigned 64-bit values in one int, lane t in bits [128t, 128t+64).
+
+    ``^ | & << >> + *`` act on every lane at once and wrap it mod 2^64, as on numpy
+    ``uint64`` arrays: the 64 spare bits above a lane take its carries and products
+    and are cleared after each step. An int operand, mod 2^64, fills every lane.
+    """
+
+    value: int
+    count: int
+
+    @classmethod
+    def of(cls, values: Iterable[int]) -> "Lanes":
+        packed = b"".join(v.to_bytes(16, "little") for v in values)
+        return cls(int.from_bytes(packed, "little"), len(packed) // 16)
+
+    def tolist(self) -> list[int]:
+        data = self.value.to_bytes(16 * self.count, "little")
+        return list(struct.unpack(f"<{2 * self.count}Q", data)[::2])
+
+    def _spread(self, other) -> int:
+        if isinstance(other, Lanes):
+            return other.value
+        return (other & _M64) * _lane_masks(self.count)[0]
+
+    def _masked(self, value: int) -> "Lanes":
+        return Lanes(value & _lane_masks(self.count)[1], self.count)
+
+    def __xor__(self, other) -> "Lanes":
+        return Lanes(self.value ^ self._spread(other), self.count)
+
+    def __or__(self, other) -> "Lanes":
+        return Lanes(self.value | self._spread(other), self.count)
+
+    def __and__(self, other) -> "Lanes":
+        return Lanes(self.value & self._spread(other), self.count)
+
+    def __add__(self, other) -> "Lanes":
+        return self._masked(self.value + self._spread(other))
+
+    def __mul__(self, factor: int) -> "Lanes":
+        return self._masked(self.value * (factor & _M64))
+
+    __rxor__, __ror__, __rand__, __radd__, __rmul__ = __xor__, __or__, __and__, __add__, __mul__
+
+    def __lshift__(self, shift: int) -> "Lanes":
+        return self._masked(self.value << shift if shift < 64 else 0)
+
+    def __rshift__(self, shift: int) -> "Lanes":
+        # Below 64, a neighbour's bits only reach the spare bits, which the mask clears.
+        return self._masked(self.value >> shift if shift < 64 else 0)
+
+
 def split_blocks(value, n: int, count: int) -> tuple:
     """Cut a (count*n)-bit value into ``count`` n-bit blocks, block 0 the most
-    significant. ``value`` may be an int or a numpy unsigned integer array."""
+    significant. ``value`` may be an int, a ``Lanes`` or a numpy unsigned array."""
     mask = (1 << n) - 1
     return tuple((value >> ((count - 1 - i) * n)) & mask for i in range(count))
 

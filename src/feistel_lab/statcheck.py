@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bits import join_blocks
-from .feistel import UfnKind, UfnParams, _forward, ideal_ufn
-from .prbg import FastBitGenerator, derive_seed
+from .bits import Lanes, join_blocks, split_blocks
+from .feistel import UfnKind, UfnParams, _forward
+from .prbg import derive_seed
 from .stats import chi_square_critical, chi_square_statistic, wilson_halfwidth
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 _MAX_UNIFORMITY_STATE_BITS = 12
+_BAD_EVENT_BATCH = 256
 
 
 def secure_rounds(kind: UfnKind, k: int) -> int:
@@ -80,6 +81,8 @@ class BadEventSpec:
         if self.m < 1:
             raise ValueError("query count m must be >= 1")
         width = self.params.state_bits  # raises for n or k below 1
+        if width > 64:
+            raise ValueError(f"state of {width} bits does not fit a 64-bit lane (max 64)")
         if self.shaping == "adversarial":
             if self.m > (1 << self.n):
                 raise ValueError(
@@ -124,41 +127,54 @@ def _adversarial_queries(spec: BadEventSpec) -> list[int]:
     return [v << shift for v in range(spec.m)]
 
 
-def _uniform_queries(spec: BadEventSpec, seed: int) -> list[int]:
-    """m distinct uniform int states drawn from ``seed``."""
-    width = spec.params.state_bits
-    gen = FastBitGenerator(seed)
-    queries: dict[int, None] = {}  # keeps the first draw of each state, in order
-    while len(queries) < spec.m:
-        queries[gen.next_int(width)] = None
-    return list(queries)
+def _uniform_queries(spec: BadEventSpec, seed: int, trials: Lanes) -> list[Lanes]:
+    """Query j < m of every trial as one ``Lanes`` per j; ``trials`` holds t+1 for trial
+    t. With U = ``derive_seed("bad-event-queries", seed)``, trial t's candidates are
+    c_j = z(z(U, t+1), j+1) >> (64 - w), one lane pass per j, and its queries are the
+    first m distinct ones, in order."""
+    shift = 64 - spec.params.state_bits
+    keys = _splitmix(derive_seed("bad-event-queries", seed), trials)
+    picked: list[dict[int, None]] = [{} for _ in range(trials.count)]
+    j = 0
+    while any(len(p) < spec.m for p in picked):
+        for p, c in zip(picked, (_splitmix(keys, j + 1) >> shift).tolist()):
+            if len(p) < spec.m:
+                p[c] = None
+        j += 1
+    return [Lanes.of(column) for column in zip(*picked)]
 
 
 def bad_event_counts(spec: BadEventSpec, seed: int, start: int, count: int) -> int:
     """Trials in [start, start+count) whose watched rounds saw a collision.
 
-    Adversarial queries are the same in every trial; uniform ones are drawn
-    per trial from ``derive_seed(seed, "queries", t)``.
+    Trial t is one lane of a ``bits.Lanes``, keyed as in ``uniformity_counts`` with
+    S = ``derive_seed("bad-event-keys", seed)``. ``feistel._forward`` runs a batch of at
+    most ``_BAD_EVENT_BATCH`` trials, which bounds the memory held, through a round at
+    once. A trial hits when two of its m queries agree at a watched round: on the last
+    k blocks for source-heavy, on the last block otherwise.
     """
-    source_heavy = spec.kind is UfnKind.SOURCE_HEAVY
+    params = spec.params
     fixed = _adversarial_queries(spec) if spec.shaping == "adversarial" else None
+    master = derive_seed("bad-event-keys", seed)
     hits = 0
-    for t in range(start, start + count):
-        perm = ideal_ufn(spec.params, derive_seed(seed, "trial", t))
-        queries = fixed or _uniform_queries(spec, derive_seed(seed, "queries", t))
-        seen: list[set] = [set() for _ in spec.rounds_watched]
-        hit = False
-        for q in queries:
-            states = perm.trace_states(q)
-            for j, rd in enumerate(spec.rounds_watched):
-                value = states[rd][1:] if source_heavy else states[rd][-1]
-                if value in seen[j]:
-                    hit = True
-                seen[j].add(value)
-            if hit:
-                break
-        if hit:
-            hits += 1
+    for lo in range(start, start + count, _BAD_EVENT_BATCH):
+        trials = Lanes.of(range(lo + 1, min(lo + _BAD_EVENT_BATCH, start + count) + 1))
+        trial_keys = _splitmix(master, trials)
+        rounds = [_SplitMixRound(_splitmix(trial_keys, i + 1), params.round_out_bits)
+                  for i in range(params.r)]
+        seen: dict[int, list[Lanes]] = {rd: [] for rd in spec.rounds_watched}
+        for q in fixed or _uniform_queries(spec, seed, trials):
+            blocks = split_blocks(q, params.n, params.block_count)
+            for rd, f in enumerate(rounds, 1):
+                blocks = _forward(params, f, blocks)
+                if rd in seen:
+                    seen[rd].append(join_blocks(blocks[1:], params.n)
+                                    if spec.kind is UfnKind.SOURCE_HEAVY else blocks[-1])
+        hit = set()
+        for values in seen.values():
+            rows = zip(*(v.tolist() for v in values))
+            hit.update(t for t, row in enumerate(rows) if len(set(row)) < spec.m)
+        hits += len(hit)
     return hits
 
 
@@ -308,9 +324,9 @@ _UNIFORMITY_BATCH = 1 << 16
 def _splitmix(s, j):
     """z(s, j) = SplitMix64 finalizer of (s + j * gamma) mod 2^64, elementwise.
 
-    At least one of ``s`` and ``j`` is a numpy ``uint64`` array; a Python int
-    multiple of gamma is reduced mod 2^64 before it meets the array, so every
-    wrap happens inside array arithmetic, which wraps silently.
+    At least one of ``s`` and ``j`` is a numpy ``uint64`` array or a ``bits.Lanes``;
+    a Python int multiple of gamma is reduced mod 2^64 before it meets them, so
+    every wrap happens inside their arithmetic, which wraps silently.
     """
     z = s + ((j * _GAMMA) & _MASK64)
     z = (z ^ (z >> 30)) * _MIX1
@@ -319,7 +335,7 @@ def _splitmix(s, j):
 
 
 class _SplitMixRound:
-    """Round function x -> top ``out_bits`` bits of z(key, x + 1), on uint64 arrays.
+    """Round x -> top ``out_bits`` bits of z(key, x + 1), on uint64 arrays or ``Lanes``.
 
     ``key`` holds one round key per trial, so ``feistel._forward`` runs a
     whole batch of independently keyed instances through one round at once.

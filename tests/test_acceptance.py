@@ -214,6 +214,7 @@ def test_criterion_7_matrix_rank():
 
 def test_criterion_8_collision_bounds_grid():
     with _Criterion(8, "collision-event frequency under its bound on the desk grid"):
+        started = time.perf_counter()
         assert bad_event_bound(UfnKind.SOURCE_HEAVY, 8, 2, 4) == 0.09375
         for kind in (UfnKind.SOURCE_HEAVY, UfnKind.TARGET_HEAVY, UfnKind.UFN2):
             for n in (4, 8):
@@ -226,6 +227,8 @@ def test_criterion_8_collision_bounds_grid():
                         assert report.empirical <= report.bound + 3 * report.ci_halfwidth, (
                             kind, n, k, m, report.empirical, report.bound,
                         )
+        elapsed = time.perf_counter() - started
+        assert elapsed < 15.0, f"took {elapsed:.1f}s"
 
 
 def test_criterion_9_generator_conformance():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as hs
 
-from feistel_lab.bits import BitString, join_blocks, split_blocks
+from feistel_lab.bits import BitString, Lanes, join_blocks, split_blocks
 
 
 def test_xor_definition():
@@ -92,8 +92,9 @@ def _block_states(draw):
 @example((16, 4, [0, (1 << 64) - 1]))
 @example((24, 6, [(1 << 144) - 1]))
 def test_partition_flatten_mutually_inverse(state):
-    """join_blocks inverts split_blocks on ints; on uint64 arrays, wherever the
-    state fits 64 bits, both agree with the int results element by element."""
+    """join_blocks inverts split_blocks on ints; on uint64 arrays and on Lanes,
+    wherever the state fits 64 bits, both agree with the int results element by
+    element."""
     n, count, values = state
     per_value = [split_blocks(v, n, count) for v in values]
     for v, blocks in zip(values, per_value):
@@ -103,6 +104,9 @@ def test_partition_flatten_mutually_inverse(state):
         arrays = split_blocks(np.array(values, dtype=np.uint64), n, count)
         assert [a.tolist() for a in arrays] == [list(col) for col in zip(*per_value)]
         assert join_blocks(arrays, n).tolist() == values
+        lanes = split_blocks(Lanes.of(values), n, count)
+        assert [b.tolist() for b in lanes] == [list(col) for col in zip(*per_value)]
+        assert join_blocks(lanes, n).tolist() == values
 
 
 def test_text_form_example():
@@ -168,3 +172,29 @@ def test_from_bits_and_complement():
     assert x.complement() == BitString(6, 0b010010)
     with pytest.raises(ValueError):
         BitString.from_bits([0, 2])
+
+
+_M64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_WORDS = hs.integers(0, _M64)
+
+
+@given(xs=hs.lists(_WORDS, min_size=1, max_size=9), ys=hs.lists(_WORDS, min_size=9, max_size=9),
+       c=hs.integers(0, 1 << 70), shift=hs.integers(0, 70))
+@example(xs=[_M64] * 3, ys=[_M64] * 9, c=(1 << 70) - 1, shift=70)
+def test_lanes_act_on_each_lane_mod_2_64(xs, ys, c, shift):
+    a, b = Lanes.of(xs), Lanes.of(ys[:len(xs)])
+    assert a.tolist() == xs and a.count == len(xs)
+    cases = [
+        (a ^ b, [x ^ y for x, y in zip(xs, ys)]),
+        (a | b, [x | y for x, y in zip(xs, ys)]),
+        (c & a, [x & c for x in xs]),
+        (a + b, [(x + y) & _M64 for x, y in zip(xs, ys)]),
+        (c + a, [(x + c) & _M64 for x in xs]),
+        (c * a, [(x * c) & _M64 for x in xs]),
+        ((c ^ a) * _GAMMA, [((x ^ c) * _GAMMA) & _M64 for x in xs]),
+        (a << shift, [(x << shift) & _M64 for x in xs]),
+        (a >> shift, [x >> shift for x in xs]),
+    ]
+    for got, expected in cases:
+        assert got.tolist() == expected and got.count == len(xs)

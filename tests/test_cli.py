@@ -206,10 +206,12 @@ def test_seeded_runs_are_byte_identical(capsys):
     ("attack", "--name", "src-k1", "--n", "4", "--k", "2", "--trials", "300"),
     ("badprob", "--kind", "target-heavy", "--n", "4", "--k", "2", "--m", "4",
      "--trials", "301"),
+    ("badprob", "--kind", "target-heavy", "--n", "2", "--k", "2", "--m", "8",
+     "--shaping", "uniform", "--trials", "304"),
     ("uniformity", "--kind", "source-heavy", "--n", "2", "--k", "2", "--trials", "302"),
     ("advantage", "--name", "src-k1", "--n", "4", "--k", "2", "--rounds", "4",
      "--trials", "303"),
-], ids=lambda base: base[0])
+], ids=["attack", "badprob", "badprob-uniform", "uniformity", "advantage"])
 def test_jobs_do_not_change_results(capsys, monkeypatch, base):
     # Three chunks on any machine: --jobs is capped at the CPU count.
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
@@ -299,9 +301,11 @@ def _heavy_modules_loaded(argv):
     ("attack", "--name", "src-k1", "--n", "4", "--k", "2", "--trials", "50", "--seed", "1"),
     ("badprob", "--kind", "source-heavy", "--n", "8", "--k", "2", "--m", "4",
      "--trials", "100", "--seed", "5"),
+    ("badprob", "--kind", "ufn2", "--n", "4", "--k", "3", "--m", "8", "--shaping", "uniform",
+     "--trials", "100", "--seed", "5"),
     ("encrypt", "--kind", "ufn2", "--n", "2", "--k", "2", "--rounds", "5",
      "--key", "A3F2C12345", "--in", "6:2D"),
-], ids=lambda argv: argv[0])
+], ids=["attack", "badprob", "badprob-uniform", "encrypt"])
 def test_trial_games_and_crypt_do_not_load_numpy(argv):
     # numpy adds about 11 MB to a process; only the uniformity check needs it.
     assert _heavy_modules_loaded(argv) == "[]"
@@ -339,6 +343,7 @@ def test_uniformity_loads_numpy_but_not_scipy():
     ("badprob", "--kind", "ufn2", "--n", "4", "--k", "3", "--m", "17"),
     ("badprob", "--kind", "target-heavy", "--n", "2", "--k", "2", "--m", "65",
      "--shaping", "uniform"),
+    ("badprob", "--kind", "ufn2", "--n", "17", "--k", "3", "--m", "2"),
 ])
 def test_bad_input_exits_1_before_any_trial(capsys, monkeypatch, argv):
     def no_trials(*_args):
@@ -448,7 +453,7 @@ _GOLDEN_JSON = {
     "badprob": (
         ("badprob", "--kind", "ufn2", "--n", "4", "--k", "3", "--m", "4", "--trials", "300",
          "--seed", "5", "--shaping", "uniform"),
-        '{"bound":2.0,"ci":0.04813401556615449,"empirical":0.76,"k":3,"kind":"ufn2","m":4,'
+        '{"bound":2.0,"ci":0.04594466092181593,"empirical":0.79,"k":3,"kind":"ufn2","m":4,'
         '"n":4,"schema":1,"seed":5,"shaping":"uniform","trials":300,'
         '"watched_rounds":[3,4,5,6]}\n',
     ),

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from feistel_lab import statcheck, stats
-from feistel_lab.bits import BitString
-from feistel_lab.feistel import UfnKind, UfnParams, UfnPermutation
-from feistel_lab.prbg import derive_seed
+from feistel_lab.bits import BitString, Lanes
+from feistel_lab.feistel import UfnKind, UfnParams, UfnPermutation, ideal_ufn
+from feistel_lab.prbg import FastBitGenerator, derive_seed
 from feistel_lab.prf import CallableOracle
 from feistel_lab.statcheck import (
     BadEventSpec,
@@ -16,6 +16,7 @@ from feistel_lab.statcheck import (
     Gf2Matrix,
     UniformityReport,
     bad_event_bound,
+    bad_event_counts,
     build_ufn2_matrix,
     conditional_uniformity_check,
     estimate_bad_prob,
@@ -132,9 +133,10 @@ def test_bad_event_spec_derives_rounds_structure_and_bound():
     (UfnKind.UFN2, 0, 3, 2),
     (UfnKind.UFN2, 4, 0, 2),
     (UfnKind.TARGET_HEAVY, 2, 2, 65, "uniform"),
-], ids=["balanced", "n0", "k0", "m-over-2^state"])
+    (UfnKind.UFN2, 17, 3, 2),
+], ids=["balanced", "n0", "k0", "m-over-2^state", "state-over-64-bits"])
 def test_bad_event_spec_is_checked_on_construction(args):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="64-bit lane" if args[1] == 17 else None):
         BadEventSpec(*args)
 
 
@@ -306,9 +308,9 @@ def _splitmix_scalar(s, j):
     return z ^ (z >> 31)
 
 
-def _scalar_trial_output(params, seed, t):
-    """Trial t of the uniformity check, one int at a time through UfnPermutation."""
-    trial_key = _splitmix_scalar(derive_seed("uniformity-keys", seed), t + 1)
+def _scalar_perm(params, trial_key):
+    """The instance keyed by ``trial_key``, one int at a time through UfnPermutation:
+    round i computes z(z(trial_key, i+1), x+1) >> (64 - out_bits)."""
     shift = 64 - params.round_out_bits
     rounds = [
         CallableOracle(params.round_in_bits, params.round_out_bits,
@@ -316,8 +318,13 @@ def _scalar_trial_output(params, seed, t):
                        _splitmix_scalar(key, x + 1) >> shift)
         for i in range(params.r)
     ]
-    perm = UfnPermutation(params, rounds)
-    return perm.encrypt(BitString(params.state_bits, 0)).value
+    return UfnPermutation(params, rounds)
+
+
+def _scalar_trial_output(params, seed, t):
+    """Trial t of the uniformity check."""
+    trial_key = _splitmix_scalar(derive_seed("uniformity-keys", seed), t + 1)
+    return _scalar_perm(params, trial_key).encrypt(BitString(params.state_bits, 0)).value
 
 
 def test_scalar_splitmix_reproduces_the_reference_stream():
@@ -371,3 +378,119 @@ def test_uniformity_counts_add_up_over_any_split(kind, trials, cuts, batch):
                  for lo, hi in zip(bounds, bounds[1:])]
     assert [sum(column) for column in zip(*parts)] == whole
     assert sum(whole) == trials
+
+
+def _scalar_bad_event_hit(spec, seed, t):
+    """Trial t of the collision-event check, one int at a time: the keying of
+    ``bad_event_counts`` on masked ints, hits by ``UfnPermutation.trace_states``."""
+    params = spec.params
+    perm = _scalar_perm(params, _splitmix_scalar(derive_seed("bad-event-keys", seed), t + 1))
+    if spec.shaping == "adversarial":
+        queries = statcheck._adversarial_queries(spec)
+    else:
+        query_key = _splitmix_scalar(derive_seed("bad-event-queries", seed), t + 1)
+        picked = {}
+        j = 0
+        while len(picked) < spec.m:
+            picked[_splitmix_scalar(query_key, j + 1) >> (64 - params.state_bits)] = None
+            j += 1
+        queries = list(picked)
+    seen = [set() for _ in spec.rounds_watched]
+    for q in queries:
+        states = perm.trace_states(q)
+        for j, rd in enumerate(spec.rounds_watched):
+            value = states[rd][1:] if spec.kind is UfnKind.SOURCE_HEAVY else states[rd][-1]
+            if value in seen[j]:
+                return 1
+            seen[j].add(value)
+    return 0
+
+
+_BAD_EVENT_KINDS = (UfnKind.SOURCE_HEAVY, UfnKind.TARGET_HEAVY, UfnKind.UFN2)
+
+
+@pytest.mark.parametrize("shaping", ["adversarial", "uniform"])
+@pytest.mark.parametrize("m", [2, 8])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("kind", _BAD_EVENT_KINDS, ids=lambda kind: kind.value)
+def test_bad_event_counts_match_the_scalar_twin_bit_for_bit(kind, k, m, shaping):
+    spec = BadEventSpec(kind, 4, k, m, shaping)
+    seed = (41, kind.value, k, m, shaping)
+    expected = [_scalar_bad_event_hit(spec, seed, t) for t in range(300)]
+    assert [bad_event_counts(spec, seed, t, 1) for t in range(300)] == expected
+    assert bad_event_counts(spec, seed, 0, 300) == sum(expected)
+
+
+def _memo_table_bad_event_counts(spec, seed, start, count):
+    """The collision-event loop on memoized ideal round functions, kept as the
+    statistical reference: one ``ideal_ufn`` per trial, uniform queries from a
+    Mersenne Twister stream."""
+    source_heavy = spec.kind is UfnKind.SOURCE_HEAVY
+    width = spec.params.state_bits
+    hits = 0
+    for t in range(start, start + count):
+        perm = ideal_ufn(spec.params, derive_seed(seed, "trial", t))
+        if spec.shaping == "adversarial":
+            queries = statcheck._adversarial_queries(spec)
+        else:
+            gen = FastBitGenerator(derive_seed(seed, "queries", t))
+            picked = {}
+            while len(picked) < spec.m:
+                picked[gen.next_int(width)] = None
+            queries = list(picked)
+        seen = [set() for _ in spec.rounds_watched]
+        hit = False
+        for q in queries:
+            states = perm.trace_states(q)
+            for j, rd in enumerate(spec.rounds_watched):
+                value = states[rd][1:] if source_heavy else states[rd][-1]
+                if value in seen[j]:
+                    hit = True
+                seen[j].add(value)
+            if hit:
+                break
+        hits += hit
+    return hits
+
+
+@pytest.mark.parametrize("shaping", ["adversarial", "uniform"])
+@pytest.mark.parametrize("kind", _BAD_EVENT_KINDS, ids=lambda kind: kind.value)
+def test_bad_event_rates_agree_with_the_memo_table_engine(kind, shaping):
+    spec = BadEventSpec(kind, 4, 2, 4, shaping)
+    trials = 4000
+    seed = (1100, kind.value, shaping)  # fixed before the first run
+    lanes = bad_event_counts(spec, seed, 0, trials)
+    reference = _memo_table_bad_event_counts(spec, seed, 0, trials)
+    tolerance = 3 * (stats.wilson_halfwidth(lanes, trials)
+                     + stats.wilson_halfwidth(reference, trials))
+    assert abs(lanes - reference) / trials <= tolerance, (lanes, reference)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=hs.sampled_from(_BAD_EVENT_KINDS),
+    shaping=hs.sampled_from(["adversarial", "uniform"]),
+    trials=hs.integers(1, 120),
+    cuts=hs.lists(hs.integers(0, 120), max_size=5),
+    batch=hs.sampled_from([1, 7, statcheck._BAD_EVENT_BATCH]),
+)
+def test_bad_event_counts_add_up_over_any_split(kind, shaping, trials, cuts, batch):
+    # n=2, k=2, m=6: uniform queries often repeat among the first six candidates.
+    spec = BadEventSpec(kind, 2, 2, 4 if shaping == "adversarial" else 6, shaping)
+    whole = bad_event_counts(spec, 29, 0, trials)
+    bounds = sorted({0, trials, *(c % (trials + 1) for c in cuts)})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(statcheck, "_BAD_EVENT_BATCH", batch)
+        parts = [bad_event_counts(spec, 29, lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
+    assert sum(parts) == whole
+    assert bad_event_counts(spec, 29, trials, 0) == 0
+
+
+def test_uniform_queries_fill_the_whole_state_space():
+    spec = BadEventSpec(UfnKind.TARGET_HEAVY, 2, 2, 64, "uniform")
+    queries = statcheck._uniform_queries(spec, 3, Lanes.of(range(1, 41)))
+    assert len(queries) == 64
+    for row in zip(*(q.tolist() for q in queries)):
+        assert sorted(row) == list(range(64))
+    # Every state is queried, so the 2-bit watched block repeats in every trial.
+    assert bad_event_counts(spec, 3, 0, 40) == 40
