@@ -5,9 +5,10 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-__all__ = ["BitString", "Lanes", "split_blocks", "join_blocks"]
+__all__ = ["BitString", "Lanes", "LANE_BATCH", "lane_batches", "check_lane_width", "split_blocks",
+           "join_blocks"]
 
 _M64 = (1 << 64) - 1
 
@@ -115,51 +116,68 @@ class Lanes:
     ``^ | & << >> + *`` act on every lane at once and wrap it mod 2^64, as on numpy
     ``uint64`` arrays: the 64 spare bits above a lane take its carries and products
     and are cleared after each step. An int operand, mod 2^64, fills every lane.
+    ``of`` looks up ``masks`` (1 and 2^64 - 1 in every lane) once, and every result
+    shares them, so a step pays no lookup.
     """
 
     value: int
     count: int
+    masks: tuple[int, int]
 
     @classmethod
     def of(cls, values: Iterable[int]) -> "Lanes":
-        packed = b"".join(v.to_bytes(16, "little") for v in values)
-        return cls(int.from_bytes(packed, "little"), len(packed) // 16)
+        values = list(values)
+        packed = struct.pack("<" + "Q8x" * len(values), *values)
+        return cls(int.from_bytes(packed, "little"), len(values), _lane_masks(len(values)))
 
     def tolist(self) -> list[int]:
         data = self.value.to_bytes(16 * self.count, "little")
         return list(struct.unpack(f"<{2 * self.count}Q", data)[::2])
 
     def _spread(self, other) -> int:
-        if isinstance(other, Lanes):
-            return other.value
-        return (other & _M64) * _lane_masks(self.count)[0]
-
-    def _masked(self, value: int) -> "Lanes":
-        return Lanes(value & _lane_masks(self.count)[1], self.count)
+        return other.value if other.__class__ is Lanes else (other & _M64) * self.masks[0]
 
     def __xor__(self, other) -> "Lanes":
-        return Lanes(self.value ^ self._spread(other), self.count)
+        return Lanes(self.value ^ self._spread(other), self.count, self.masks)
 
     def __or__(self, other) -> "Lanes":
-        return Lanes(self.value | self._spread(other), self.count)
+        return Lanes(self.value | self._spread(other), self.count, self.masks)
 
     def __and__(self, other) -> "Lanes":
-        return Lanes(self.value & self._spread(other), self.count)
+        return Lanes(self.value & self._spread(other), self.count, self.masks)
 
     def __add__(self, other) -> "Lanes":
-        return self._masked(self.value + self._spread(other))
+        return Lanes((self.value + self._spread(other)) & self.masks[1], self.count, self.masks)
 
     def __mul__(self, factor: int) -> "Lanes":
-        return self._masked(self.value * (factor & _M64))
+        return Lanes(self.value * (factor & _M64) & self.masks[1], self.count, self.masks)
 
     __rxor__, __ror__, __rand__, __radd__, __rmul__ = __xor__, __or__, __and__, __add__, __mul__
 
     def __lshift__(self, shift: int) -> "Lanes":
-        return self._masked(self.value << shift if shift < 64 else 0)
+        value = self.value << shift & self.masks[1] if shift < 64 else 0
+        return Lanes(value, self.count, self.masks)
 
     def __rshift__(self, shift: int) -> "Lanes":
         # Below 64, a neighbour's bits only reach the spare bits, which the mask clears.
-        return self._masked(self.value >> shift if shift < 64 else 0)
+        value = self.value >> shift & self.masks[1] if shift < 64 else 0
+        return Lanes(value, self.count, self.masks)
+
+
+# Trials per batch of the lane engines; bounds the memory that one batch holds.
+LANE_BATCH = 256
+
+
+def lane_batches(start: int, count: int) -> Iterator[Lanes]:
+    """Trials [start, start+count) in ``Lanes`` of at most ``LANE_BATCH``, t+1 in lane t."""
+    for lo in range(start, start + count, LANE_BATCH):
+        yield Lanes.of(range(lo + 1, min(lo + LANE_BATCH, start + count) + 1))
+
+
+def check_lane_width(width: int) -> None:
+    """Refuse a state too wide for one 64-bit lane."""
+    if width > 64:
+        raise ValueError(f"state of {width} bits does not fit a 64-bit lane (max 64)")
 
 
 def split_blocks(value, n: int, count: int) -> tuple:

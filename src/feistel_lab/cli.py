@@ -19,16 +19,10 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .bench import BenchConfig, report_csv, run_bench
-from .bits import BitString
-from .distinguisher import (
-    GameReport,
-    attack_leading_block,
-    attack_ufn2_2k,
-    attack_ufn2_even_k,
-    ideal_permutation,
-)
+from .bits import BitString, check_lane_width
+from .distinguisher import GameReport, attack_leading_block, attack_ufn2_2k, attack_ufn2_even_k
 from .distinguisher import advantage_counts as _advantage_counts
-from .feistel import UfnKind, UfnParams, UfnPermutation, ggm_ufn, ideal_ufn
+from .feistel import UfnKind, UfnParams, UfnPermutation, ggm_ufn
 from .prbg import derive_seed
 from .prf import ideal_oracle
 from .statcheck import (
@@ -147,9 +141,7 @@ def _column_sums(parts: list) -> list[int]:
 # Module-level workers, so that the pool pickles them by name: the counting
 # functions they call may be rebound to closures, which do not pickle.
 def _advantage_worker(machine, params: UfnParams, seed: int, start: int, count: int):
-    return _advantage_counts(machine, functools.partial(ideal_ufn, params),
-                             functools.partial(ideal_permutation, params.state_bits),
-                             seed, start, count)
+    return _advantage_counts(machine, params, seed, start, count)
 
 
 def _badprob_worker(spec: BadEventSpec, seed: int, start: int, count: int) -> int:
@@ -204,6 +196,7 @@ def _cmd_game(args: argparse.Namespace) -> int:
     target_kind, machine_factory, attackable_rounds = _ATTACKS[args.name]
     rounds = args.rounds if args.rounds is not None else attackable_rounds(args.k)
     params = UfnParams(UfnKind(args.kind or target_kind), args.n, args.k, rounds)
+    check_lane_width(params.state_bits)
     machine = machine_factory(args.n, args.k)
     ones_a, ones_b = _run_chunked(_advantage_worker, (machine, params, seed), args.trials,
                                   args.jobs, _column_sums)

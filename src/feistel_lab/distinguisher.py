@@ -1,20 +1,23 @@
 """Black-box distinguishing games against permutation oracles.
 
 A machine gets query access to a permutation, asks at most its declared
-budget of questions, and outputs one bit. ``estimate_advantage`` plays a
-machine against two oracle families (fresh instance per trial) and reports
-the acceptance rates, their gap, and Wilson 95% intervals.
+budget of questions, and counts the instances on which its relation holds.
+``estimate_advantage`` plays it against a counter-keyed build of a structure and
+a uniform permutation, and reports the acceptance rates, their gap, and Wilson
+95% intervals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Protocol
+from itertools import islice
+from typing import Protocol
 
-from .bits import join_blocks
-from .feistel import UfnKind, UfnParams, ideal_ufn
-from .prbg import BitGenerator, FastBitGenerator, derive_seed
+from .bits import Lanes, check_lane_width, join_blocks, lane_batches
+from .feistel import UfnKind, UfnParams, UfnPermutation, ideal_ufn, splitmix_round_oracles
+from .prbg import FastBitGenerator, derive_seed
+from .prf import splitmix
 from .stats import wilson_halfwidth
 
 __all__ = [
@@ -33,66 +36,72 @@ __all__ = [
 
 
 class PermutationOracle(Protocol):
-    """Queryable bijection on the int states [0, 2^width) that counts its queries."""
+    """Queryable bijection on the int states [0, 2^width) that counts its queries;
+    a lane oracle asks each query of every lane and replies with one ``Lanes``."""
 
     width: int
     query_count: int
 
-    def query(self, x: int) -> int: ...
+    def query(self, x: int): ...
 
 
 class IdealPermutationOracle:
-    """Lazily sampled uniform permutation.
+    """Lazily sampled uniform permutations, one per lane of ``trials`` (t+1 for trial t).
 
-    Fresh answers are drawn uniformly from the values not used so far
-    (sampling without replacement); repeating a query replays its answer.
-    The forward and inverse maps are kept mutually consistent.
+    Lane t's i-th fresh query gets its i-th distinct candidate c_j = z(z(key, t+1), j+1)
+    >> (64 - width), sampling without replacement; a repeated query replays its answer.
+    A lane pass draws c_j for every lane and every lane keeps it, so a lane's answers do
+    not depend on its batch.
     """
 
-    def __init__(self, width: int, entropy: BitGenerator) -> None:
+    def __init__(self, width: int, key: int, trials: Lanes) -> None:
         if width < 1:
             raise ValueError("width must be >= 1")
+        check_lane_width(width)
         self.width = width
-        self._entropy = entropy
-        self._fwd: dict[int, int] = {}
-        self._inv: dict[int, int] = {}
+        self._keys = splitmix(key, trials)
+        self._seen: list[dict[int, None]] = [{} for _ in range(trials.count)]
+        self._passes = 0
+        self._replies: dict[int, Lanes] = {}
         self.query_count = 0
 
-    def _fresh_value(self) -> int:
-        # Rejection sampling: with u of the 2^w values unused, a draw takes
-        # 2^w/u tries on average, so filling the whole domain takes about
-        # 0.7·w·2^w draws. It is only called for an unmapped in-range query,
-        # so at least one value is unused and the loop ends.
-        used = self._inv
-        while True:
-            v = self._entropy.next_int(self.width)
-            if v not in used:
-                return v
+    def distinct(self, m: int) -> list[Lanes]:
+        """The answers to m fresh queries: each lane's first m distinct candidates."""
+        seen = self._seen
+        while min(map(len, seen)) < m:
+            self._passes += 1
+            candidates = splitmix(self._keys, self._passes) >> (64 - self.width)
+            for values, c in zip(seen, candidates.tolist()):
+                values[c] = None
+        return [Lanes.of(column) for column in islice(zip(*seen), m)]
 
-    def query(self, x: int) -> int:
+    def query(self, x: int) -> Lanes:
         if not 0 <= x < 1 << self.width:
             raise ValueError(f"query {x} does not fit in {self.width} bits")
         self.query_count += 1
-        hit = self._fwd.get(x)
-        if hit is None:
-            hit = self._fresh_value()
-            self._fwd[x] = hit
-            self._inv[hit] = x
-        return hit
+        if x not in self._replies:
+            self._replies[x] = self.distinct(len(self._replies) + 1)[-1]
+        return self._replies[x]
 
 
-def ideal_permutation(width: int, seed: object) -> IdealPermutationOracle:
-    """Fresh uniform permutation oracle, replayable from ``seed``."""
-    return IdealPermutationOracle(width, FastBitGenerator(derive_seed("ideal-perm", seed)))
+def ideal_permutation(width: int, seed: object, trials: Lanes) -> IdealPermutationOracle:
+    """Uniform permutations of a batch of trials, replayable from ``seed``."""
+    return IdealPermutationOracle(width, derive_seed("ideal-perm", seed), trials)
 
 
 class OracleMachine:
-    """One-bit verdict machine with a declared query budget."""
+    """Verdict machine with a declared query budget. It asks the same queries of every
+    instance and states its relation as a residual that is 0 exactly on accept; ``run``
+    counts the accepting instances (0 or 1 on a scalar oracle, zero lanes on a lane one)."""
 
     query_budget: int = 0
 
     def run(self, oracle: PermutationOracle) -> int:
         raise NotImplementedError
+
+
+def _accepting(residual) -> int:
+    return residual.tolist().count(0) if isinstance(residual, Lanes) else int(residual == 0)
 
 
 def _query_pair(n: int, k: int, seed: object | None) -> tuple[int, int]:
@@ -110,8 +119,8 @@ def _query_pair(n: int, k: int, seed: object | None) -> tuple[int, int]:
 
 
 class _PairMachine(OracleMachine):
-    """Two queries differing only in the leftmost block; a subclass states
-    the relation between the two replies that it accepts."""
+    """Two queries differing only in the leftmost block; a subclass defines the
+    ``_residual`` of the two replies."""
 
     query_budget = 2
 
@@ -123,12 +132,7 @@ class _PairMachine(OracleMachine):
     def run(self, oracle: PermutationOracle) -> int:
         if oracle.width != (self.k + 1) * self.n:
             raise ValueError(f"oracle width {oracle.width} does not match machine")
-        y_p = oracle.query(self.x_p)
-        y_q = oracle.query(self.x_q)
-        return 1 if self._accepts(y_p, y_q) else 0
-
-    def _accepts(self, y_p: int, y_q: int) -> bool:
-        raise NotImplementedError
+        return _accepting(self._residual(oracle.query(self.x_p), oracle.query(self.x_q)))
 
 
 class _LeadingBlockXorMachine(_PairMachine):
@@ -139,8 +143,8 @@ class _LeadingBlockXorMachine(_PairMachine):
     with round-function outputs that both queries share.
     """
 
-    def _accepts(self, y_p: int, y_q: int) -> bool:
-        return (self.x_p ^ self.x_q ^ y_p ^ y_q) >> (self.k * self.n) == 0
+    def _residual(self, y_p, y_q):
+        return (self.x_p ^ self.x_q ^ y_p ^ y_q) >> (self.k * self.n)
 
 
 def attack_leading_block(n: int, k: int, seed: object | None = None) -> OracleMachine:
@@ -170,11 +174,10 @@ class _XorSumMachine(OracleMachine):
     def run(self, oracle: PermutationOracle) -> int:
         if oracle.width != (self.k + 1) * self.n:
             raise ValueError(f"oracle width {oracle.width} does not match machine")
-        y = oracle.query(self.x)
-        return 1 if _block_xor_sum(self.x ^ y, self.n, self.k + 1) == 0 else 0
+        return _accepting(_block_xor_sum(self.x ^ oracle.query(self.x), self.n, self.k + 1))
 
 
-def _block_xor_sum(v: int, n: int, count: int) -> int:
+def _block_xor_sum(v, n: int, count: int):
     """XOR of the ``count`` lowest n-bit blocks of ``v``."""
     acc = 0
     mask = (1 << n) - 1
@@ -221,7 +224,7 @@ def calibrate_w_index(n: int, k: int, probes: int = 64, seed: object = "w-cal") 
     return min(candidates)
 
 
-def _relation_residual(y_p: int, y_q: int, x_p: int, x_q: int, n: int, k: int) -> int:
+def _relation_residual(y_p, y_q, x_p: int, x_q: int, n: int, k: int):
     """XOR of the first k output blocks of both replies plus the input delta."""
     return _block_xor_sum((y_p ^ y_q) >> n, n, k) ^ ((x_p ^ x_q) >> (k * n))
 
@@ -232,8 +235,8 @@ class _CarriedBlockMachine(_PairMachine):
     queries share, so it adds nothing to the relation. Exact at 2k rounds
     for odd k."""
 
-    def _accepts(self, y_p: int, y_q: int) -> bool:
-        return _relation_residual(y_p, y_q, self.x_p, self.x_q, self.n, self.k) == 0
+    def _residual(self, y_p, y_q):
+        return _relation_residual(y_p, y_q, self.x_p, self.x_q, self.n, self.k)
 
 
 def attack_ufn2_2k(n: int, k: int, seed: object | None = None) -> OracleMachine:
@@ -300,47 +303,37 @@ class GameReport:
         }
 
 
-OracleFactory = Callable[[int], PermutationOracle]
-
-
 def advantage_counts(
-    machine: OracleMachine,
-    builder_a: OracleFactory,
-    builder_b: OracleFactory,
-    seed: int,
-    start: int,
-    count: int,
+    machine: OracleMachine, params: UfnParams, seed: object, start: int, count: int
 ) -> tuple[int, int]:
-    """Accept counts over trials [start, start+count), both sides.
-
-    Each trial derives one sub-seed from its absolute index and hands it to
-    both factories, so results do not depend on how trials are chunked and
-    identical factories receive identical seeds. A machine that queries
-    either oracle more often than its declared budget raises RuntimeError.
-    """
+    """Accept counts over trials [start, start+count) against the structure ``params``
+    (side a) and a uniform permutation of its state (side b), a ``bits.lane_batches``
+    batch at a time. Side a runs ``feistel.splitmix_round_oracles`` from
+    S = ``derive_seed("game-keys", seed)``, side b is ``ideal_permutation``: both are
+    keyed from the absolute trial index, so chunking does not change results. A state
+    wider than 64 bits raises ValueError, and a machine that queries either side more
+    often than its budget in a batch raises RuntimeError."""
+    check_lane_width(params.state_bits)
+    master = derive_seed("game-keys", seed)
     budget = machine.query_budget
     ones_a = 0
     ones_b = 0
-    for t in range(start, start + count):
-        trial_seed = derive_seed(seed, "trial", t)
-        oracle_a = builder_a(trial_seed)
+    for trials in lane_batches(start, count):
+        oracle_a = UfnPermutation(params, splitmix_round_oracles(params, master, trials))
         ones_a += machine.run(oracle_a)
-        oracle_b = builder_b(trial_seed)
+        oracle_b = ideal_permutation(params.state_bits, seed, trials)
         ones_b += machine.run(oracle_b)
         if oracle_a.query_count > budget or oracle_b.query_count > budget:
             raise RuntimeError(
-                f"{type(machine).__name__} exceeded its query budget of {budget} in trial {t}"
+                f"{type(machine).__name__} exceeded its query budget of {budget}"
             )
     return ones_a, ones_b
 
 
 def estimate_advantage(
-    machine: OracleMachine,
-    builder_a: OracleFactory,
-    builder_b: OracleFactory,
-    trials: int,
-    seed: int,
+    machine: OracleMachine, params: UfnParams, trials: int, seed: object
 ) -> GameReport:
-    """Monte-Carlo acceptance gap of ``machine`` between two oracle families."""
-    ones_a, ones_b = advantage_counts(machine, builder_a, builder_b, seed, 0, trials)
+    """Monte-Carlo acceptance gap of ``machine`` between the structure ``params``
+    and a uniform permutation, over trials [0, trials)."""
+    ones_a, ones_b = advantage_counts(machine, params, seed, 0, trials)
     return GameReport(ones_a, ones_b, trials, seed)

@@ -22,13 +22,15 @@ from typing import Callable, Sequence
 
 from .bits import BitString, join_blocks, split_blocks
 from .prbg import FastBitGenerator, derive_seed
-from .prf import FunctionOracle, GgmFunctionOracle, IdealFunctionOracle, split_master_key
+from .prf import (FunctionOracle, GgmFunctionOracle, IdealFunctionOracle, SplitMixRound,
+                  split_master_key, splitmix)
 
 __all__ = [
     "UfnKind",
     "UfnParams",
     "UfnPermutation",
     "ideal_round_oracles",
+    "splitmix_round_oracles",
     "ggm_round_oracles",
     "ideal_ufn",
     "ggm_ufn",
@@ -218,6 +220,16 @@ def ideal_round_oracles(params: UfnParams, seed: object) -> list[IdealFunctionOr
     in_bits = params.round_in_bits
     out_bits = params.round_out_bits
     return [IdealFunctionOracle(in_bits, out_bits, entropy) for _ in range(params.r)]
+
+
+def splitmix_round_oracles(params: UfnParams, master: int, trials) -> list[SplitMixRound]:
+    """The r counter-keyed round functions of a batch; ``trials`` (a ``bits.Lanes`` or
+    a numpy ``uint64`` array) holds t+1 for trial t. Trial t's key is T_t = z(master,
+    t+1), round i's is K_i = z(T_t, i+1), and f_i(x) = z(K_i, x+1) >> (64 - out_bits),
+    with z = ``prf.splitmix``: any split of the trials keys the same instances."""
+    trial_keys = splitmix(master, trials)
+    in_bits, out_bits = params.round_in_bits, params.round_out_bits
+    return [SplitMixRound(in_bits, out_bits, splitmix(trial_keys, i + 1)) for i in range(params.r)]
 
 
 def ggm_round_oracles(

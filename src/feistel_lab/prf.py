@@ -1,9 +1,11 @@
 """Round-function oracles behind one interface.
 
-Two realizations of a deterministic function I_in -> I_out:
+Three realizations of a deterministic function I_in -> I_out:
 
 * a lazily sampled ideal random function (memo table filled from a seeded
-  bit stream, entries never overwritten), and
+  bit stream, entries never overwritten);
+* a counter-keyed function, the top bits of SplitMix64 of key and input,
+  for a whole batch of independently keyed instances at once; and
 * a keyed tree walk: a length-doubling generator is applied once per input
   bit, taking the left or right half of its output, and a finalizer stretches
   the final state to the output width.
@@ -30,6 +32,8 @@ __all__ = [
     "zero_oracle",
     "IdealFunctionOracle",
     "ideal_oracle",
+    "splitmix",
+    "SplitMixRound",
     "GgmKey",
     "ggm_walk_states",
     "ggm_eval",
@@ -112,6 +116,37 @@ def ideal_oracle(in_bits: int, out_bits: int, seed: object) -> IdealFunctionOrac
     """Fresh lazily-sampled random function, replayable from ``seed``."""
     entropy = FastBitGenerator(derive_seed("ideal-fn", seed))
     return IdealFunctionOracle(in_bits, out_bits, entropy)
+
+
+# SplitMix64 (Steele, Lea and Flood, OOPSLA 2014): the golden-gamma counter
+# increment and the two multipliers of its finalizer.
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_MASK64 = (1 << 64) - 1
+
+
+def splitmix(s, j):
+    """z(s, j) = SplitMix64 finalizer of (s + j * gamma) mod 2^64, elementwise. At least
+    one of ``s`` and ``j`` is a numpy ``uint64`` array or a ``bits.Lanes``, whose arithmetic
+    wraps silently; an int multiple of gamma is reduced mod 2^64 before it meets them."""
+    z = s + ((j * _GAMMA) & _MASK64)
+    z = (z ^ (z >> 30)) * _MIX1
+    z = (z ^ (z >> 27)) * _MIX2
+    return z ^ (z >> 31)
+
+
+class SplitMixRound(FunctionOracle):
+    """Round x -> top ``out_bits`` bits of z(key, x + 1), on uint64 arrays or ``Lanes``;
+    ``key`` holds one round key per instance of a batch."""
+
+    def __init__(self, in_bits: int, out_bits: int, key) -> None:
+        super().__init__(in_bits, out_bits)
+        self._key = key
+        self._shift = 64 - out_bits
+
+    def eval_int(self, x):
+        return splitmix(self._key, x + 1) >> self._shift
 
 
 @dataclass(frozen=True)

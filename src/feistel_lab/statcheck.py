@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bits import Lanes, join_blocks, split_blocks
-from .feistel import UfnKind, UfnParams, _forward
+from .bits import Lanes, check_lane_width, join_blocks, lane_batches, split_blocks
+from .distinguisher import IdealPermutationOracle
+from .feistel import UfnKind, UfnParams, _forward, splitmix_round_oracles
 from .prbg import derive_seed
 from .stats import chi_square_critical, chi_square_statistic, wilson_halfwidth
 
@@ -37,7 +38,8 @@ __all__ = [
 ]
 
 _MAX_UNIFORMITY_STATE_BITS = 12
-_BAD_EVENT_BATCH = 256
+# Trials per array pass of uniformity_counts: bounds its memory at any trial count.
+_UNIFORMITY_BATCH = 1 << 16
 
 
 def secure_rounds(kind: UfnKind, k: int) -> int:
@@ -81,8 +83,7 @@ class BadEventSpec:
         if self.m < 1:
             raise ValueError("query count m must be >= 1")
         width = self.params.state_bits  # raises for n or k below 1
-        if width > 64:
-            raise ValueError(f"state of {width} bits does not fit a 64-bit lane (max 64)")
+        check_lane_width(width)
         if self.shaping == "adversarial":
             if self.m > (1 << self.n):
                 raise ValueError(
@@ -129,39 +130,26 @@ def _adversarial_queries(spec: BadEventSpec) -> list[int]:
 
 def _uniform_queries(spec: BadEventSpec, seed: int, trials: Lanes) -> list[Lanes]:
     """Query j < m of every trial as one ``Lanes`` per j; ``trials`` holds t+1 for trial
-    t. With U = ``derive_seed("bad-event-queries", seed)``, trial t's candidates are
-    c_j = z(z(U, t+1), j+1) >> (64 - w), one lane pass per j, and its queries are the
-    first m distinct ones, in order."""
-    shift = 64 - spec.params.state_bits
-    keys = _splitmix(derive_seed("bad-event-queries", seed), trials)
-    picked: list[dict[int, None]] = [{} for _ in range(trials.count)]
-    j = 0
-    while any(len(p) < spec.m for p in picked):
-        for p, c in zip(picked, (_splitmix(keys, j + 1) >> shift).tolist()):
-            if len(p) < spec.m:
-                p[c] = None
-        j += 1
-    return [Lanes.of(column) for column in zip(*picked)]
+    t. The queries are m distinct uniform states: a uniform permutation's answers to m
+    fresh queries, keyed by ``derive_seed("bad-event-queries", seed)``."""
+    key = derive_seed("bad-event-queries", seed)
+    return IdealPermutationOracle(spec.params.state_bits, key, trials).distinct(spec.m)
 
 
 def bad_event_counts(spec: BadEventSpec, seed: int, start: int, count: int) -> int:
     """Trials in [start, start+count) whose watched rounds saw a collision.
 
-    Trial t is one lane of a ``bits.Lanes``, keyed as in ``uniformity_counts`` with
-    S = ``derive_seed("bad-event-keys", seed)``. ``feistel._forward`` runs a batch of at
-    most ``_BAD_EVENT_BATCH`` trials, which bounds the memory held, through a round at
-    once. A trial hits when two of its m queries agree at a watched round: on the last
-    k blocks for source-heavy, on the last block otherwise.
+    Each batch of ``bits.lane_batches`` goes through ``feistel._forward`` a round at a
+    time, its rounds keyed by ``feistel.splitmix_round_oracles`` from
+    S = ``derive_seed("bad-event-keys", seed)``. A trial hits when two of its m queries
+    agree at a watched round: on the last k blocks for source-heavy, else the last.
     """
     params = spec.params
     fixed = _adversarial_queries(spec) if spec.shaping == "adversarial" else None
     master = derive_seed("bad-event-keys", seed)
     hits = 0
-    for lo in range(start, start + count, _BAD_EVENT_BATCH):
-        trials = Lanes.of(range(lo + 1, min(lo + _BAD_EVENT_BATCH, start + count) + 1))
-        trial_keys = _splitmix(master, trials)
-        rounds = [_SplitMixRound(_splitmix(trial_keys, i + 1), params.round_out_bits)
-                  for i in range(params.r)]
+    for trials in lane_batches(start, count):
+        rounds = splitmix_round_oracles(params, master, trials)
         seen: dict[int, list[Lanes]] = {rd: [] for rd in spec.rounds_watched}
         for q in fixed or _uniform_queries(spec, seed, trials):
             blocks = split_blocks(q, params.n, params.block_count)
@@ -311,52 +299,12 @@ def gf2_nonsingular(matrix: Gf2Matrix) -> bool:
     return True
 
 
-# SplitMix64 (Steele, Lea and Flood, OOPSLA 2014): the golden-gamma counter
-# increment and the two multipliers of its finalizer.
-_GAMMA = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
-_MASK64 = (1 << 64) - 1
-# Trials per array pass of uniformity_counts: bounds its memory at any trial count.
-_UNIFORMITY_BATCH = 1 << 16
-
-
-def _splitmix(s, j):
-    """z(s, j) = SplitMix64 finalizer of (s + j * gamma) mod 2^64, elementwise.
-
-    At least one of ``s`` and ``j`` is a numpy ``uint64`` array or a ``bits.Lanes``;
-    a Python int multiple of gamma is reduced mod 2^64 before it meets them, so
-    every wrap happens inside their arithmetic, which wraps silently.
-    """
-    z = s + ((j * _GAMMA) & _MASK64)
-    z = (z ^ (z >> 30)) * _MIX1
-    z = (z ^ (z >> 27)) * _MIX2
-    return z ^ (z >> 31)
-
-
-class _SplitMixRound:
-    """Round x -> top ``out_bits`` bits of z(key, x + 1), on uint64 arrays or ``Lanes``.
-
-    ``key`` holds one round key per trial, so ``feistel._forward`` runs a
-    whole batch of independently keyed instances through one round at once.
-    """
-
-    def __init__(self, key, out_bits: int) -> None:
-        self._key = key
-        self._shift = 64 - out_bits
-
-    def eval_int(self, x):
-        return _splitmix(self._key, x + 1) >> self._shift
-
-
 def uniformity_counts(params: UfnParams, seed: object, start: int, count: int) -> list[int]:
     """Histogram of outputs at the all-zero input over trials [start, start+count).
 
-    Trial t keys its own ``params.r``-round instance from counters alone: with
-    S = ``derive_seed("uniformity-keys", seed)``, its key is T_t = z(S, t+1),
-    round i's key is K_i = z(T_t, i+1) and round i computes
-    f_i(x) = z(K_i, x+1) >> (64 - out_bits), where z is ``_splitmix``. A key
-    depends only on the absolute trial index, so any split of the trials
+    Trial t keys its own ``params.r``-round instance from counters alone, by
+    ``feistel.splitmix_round_oracles`` from S = ``derive_seed("uniformity-keys", seed)``.
+    A key depends only on the absolute trial index, so any split of the trials
     gives the same summed histogram. All trials of a batch go through
     ``feistel._forward`` together as numpy ``uint64`` arrays, at most
     ``_UNIFORMITY_BATCH`` at a time; states wider than
@@ -374,10 +322,9 @@ def uniformity_counts(params: UfnParams, seed: object, start: int, count: int) -
     end = start + count
     for lo in range(start, end, _UNIFORMITY_BATCH):
         hi = min(lo + _UNIFORMITY_BATCH, end)
-        trial_keys = _splitmix(master, np.arange(lo + 1, hi + 1, dtype=np.uint64))
+        trials = np.arange(lo + 1, hi + 1, dtype=np.uint64)
         blocks = (np.zeros(hi - lo, dtype=np.uint64),) * params.block_count
-        for i in range(params.r):
-            f = _SplitMixRound(_splitmix(trial_keys, i + 1), params.round_out_bits)
+        for f in splitmix_round_oracles(params, master, trials):
             blocks = _forward(params, f, blocks)
         outputs = join_blocks(blocks, params.n).astype(np.intp)
         bins += np.bincount(outputs, minlength=bins.size)

@@ -1,0 +1,54 @@
+"""Scalar twins of the lane engines: the same counter keying, one int at a time."""
+
+from feistel_lab.feistel import UfnPermutation
+from feistel_lab.prf import CallableOracle
+
+_M64 = (1 << 64) - 1
+
+
+def splitmix_scalar(s, j):
+    """Reference SplitMix64 on Python ints: the finalizer of s + j * gamma."""
+    z = (s + j * 0x9E3779B97F4A7C15) & _M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
+def scalar_perm(params, trial_key):
+    """The instance keyed by ``trial_key``, one int at a time through UfnPermutation:
+    round i computes z(z(trial_key, i+1), x+1) >> (64 - out_bits)."""
+    shift = 64 - params.round_out_bits
+    rounds = [
+        CallableOracle(params.round_in_bits, params.round_out_bits,
+                       lambda x, key=splitmix_scalar(trial_key, i + 1):
+                       splitmix_scalar(key, x + 1) >> shift)
+        for i in range(params.r)
+    ]
+    return UfnPermutation(params, rounds)
+
+
+class ScalarIdealPermutation:
+    """One trial of the lane ideal permutation: keyed by ``key`` = z(P, t+1), its
+    i-th fresh query gets the i-th distinct candidate z(key, j+1) >> (64 - width),
+    and a repeated query replays its answer."""
+
+    def __init__(self, width, key):
+        self.width = width
+        self.query_count = 0
+        self._key = key
+        self._j = 0
+        self._replies = {}
+
+    def query(self, x):
+        if not 0 <= x < 1 << self.width:
+            raise ValueError(f"query {x} does not fit in {self.width} bits")
+        self.query_count += 1
+        if x not in self._replies:
+            used = set(self._replies.values())
+            while True:
+                self._j += 1
+                c = splitmix_scalar(self._key, self._j) >> (64 - self.width)
+                if c not in used:
+                    break
+            self._replies[x] = c
+        return self._replies[x]

@@ -8,7 +8,6 @@ tolerances.
 import json
 import random
 import time
-from functools import partial
 
 from feistel_lab.bits import BitString
 from feistel_lab.cli import main as cli_main
@@ -17,7 +16,6 @@ from feistel_lab.distinguisher import (
     attack_ufn2_2k,
     attack_ufn2_even_k,
     estimate_advantage,
-    ideal_permutation,
 )
 from feistel_lab.feistel import UfnKind, UfnParams, ideal_ufn
 from feistel_lab.prbg import BbsParams, BmParams, bbs_generate, bm_generate
@@ -82,13 +80,7 @@ def _two_query_criterion(kind, machine, vulnerable_rounds, num, desc):
         started = time.perf_counter()
         n, k = 4, 2
         params = UfnParams(kind, n, k, vulnerable_rounds)
-        report = estimate_advantage(
-            machine,
-            partial(ideal_ufn, params),
-            partial(ideal_permutation, params.state_bits),
-            trials=10_000,
-            seed=2000 + num,
-        )
+        report = estimate_advantage(machine, params, trials=10_000, seed=2000 + num)
         assert report.accept_a == 1.0
         assert _ideal_interval_contains(report, 1 / 16), report.accept_b
         assert abs(report.advantage - 0.9375) <= report.ci_halfwidth
@@ -122,22 +114,10 @@ def test_criterion_4_even_k_attack_every_round_count():
         machine = attack_ufn2_even_k(n, k)
         for r in range(1, 11):
             params = UfnParams(UfnKind.UFN2, n, k, r)
-            report = estimate_advantage(
-                machine,
-                partial(ideal_ufn, params),
-                partial(ideal_permutation, params.state_bits),
-                trials=1000,
-                seed=(400 + r),
-            )
+            report = estimate_advantage(machine, params, trials=1000, seed=(400 + r))
             assert report.accept_a == 1.0, r
         params = UfnParams(UfnKind.UFN2, n, k, 2 * k + 1)
-        report = estimate_advantage(
-            machine,
-            partial(ideal_ufn, params),
-            partial(ideal_permutation, params.state_bits),
-            trials=10_000,
-            seed=444,
-        )
+        report = estimate_advantage(machine, params, trials=10_000, seed=444)
         assert report.accept_a == 1.0
         assert _ideal_interval_contains(report, 1 / 16), report.accept_b
 
@@ -147,13 +127,7 @@ def test_criterion_5_2k_round_attack():
         n, k = 4, 3
         machine = attack_ufn2_2k(n, k)
         params = UfnParams(UfnKind.UFN2, n, k, 2 * k)
-        report = estimate_advantage(
-            machine,
-            partial(ideal_ufn, params),
-            partial(ideal_permutation, params.state_bits),
-            trials=10_000,
-            seed=555,
-        )
+        report = estimate_advantage(machine, params, trials=10_000, seed=555)
         assert report.accept_a == 1.0
         assert _ideal_interval_contains(report, 1 / 16), report.accept_b
 
@@ -168,13 +142,7 @@ def test_criterion_6_secure_rounds_and_uniformity():
         ]
         for kind, k, r, machine in games:
             params = UfnParams(kind, 4, k, r)
-            report = estimate_advantage(
-                machine,
-                partial(ideal_ufn, params),
-                partial(ideal_permutation, params.state_bits),
-                trials=10_000,
-                seed=(600, kind.value),
-            )
+            report = estimate_advantage(machine, params, trials=10_000, seed=(600, kind.value))
             assert report.advantage <= 3 * report.ci_halfwidth, (kind, report)
 
         uniform_grid = [

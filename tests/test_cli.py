@@ -344,6 +344,9 @@ def test_uniformity_loads_numpy_but_not_scipy():
     ("badprob", "--kind", "target-heavy", "--n", "2", "--k", "2", "--m", "65",
      "--shaping", "uniform"),
     ("badprob", "--kind", "ufn2", "--n", "17", "--k", "3", "--m", "2"),
+    ("attack", "--name", "src-k1", "--n", "17", "--k", "3"),
+    ("advantage", "--name", "ufn2-2k", "--kind", "ufn2", "--n", "11", "--k", "5",
+     "--rounds", "11"),
 ])
 def test_bad_input_exits_1_before_any_trial(capsys, monkeypatch, argv):
     def no_trials(*_args):
@@ -431,22 +434,22 @@ def test_unwritable_output_path_is_a_one_line_error(capsys, monkeypatch, tmp_pat
         ["report.csv"] if target == "derived-csv-dir" else [])
 
 
-# Seeded stdout of each trial command, captured before the reports held their
-# specs; --jobs 2 gives the same bytes as one process.
+# Seeded stdout of each trial command; --jobs 2 gives the same bytes as one process.
 _GOLDEN_JSON = {
     "attack": (
         ("attack", "--name", "ufn2-2k", "--n", "4", "--k", "3", "--trials", "300",
          "--seed", "7"),
-        '{"accept_a":1.0,"accept_b":0.07,"advantage":0.9299999999999999,'
-        '"ci":0.03552101841165142,"ci_a":0.00632148561227297,"ci_b":0.02919953279937845,'
+        '{"accept_a":1.0,"accept_b":0.08666666666666667,"advantage":0.9133333333333333,'
+        '"ci":0.03838501620037556,"ci_a":0.00632148561227297,"ci_b":0.03206353058810259,'
         '"k":3,"kind":"ufn2","n":4,"name":"ufn2-2k","rounds":6,"schema":1,"seed":7,'
         '"trials":300}\n',
     ),
     "advantage": (
         ("advantage", "--name", "src-k1", "--kind", "source-heavy", "--n", "4", "--k", "2",
          "--rounds", "4", "--trials", "300", "--seed", "7", "--jobs", "2"),
-        '{"accept_a":0.09,"accept_b":0.06333333333333334,"advantage":0.026666666666666658,'
-        '"ci":0.06053060764738766,"ci_a":0.03259339259658449,"ci_b":0.02793721505080317,'
+        '{"accept_a":0.056666666666666664,"accept_b":0.06666666666666667,'
+        '"advantage":0.010000000000000002,"ci":0.0551720127650709,'
+        '"ci_a":0.02659424077959256,"ci_b":0.028577771985478343,'
         '"k":2,"kind":"source-heavy","n":4,"name":"src-k1","rounds":4,"schema":1,"seed":7,'
         '"trials":300}\n',
     ),

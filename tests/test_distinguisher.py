@@ -1,10 +1,9 @@
-from functools import partial
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from feistel_lab.bits import BitString, split_blocks
+from feistel_lab import bits
+from feistel_lab.bits import BitString, Lanes, split_blocks
 from feistel_lab.distinguisher import (
     GameReport,
     OracleMachine,
@@ -17,7 +16,10 @@ from feistel_lab.distinguisher import (
     ideal_permutation,
 )
 from feistel_lab.feistel import UfnKind, UfnParams, ideal_ufn
+from feistel_lab.prbg import FastBitGenerator, derive_seed
 from feistel_lab.statcheck import BadEventSpec, bad_event_counts
+from feistel_lab.stats import wilson_halfwidth
+from scalar_twins import ScalarIdealPermutation, scalar_perm, splitmix_scalar
 
 
 class CountingOracle:
@@ -31,35 +33,93 @@ class CountingOracle:
         return self.inner.query(x)
 
 
+class _MtIdealPermutation:
+    """The memo-table reference for the ideal permutation: fresh answers drawn
+    by rejection from a Mersenne Twister stream, repeated queries replayed."""
+
+    def __init__(self, width, seed):
+        self.width = width
+        self._entropy = FastBitGenerator(derive_seed("ideal-perm", seed))
+        self._fwd = {}
+        self._inv = {}
+        self.query_count = 0
+
+    def query(self, x):
+        if not 0 <= x < 1 << self.width:
+            raise ValueError(f"query {x} does not fit in {self.width} bits")
+        self.query_count += 1
+        hit = self._fwd.get(x)
+        if hit is None:
+            while True:
+                hit = self._entropy.next_int(self.width)
+                if hit not in self._inv:
+                    break
+            self._fwd[x] = hit
+            self._inv[hit] = x
+        return hit
+
+
+def _memo_table_advantage_counts(machine, params, seed, start, count):
+    """The game loop on memoized ideal round functions and the rejection-sampled
+    permutation, one fresh pair of instances per trial, kept as the statistical
+    reference of ``advantage_counts``."""
+    ones_a = ones_b = 0
+    for t in range(start, start + count):
+        trial_seed = derive_seed(seed, "trial", t)
+        ones_a += machine.run(ideal_ufn(params, trial_seed))
+        ones_b += machine.run(_MtIdealPermutation(params.state_bits, trial_seed))
+    return ones_a, ones_b
+
+
 def test_ideal_permutation_injective_and_deterministic():
-    perm = ideal_permutation(8, seed=1)
+    trials = Lanes.of(range(1, 65))
+    perm = ideal_permutation(8, 1, trials)
     a = perm.query(3)
     b = perm.query(200)
-    assert a != b
+    assert all(u != v for u, v in zip(a.tolist(), b.tolist()))
     assert perm.query(3) == a
+    assert ideal_permutation(8, 1, trials).query(3) == a
+    assert perm.query_count == 3
+
+
+def _exhausted(width, seed, trials):
+    perm = ideal_permutation(width, seed, trials)
+    replies = [perm.query(v).tolist() for v in range(1 << width)]
+    return [sorted(lane) for lane in zip(*replies)]
 
 
 def test_ideal_permutation_exhaustion_is_a_permutation():
-    perm = ideal_permutation(2, seed=2)
-    outs = {perm.query(v) for v in range(4)}
-    assert outs == {0, 1, 2, 3}
+    assert _exhausted(2, 2, Lanes.of(range(1, 41))) == [[0, 1, 2, 3]] * 40
 
 
 def test_ideal_permutation_many_widths():
     for width in (1, 3, 6):
-        perm = ideal_permutation(width, seed=width)
-        outs = {perm.query(v) for v in range(1 << width)}
-        assert outs == set(range(1 << width))
+        lanes = _exhausted(width, width, Lanes.of(range(1, 9)))
+        assert lanes == [list(range(1 << width))] * 8
+
+
+def test_ideal_permutation_lanes_match_the_scalar_twin():
+    # Every lane answers as its trial would alone, also when other lanes of the batch
+    # needed more candidate passes for their earlier answers.
+    width, seed, trials = 3, 17, Lanes.of(range(1, 41))
+    perm = ideal_permutation(width, seed, trials)
+    lanes = list(zip(*(perm.query(x).tolist() for x in range(1 << width))))
+    key = derive_seed("ideal-perm", seed)
+    for t, lane in enumerate(lanes):
+        twin = ScalarIdealPermutation(width, splitmix_scalar(key, t + 1))
+        assert lane == tuple(twin.query(x) for x in range(1 << width)), t
 
 
 def test_ideal_permutation_width_check():
-    perm = ideal_permutation(4, seed=3)
+    trials = Lanes.of([1, 2])
+    perm = ideal_permutation(4, 3, trials)
     for x in (1 << 4, 1 << 5, -1):
         with pytest.raises(ValueError):
             perm.query(x)
     assert perm.query_count == 0
-    with pytest.raises(ValueError):
-        ideal_permutation(0, seed=1)
+    for width in (0, 65):
+        with pytest.raises(ValueError):
+            ideal_permutation(width, 1, trials)
 
 
 def test_machines_respect_query_budget(leftmost_first_probe):
@@ -150,41 +210,25 @@ def test_2k_attack_always_accepts_vulnerable_build():
 def test_machine_width_mismatch():
     machine = attack_leading_block(4, 2)
     with pytest.raises(ValueError):
-        machine.run(ideal_permutation(8, seed=1))
+        machine.run(ideal_permutation(8, 1, Lanes.of([1])))
 
 
 def test_acceptance_rate_against_ideal_is_one_in_2n():
     n, k = 4, 2
     machine = attack_leading_block(n, k)
-    report = estimate_advantage(
-        machine,
-        partial(ideal_permutation, (k + 1) * n),
-        partial(ideal_permutation, (k + 1) * n),
-        trials=3000,
-        seed=9,
-    )
-    lo = report.accept_a - report.ci_a
-    hi = report.accept_a + report.ci_a
+    params = UfnParams(UfnKind.SOURCE_HEAVY, n, k, k + 2)
+    report = estimate_advantage(machine, params, trials=3000, seed=9)
+    lo = report.accept_b - report.ci_b
+    hi = report.accept_b + report.ci_b
     assert lo <= 1 / 16 <= hi
-
-
-def test_same_factory_means_zero_advantage():
-    n, k = 4, 2
-    machine = attack_leading_block(n, k)
-    factory = partial(ideal_permutation, (k + 1) * n)
-    report = estimate_advantage(machine, factory, factory, trials=500, seed=4)
-    assert report.advantage == 0.0
-    assert report.accept_a == report.accept_b
 
 
 def test_reports_are_reproducible():
     n, k = 4, 2
     machine = attack_leading_block(n, k)
     params = UfnParams(UfnKind.TARGET_HEAVY, n, k, k + 1)
-    args = (machine, partial(ideal_ufn, params),
-            partial(ideal_permutation, params.state_bits))
-    assert estimate_advantage(*args, trials=400, seed=8) == estimate_advantage(
-        *args, trials=400, seed=8
+    assert estimate_advantage(machine, params, trials=400, seed=8) == estimate_advantage(
+        machine, params, trials=400, seed=8
     )
 
 
@@ -192,13 +236,7 @@ def test_secure_rounds_have_no_advantage():
     n, k = 4, 2
     machine = attack_leading_block(n, k)
     params = UfnParams(UfnKind.SOURCE_HEAVY, n, k, k + 2)
-    report = estimate_advantage(
-        machine,
-        partial(ideal_ufn, params),
-        partial(ideal_permutation, params.state_bits),
-        trials=3000,
-        seed=21,
-    )
+    report = estimate_advantage(machine, params, trials=3000, seed=21)
     assert report.advantage <= 3 * report.ci_halfwidth
 
 
@@ -215,9 +253,8 @@ def test_report_fields_consistent():
 
 def test_estimate_advantage_needs_trials():
     machine = attack_leading_block(4, 2)
-    factory = partial(ideal_permutation, 12)
     with pytest.raises(ValueError):
-        estimate_advantage(machine, factory, factory, trials=0, seed=1)
+        estimate_advantage(machine, UfnParams(UfnKind.SOURCE_HEAVY, 4, 2, 4), trials=0, seed=1)
 
 
 class _OverBudgetMachine(OracleMachine):
@@ -232,9 +269,7 @@ class _OverBudgetMachine(OracleMachine):
 def test_advantage_counts_enforce_the_query_budget():
     params = UfnParams(UfnKind.SOURCE_HEAVY, 4, 2, 4)
     with pytest.raises(RuntimeError, match="exceeded its query budget of 1"):
-        advantage_counts(_OverBudgetMachine(), partial(ideal_ufn, params),
-                         partial(ideal_permutation, params.state_bits), seed=1, start=0,
-                         count=3)
+        advantage_counts(_OverBudgetMachine(), params, seed=1, start=0, count=3)
 
 
 # Reference twin: the machine relations as they were first stated, block by
@@ -327,7 +362,7 @@ def test_int_relations_agree_with_the_bitstring_twin(name, n, k, vulnerable, que
     if vulnerable:
         inner = ideal_ufn(UfnParams(kind, n, k, rounds(k)), seed)
     else:
-        inner = ideal_permutation(width, seed)
+        inner = _MtIdealPermutation(width, seed)
     flip = 0 if flip_bit is None else 1 << (flip_bit % width)
     oracle = _RecordingOracle(inner, flip)
     verdict = machine.run(oracle)
@@ -351,10 +386,99 @@ def test_trial_loops_build_no_bitstring(monkeypatch):
     for name, (factory, _, kind, rounds) in _TWINS.items():
         k = 2 if name != "ufn2-2k" else 3
         params = UfnParams(kind, n, k, rounds(k))
-        advantage_counts(factory(n, k, seed=1), partial(ideal_ufn, params),
-                         partial(ideal_permutation, params.state_bits), seed=2, start=0,
-                         count=10)
+        advantage_counts(factory(n, k, seed=1), params, seed=2, start=0, count=10)
     for shaping in ("adversarial", "uniform"):
         bad_event_counts(BadEventSpec(UfnKind.UFN2, n, 3, 8, shaping), seed=3, start=0,
                          count=10)
     assert built == []
+
+
+def _game(name, n, k, r, query_seed=None):
+    factory, _, kind, _ = _TWINS[name]
+    return factory(n, k, query_seed), UfnParams(kind, n, k, r)
+
+
+def _scalar_trial(machine, params, seed, t):
+    """Trial t of ``advantage_counts`` one int at a time: side a keyed from
+    ``derive_seed("game-keys", seed)``, side b from ``derive_seed("ideal-perm", seed)``."""
+    side_a = scalar_perm(params, splitmix_scalar(derive_seed("game-keys", seed), t + 1))
+    side_b = ScalarIdealPermutation(
+        params.state_bits, splitmix_scalar(derive_seed("ideal-perm", seed), t + 1))
+    return machine.run(side_a), machine.run(side_b)
+
+
+# (attack, n, k, rounds): each machine at its vulnerable and at its secure round count;
+# the XOR-sum relation holds at every count, so it gets two counts below and at 2k+1.
+_GAME_POINTS = [
+    ("src-k1", 4, 2, 3), ("src-k1", 4, 2, 4),
+    ("tgt-k1", 4, 2, 3), ("tgt-k1", 4, 2, 4),
+    ("ufn2-even", 4, 2, 3), ("ufn2-even", 4, 2, 5),
+    ("ufn2-2k", 4, 3, 6), ("ufn2-2k", 4, 3, 7),
+]
+
+
+@pytest.mark.parametrize("query_seed", [None, 5])
+@pytest.mark.parametrize("name,n,k,r", _GAME_POINTS)
+def test_advantage_counts_match_the_scalar_twin_bit_for_bit(name, n, k, r, query_seed):
+    machine, params = _game(name, n, k, r, query_seed)
+    seed = (51, name, r)
+    expected = [_scalar_trial(machine, params, seed, t) for t in range(300)]
+    assert [advantage_counts(machine, params, seed, t, 1) for t in range(300)] == expected
+    assert advantage_counts(machine, params, seed, 0, 300) == tuple(map(sum, zip(*expected)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    point=hs.sampled_from([("src-k1", 2, 2, 4), ("tgt-k1", 2, 2, 4), ("ufn2-even", 2, 2, 3),
+                           ("ufn2-2k", 2, 1, 3)]),
+    trials=hs.integers(1, 120),
+    cuts=hs.lists(hs.integers(0, 120), max_size=5),
+    batch=hs.sampled_from([1, 7, bits.LANE_BATCH]),
+)
+def test_advantage_counts_add_up_over_any_split(point, trials, cuts, batch):
+    # n=2: on 4- to 6-bit states the ideal side often redraws a repeated candidate.
+    machine, params = _game(*point)
+    whole = advantage_counts(machine, params, 29, 0, trials)
+    bounds = sorted({0, trials, *(c % (trials + 1) for c in cuts)})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bits, "LANE_BATCH", batch)
+        parts = [advantage_counts(machine, params, 29, lo, hi - lo)
+                 for lo, hi in zip(bounds, bounds[1:])]
+    assert tuple(map(sum, zip(*parts))) == whole
+    assert advantage_counts(machine, params, 29, trials, 0) == (0, 0)
+
+
+# (attack, n, k, rounds). Two distinct queries to a uniform permutation differ by a
+# uniform nonzero state, so a pair machine accepts with probability 2^(kn)/(2^w - 1);
+# one query makes the XOR of all blocks of x ^ y uniform, so the XOR-sum machine
+# accepts with probability 2^-n. The 2- and 3-bit states tell sampling without
+# replacement (2/3) from sampling with it (1/2).
+@pytest.mark.parametrize("name,n,k,r,exact", [
+    ("src-k1", 4, 2, 4, 256 / 4095),
+    ("tgt-k1", 4, 2, 4, 256 / 4095),
+    ("ufn2-even", 4, 2, 5, 1 / 16),
+    ("ufn2-2k", 4, 3, 7, 4096 / 65535),
+    ("src-k1", 1, 1, 3, 2 / 3),
+    ("ufn2-2k", 1, 1, 3, 2 / 3),
+    ("ufn2-even", 1, 2, 5, 1 / 2),
+])
+def test_ideal_side_accept_rates_are_exact(name, n, k, r, exact):
+    machine, params = _game(name, n, k, r)
+    trials = 20_000
+    _, ones_b = advantage_counts(machine, params, (1200, name, n), 0, trials)
+    assert abs(ones_b / trials - exact) <= 3 * wilson_halfwidth(ones_b, trials), ones_b
+
+
+@pytest.mark.parametrize("name,n,k,r", [
+    ("src-k1", 4, 2, 4), ("tgt-k1", 4, 2, 4), ("ufn2-even", 4, 2, 5), ("ufn2-2k", 4, 3, 7),
+    ("src-k1", 2, 2, 3),
+])
+def test_accept_rates_agree_with_the_memo_table_engine(name, n, k, r):
+    machine, params = _game(name, n, k, r)
+    trials = 4000
+    seed = (1300, name, r)  # fixed before the first run
+    lanes = advantage_counts(machine, params, seed, 0, trials)
+    reference = _memo_table_advantage_counts(machine, params, seed, 0, trials)
+    for got, want in zip(lanes, reference):
+        tolerance = 3 * (wilson_halfwidth(got, trials) + wilson_halfwidth(want, trials))
+        assert abs(got - want) / trials <= tolerance, (lanes, reference)

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from feistel_lab import statcheck, stats
+from feistel_lab import bits, statcheck, stats
 from feistel_lab.bits import BitString, Lanes
-from feistel_lab.feistel import UfnKind, UfnParams, UfnPermutation, ideal_ufn
+from feistel_lab.feistel import UfnKind, UfnParams, ideal_ufn
 from feistel_lab.prbg import FastBitGenerator, derive_seed
-from feistel_lab.prf import CallableOracle
 from feistel_lab.statcheck import (
     BadEventSpec,
     BadProbReport,
@@ -26,6 +25,7 @@ from feistel_lab.statcheck import (
     watched_rounds,
 )
 from feistel_lab.stats import chi_square_critical
+from scalar_twins import scalar_perm, splitmix_scalar
 
 
 def det_cofactor(rows):
@@ -297,39 +297,15 @@ def test_chi_square_critical_matches_the_distribution_quantile(monkeypatch):
         check(dofs, significance, chi2.isf(significance, dofs))
 
 
-_M64 = (1 << 64) - 1
-
-
-def _splitmix_scalar(s, j):
-    """Reference SplitMix64 on Python ints: the finalizer of s + j * gamma."""
-    z = (s + j * 0x9E3779B97F4A7C15) & _M64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-    return z ^ (z >> 31)
-
-
-def _scalar_perm(params, trial_key):
-    """The instance keyed by ``trial_key``, one int at a time through UfnPermutation:
-    round i computes z(z(trial_key, i+1), x+1) >> (64 - out_bits)."""
-    shift = 64 - params.round_out_bits
-    rounds = [
-        CallableOracle(params.round_in_bits, params.round_out_bits,
-                       lambda x, key=_splitmix_scalar(trial_key, i + 1):
-                       _splitmix_scalar(key, x + 1) >> shift)
-        for i in range(params.r)
-    ]
-    return UfnPermutation(params, rounds)
-
-
 def _scalar_trial_output(params, seed, t):
     """Trial t of the uniformity check."""
-    trial_key = _splitmix_scalar(derive_seed("uniformity-keys", seed), t + 1)
-    return _scalar_perm(params, trial_key).encrypt(BitString(params.state_bits, 0)).value
+    trial_key = splitmix_scalar(derive_seed("uniformity-keys", seed), t + 1)
+    return scalar_perm(params, trial_key).encrypt(BitString(params.state_bits, 0)).value
 
 
 def test_scalar_splitmix_reproduces_the_reference_stream():
     # SplitMix64 seeded with 0 starts 0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4.
-    assert [_splitmix_scalar(0, j) for j in (1, 2)] == [0xE220A8397B1DCDAF,
+    assert [splitmix_scalar(0, j) for j in (1, 2)] == [0xE220A8397B1DCDAF,
                                                         0x6E789E6AA1B965F4]
 
 
@@ -384,15 +360,15 @@ def _scalar_bad_event_hit(spec, seed, t):
     """Trial t of the collision-event check, one int at a time: the keying of
     ``bad_event_counts`` on masked ints, hits by ``UfnPermutation.trace_states``."""
     params = spec.params
-    perm = _scalar_perm(params, _splitmix_scalar(derive_seed("bad-event-keys", seed), t + 1))
+    perm = scalar_perm(params, splitmix_scalar(derive_seed("bad-event-keys", seed), t + 1))
     if spec.shaping == "adversarial":
         queries = statcheck._adversarial_queries(spec)
     else:
-        query_key = _splitmix_scalar(derive_seed("bad-event-queries", seed), t + 1)
+        query_key = splitmix_scalar(derive_seed("bad-event-queries", seed), t + 1)
         picked = {}
         j = 0
         while len(picked) < spec.m:
-            picked[_splitmix_scalar(query_key, j + 1) >> (64 - params.state_bits)] = None
+            picked[splitmix_scalar(query_key, j + 1) >> (64 - params.state_bits)] = None
             j += 1
         queries = list(picked)
     seen = [set() for _ in spec.rounds_watched]
@@ -472,7 +448,7 @@ def test_bad_event_rates_agree_with_the_memo_table_engine(kind, shaping):
     shaping=hs.sampled_from(["adversarial", "uniform"]),
     trials=hs.integers(1, 120),
     cuts=hs.lists(hs.integers(0, 120), max_size=5),
-    batch=hs.sampled_from([1, 7, statcheck._BAD_EVENT_BATCH]),
+    batch=hs.sampled_from([1, 7, bits.LANE_BATCH]),
 )
 def test_bad_event_counts_add_up_over_any_split(kind, shaping, trials, cuts, batch):
     # n=2, k=2, m=6: uniform queries often repeat among the first six candidates.
@@ -480,7 +456,7 @@ def test_bad_event_counts_add_up_over_any_split(kind, shaping, trials, cuts, bat
     whole = bad_event_counts(spec, 29, 0, trials)
     bounds = sorted({0, trials, *(c % (trials + 1) for c in cuts)})
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(statcheck, "_BAD_EVENT_BATCH", batch)
+        mp.setattr(bits, "LANE_BATCH", batch)
         parts = [bad_event_counts(spec, 29, lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
     assert sum(parts) == whole
     assert bad_event_counts(spec, 29, trials, 0) == 0
