@@ -7,18 +7,20 @@ from caller-supplied master seeds so that any run can be reproduced exactly.
 
 from __future__ import annotations
 
+import _random
 import functools
 import hashlib
 import math
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .bits import BitString
 
 __all__ = [
     "derive_seed",
+    "state_seeder",
     "is_probable_prime",
     "is_generator",
     "BitGenerator",
@@ -59,9 +61,14 @@ def _label(text: str) -> str:
     return text
 
 
+def _bits_head(width: int) -> str:
+    """The text of a ``width``-bit string up to its value."""
+    return f"b{width}."
+
+
 def _canonical(part: object) -> str:
     if isinstance(part, BitString):
-        return f"b{part.width}.{part.value}"
+        return _bits_head(part.width) + str(part.value)
     kind = type(part)
     if kind is int:
         return str(part)
@@ -89,6 +96,21 @@ def derive_seed(*parts: object) -> int:
     text = "\x1f".join([_canonical(p) for p in parts])
     digest = hashlib.sha256(text.encode()).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def state_seeder(width: int, *parts: object) -> Callable[[int], int]:
+    """``value -> derive_seed(*parts, BitString(width, value))`` for ``value`` in
+    [0, 2^width), with the text before the value hashed once: a tree walk
+    derives one seed per step from its state."""
+    head = hashlib.sha256("\x1f".join([_canonical(p) for p in parts]
+                                      + [_bits_head(width)]).encode())
+
+    def seed(value: int) -> int:
+        h = head.copy()
+        h.update(str(value).encode())
+        return int.from_bytes(h.digest()[:8], "big")
+
+    return seed
 
 
 def _strong_probable_prime(num: int, bases: Iterable[int]) -> bool:
@@ -222,23 +244,10 @@ class FastBitGenerator(BitGenerator):
         return self._rng.getrandbits(bits)
 
     def reseed(self, seed: object) -> None:
-        self._rng.seed(seed if isinstance(seed, int) else derive_seed("fast", seed))
-
-
-def _parse_kv(text: str, fields: tuple[str, ...]) -> dict[str, int]:
-    values: dict[str, int] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        key, sep, raw = line.partition("=")
-        if not sep:
-            raise ValueError(f"expected key=value, got {line!r}")
-        values[key.strip()] = int(raw)
-    missing = [f for f in fields if f not in values]
-    if missing:
-        raise ValueError(f"missing fields: {', '.join(missing)}")
-    return values
+        # The engine's own seed: ``Random.seed`` of an int, less the type checks
+        # and the reset of the ``gauss`` cache, which this stream never reads.
+        _random.Random.seed(self._rng, seed if isinstance(seed, int)
+                            else derive_seed("fast", seed))
 
 
 @dataclass(frozen=True)
@@ -256,15 +265,6 @@ class BmParams:
             raise ValueError(f"g={self.g} does not generate the group mod {self.p}")
         if not 0 <= self.x0 < self.p:
             raise ValueError(f"x0={self.x0} out of range [0, {self.p})")
-
-    def to_text(self) -> str:
-        """Key-value form with decimal integers, one field per line."""
-        return f"p={self.p}\ng={self.g}\nx0={self.x0}\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "BmParams":
-        kv = _parse_kv(text, ("p", "g", "x0"))
-        return cls(p=kv["p"], g=kv["g"], x0=kv["x0"])
 
 
 @functools.lru_cache(maxsize=8)
@@ -344,15 +344,6 @@ class BbsParams:
     def create(cls, p: int, q: int, s: int) -> "BbsParams":
         n = p * q
         return cls(p=p, q=q, n=n, s=s, x0=s * s % n)
-
-    def to_text(self) -> str:
-        """Key-value form with decimal integers, one field per line."""
-        return f"p={self.p}\nq={self.q}\nn={self.n}\ns={self.s}\nx0={self.x0}\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "BbsParams":
-        kv = _parse_kv(text, ("p", "q", "n", "s", "x0"))
-        return cls(p=kv["p"], q=kv["q"], n=kv["n"], s=kv["s"], x0=kv["x0"])
 
 
 class BbsGenerator(BitGenerator):

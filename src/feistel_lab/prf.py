@@ -13,23 +13,25 @@ Three realizations of a deterministic function I_in -> I_out:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 from .bits import BitString
 from .prbg import (
     BbsGenerator,
+    BbsParams,
     BitGenerator,
     FastBitGenerator,
     derive_seed,
     generate_bbs_params,
+    state_seeder,
 )
 
 __all__ = [
     "DEFAULT_TABLE_CAP",
     "FunctionOracle",
     "CallableOracle",
-    "zero_oracle",
     "IdealFunctionOracle",
     "ideal_oracle",
     "splitmix",
@@ -70,10 +72,6 @@ class CallableOracle(FunctionOracle):
         if not 0 <= y < (1 << self.out_bits):
             raise ValueError(f"function value {y} does not fit in {self.out_bits} bits")
         return y
-
-
-def zero_oracle(in_bits: int, out_bits: int) -> CallableOracle:
-    return CallableOracle(in_bits, out_bits, lambda _x: 0)
 
 
 class IdealFunctionOracle(FunctionOracle):
@@ -153,29 +151,30 @@ class SplitMixRound(FunctionOracle):
 class GgmKey:
     """Key with its doubling expander G and output finalizer G'.
 
-    ``expander`` maps a key-width state to twice that width; the left half is
-    the 0-branch and the right half the 1-branch. ``finalizer`` maps the final
-    state to the output width. Both must be deterministic.
+    The walk states are ints of ``key.width`` bits. ``expander`` maps a state
+    to a ``BitString`` of twice that width; its left half is the 0-branch and
+    its right half the 1-branch. ``finalizer`` maps the final state to the
+    output ``BitString``. Both must be deterministic.
     """
 
     key: BitString
-    expander: Callable[[BitString], BitString]
-    finalizer: Callable[[BitString], BitString]
+    expander: Callable[[int], BitString]
+    finalizer: Callable[[int], BitString]
 
 
-def ggm_walk_states(key: GgmKey, x: BitString) -> list[BitString]:
+def ggm_walk_states(key: GgmKey, x: BitString) -> list[int]:
     """States of the tree walk over the bits of ``x``, initial state first."""
-    state = key.key
-    width = state.width
+    width = key.key.width
+    mask = (1 << width) - 1
+    state = key.key.value
     states = [state]
-    for i in range(x.width):
+    for shift in range(x.width - 1, -1, -1):
         doubled = key.expander(state)
         if doubled.width != 2 * width:
             raise ValueError(
                 f"expander produced {doubled.width} bits; expected {2 * width}"
             )
-        left, right = doubled.split(width)
-        state = right if x.bit(i) else left
+        state = doubled.value & mask if x.value >> shift & 1 else doubled.value >> width
         states.append(state)
     return states
 
@@ -204,27 +203,31 @@ def split_master_key(master: BitString, rounds: int) -> list[BitString]:
     return keys
 
 
-def _fast_stream_fn(out_bits: int, salt: int) -> Callable[[BitString], BitString]:
-    def stream(state: BitString) -> BitString:
-        return FastBitGenerator(derive_seed(salt, state)).next_bits(out_bits)
+@functools.lru_cache(maxsize=256)
+def _blum_params(salt: int, prime_bits: int) -> BbsParams:
+    """The Blum moduli of one stream. They hang on the salt alone, which the
+    round index fixes, so they are public and built once per process."""
+    return generate_bbs_params(prime_bits, derive_seed(salt, "modulus"))
 
-    return stream
+
+# The generator of one stream, by mode, from the stream's salt.
+_STREAM_GENERATORS = {
+    "fast": lambda salt: FastBitGenerator(0),
+    "bbs": lambda salt: BbsGenerator(_blum_params(salt, 32)),
+}
 
 
-def _bbs_stream_fn(
-    out_bits: int, salt: int, prime_bits: int = 32
-) -> Callable[[BitString], BitString]:
-    params = generate_bbs_params(prime_bits, derive_seed(salt, "modulus"))
+def _reseeded_stream(gen: BitGenerator, out_bits: int, salt: int,
+                     width: int) -> Callable[[int], BitString]:
+    """``width``-bit state -> the first ``out_bits`` bits of ``gen`` reseeded
+    with ``derive_seed(salt, BitString(width, state))``."""
+    seed_of = state_seeder(width, salt)
 
-    def stream(state: BitString) -> BitString:
-        gen = BbsGenerator(params)
-        gen.reseed(derive_seed(salt, state))
+    def stream(state: int) -> BitString:
+        gen.reseed(seed_of(state))
         return gen.next_bits(out_bits)
 
     return stream
-
-
-_STREAM_MODES = {"fast": _fast_stream_fn, "bbs": _bbs_stream_fn}
 
 
 class GgmFunctionOracle(FunctionOracle):
@@ -233,8 +236,8 @@ class GgmFunctionOracle(FunctionOracle):
     ``mode`` selects the underlying generator for the expander and finalizer:
     ``fast`` (utility stream, default for bulk experiments) or ``bbs``
     (quadratic-residue stream reseeded from the walk state, desk scale).
-    Evaluation touches no state except the bit counter; give each worker its
-    own instance when that instrumentation matters.
+    Evaluation mutates the bit counter and the generator of each stream,
+    which every step reseeds; give each worker its own instance.
     """
 
     def __init__(
@@ -248,18 +251,19 @@ class GgmFunctionOracle(FunctionOracle):
         super().__init__(in_bits, out_bits)
         if key.width < 1:
             raise ValueError("key must be at least one bit wide")
-        if mode not in _STREAM_MODES:
-            raise ValueError(f"unknown mode {mode!r}; expected one of {sorted(_STREAM_MODES)}")
-        make_stream = _STREAM_MODES[mode]
-        expand_raw = make_stream(2 * key.width, derive_seed("ggm-expand", salt))
-        final_raw = make_stream(out_bits, derive_seed("ggm-final", salt))
+        if mode not in _STREAM_GENERATORS:
+            raise ValueError(f"unknown mode {mode!r}; expected one of {sorted(_STREAM_GENERATORS)}")
+        new_gen = _STREAM_GENERATORS[mode]
+        expand_salt, final_salt = derive_seed("ggm-expand", salt), derive_seed("ggm-final", salt)
+        expand_raw = _reseeded_stream(new_gen(expand_salt), 2 * key.width, expand_salt, key.width)
+        final_raw = _reseeded_stream(new_gen(final_salt), out_bits, final_salt, key.width)
         self.bits_generated = 0
 
-        def expander(state: BitString) -> BitString:
+        def expander(state: int) -> BitString:
             self.bits_generated += 2 * key.width
             return expand_raw(state)
 
-        def finalizer(state: BitString) -> BitString:
+        def finalizer(state: int) -> BitString:
             self.bits_generated += out_bits
             return final_raw(state)
 

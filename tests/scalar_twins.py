@@ -1,6 +1,10 @@
-"""Scalar twins of the lane engines: the same counter keying, one int at a time."""
+"""Reference twins of the fast paths: the lane engines with the same counter keying,
+one int at a time, and the tree walk on ``BitString`` states with a fresh generator
+per step."""
 
+from feistel_lab.bits import BitString
 from feistel_lab.feistel import UfnPermutation
+from feistel_lab.prbg import BbsGenerator, FastBitGenerator, derive_seed, generate_bbs_params
 from feistel_lab.prf import CallableOracle
 
 _M64 = (1 << 64) - 1
@@ -52,3 +56,45 @@ class ScalarIdealPermutation:
                     break
             self._replies[x] = c
         return self._replies[x]
+
+
+def zero_oracle(in_bits, out_bits):
+    return CallableOracle(in_bits, out_bits, lambda _x: 0)
+
+
+def _fresh_fast_stream(out_bits, salt):
+    return lambda state: FastBitGenerator(derive_seed(salt, state)).next_bits(out_bits)
+
+
+def _fresh_bbs_stream(out_bits, salt):
+    params = generate_bbs_params(32, derive_seed(salt, "modulus"))
+
+    def stream(state):
+        gen = BbsGenerator(params)
+        gen.reseed(derive_seed(salt, state))
+        return gen.next_bits(out_bits)
+
+    return stream
+
+
+class BitStringGgmOracle:
+    """``prf.GgmFunctionOracle`` as first written: the walk holds ``BitString`` states,
+    each step seeds a fresh generator from ``derive_seed(salt, state)`` and splits
+    its output, and every oracle draws its own Blum moduli."""
+
+    def __init__(self, in_bits, out_bits, key, mode="fast", salt=0):
+        make_stream = {"fast": _fresh_fast_stream, "bbs": _fresh_bbs_stream}[mode]
+        self.in_bits, self.out_bits, self.key = in_bits, out_bits, key
+        self.bits_generated = 0
+        self._expand = make_stream(2 * key.width, derive_seed("ggm-expand", salt))
+        self._final = make_stream(out_bits, derive_seed("ggm-final", salt))
+
+    def eval_int(self, x):
+        bits = BitString(self.in_bits, x)
+        state = self.key
+        for i in range(bits.width):
+            self.bits_generated += 2 * self.key.width
+            left, right = self._expand(state).split(self.key.width)
+            state = right if bits.bit(i) else left
+        self.bits_generated += self.out_bits
+        return self._final(state).value

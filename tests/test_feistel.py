@@ -13,7 +13,8 @@ from feistel_lab.feistel import (
     ideal_round_oracles,
     ideal_ufn,
 )
-from feistel_lab.prf import CallableOracle, ideal_oracle, zero_oracle
+from feistel_lab.prf import CallableOracle, ideal_oracle
+from scalar_twins import zero_oracle
 
 B = BitString
 

