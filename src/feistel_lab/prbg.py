@@ -7,7 +7,6 @@ from caller-supplied master seeds so that any run can be reproduced exactly.
 
 from __future__ import annotations
 
-import _random
 import functools
 import hashlib
 import math
@@ -21,6 +20,7 @@ from .bits import BitString
 __all__ = [
     "derive_seed",
     "state_seeder",
+    "state_stream",
     "is_probable_prime",
     "is_generator",
     "BitGenerator",
@@ -98,12 +98,17 @@ def derive_seed(*parts: object) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def _state_head(width: int, parts: tuple) -> bytes:
+    """The text ``derive_seed(*parts, BitString(width, value))`` hashes, up to
+    ``value``."""
+    return "\x1f".join([_canonical(p) for p in parts] + [_bits_head(width)]).encode()
+
+
 def state_seeder(width: int, *parts: object) -> Callable[[int], int]:
     """``value -> derive_seed(*parts, BitString(width, value))`` for ``value`` in
     [0, 2^width), with the text before the value hashed once: a tree walk
     derives one seed per step from its state."""
-    head = hashlib.sha256("\x1f".join([_canonical(p) for p in parts]
-                                      + [_bits_head(width)]).encode())
+    head = hashlib.sha256(_state_head(width, parts))
 
     def seed(value: int) -> int:
         h = head.copy()
@@ -111,6 +116,23 @@ def state_seeder(width: int, *parts: object) -> Callable[[int], int]:
         return int.from_bytes(h.digest()[:8], "big")
 
     return seed
+
+
+def state_stream(width: int, out_bits: int, *parts: object) -> Callable[[int], BitString]:
+    """``value ->`` the leading ``out_bits`` bits (big-endian) of SHAKE-256 (NIST
+    FIPS 202) over the text ``derive_seed(*parts, BitString(width, value))``
+    hashes, with the text before the value absorbed once: one digest per
+    tree-walk step, and no generator state between steps."""
+    head = hashlib.shake_256(_state_head(width, parts))
+    size = -(-out_bits // 8)
+    spare = 8 * size - out_bits
+
+    def stream(value: int) -> BitString:
+        h = head.copy()
+        h.update(str(value).encode())
+        return BitString(out_bits, int.from_bytes(h.digest(size), "big") >> spare)
+
+    return stream
 
 
 def _strong_probable_prime(num: int, bases: Iterable[int]) -> bool:
@@ -219,9 +241,6 @@ class BitGenerator:
     def next_int(self, bits: int) -> int:
         return self.next_bits(bits).value
 
-    def reseed(self, seed: object) -> None:
-        raise NotImplementedError
-
 
 class FastBitGenerator(BitGenerator):
     """Deterministic utility stream for high-volume experiments.
@@ -242,12 +261,6 @@ class FastBitGenerator(BitGenerator):
 
     def next_int(self, bits: int) -> int:
         return self._rng.getrandbits(bits)
-
-    def reseed(self, seed: object) -> None:
-        # The engine's own seed: ``Random.seed`` of an int, less the type checks
-        # and the reset of the ``gauss`` cache, which this stream never reads.
-        _random.Random.seed(self._rng, seed if isinstance(seed, int)
-                            else derive_seed("fast", seed))
 
 
 @dataclass(frozen=True)
@@ -307,9 +320,6 @@ class BmGenerator(BitGenerator):
             value = (value << 1) | (1 if self._table[x] <= self._half else 0)
         self._x = x
         return BitString(count, value)
-
-    def reseed(self, seed: object) -> None:
-        self._x = derive_seed("bm-reseed", seed) % self.params.p
 
 
 def bm_generate(params: BmParams, count: int) -> BitString:

@@ -26,6 +26,7 @@ from .prbg import (
     derive_seed,
     generate_bbs_params,
     state_seeder,
+    state_stream,
 )
 
 __all__ = [
@@ -210,17 +211,10 @@ def _blum_params(salt: int, prime_bits: int) -> BbsParams:
     return generate_bbs_params(prime_bits, derive_seed(salt, "modulus"))
 
 
-# The generator of one stream, by mode, from the stream's salt.
-_STREAM_GENERATORS = {
-    "fast": lambda salt: FastBitGenerator(0),
-    "bbs": lambda salt: BbsGenerator(_blum_params(salt, 32)),
-}
-
-
-def _reseeded_stream(gen: BitGenerator, out_bits: int, salt: int,
-                     width: int) -> Callable[[int], BitString]:
-    """``width``-bit state -> the first ``out_bits`` bits of ``gen`` reseeded
-    with ``derive_seed(salt, BitString(width, state))``."""
+def _bbs_stream(out_bits: int, salt: int, width: int) -> Callable[[int], BitString]:
+    """``width``-bit state -> the first ``out_bits`` bits of one quadratic-residue
+    generator reseeded with ``derive_seed(salt, BitString(width, state))``."""
+    gen = BbsGenerator(_blum_params(salt, 32))
     seed_of = state_seeder(width, salt)
 
     def stream(state: int) -> BitString:
@@ -230,14 +224,25 @@ def _reseeded_stream(gen: BitGenerator, out_bits: int, salt: int,
     return stream
 
 
+# The stream of one expander or finalizer, by mode, from its output width, its
+# salt and the state width: ``state -> BitString`` of ``out_bits`` bits. A
+# ``fast`` step is one SHAKE-256 digest of the salt and state; a ``bbs`` step
+# reseeds the stream's one generator.
+_STREAM_GENERATORS = {
+    "fast": lambda out_bits, salt, width: state_stream(width, out_bits, salt),
+    "bbs": _bbs_stream,
+}
+
+
 class GgmFunctionOracle(FunctionOracle):
     """Keyed tree-walk function with an instrumented generated-bit counter.
 
-    ``mode`` selects the underlying generator for the expander and finalizer:
-    ``fast`` (utility stream, default for bulk experiments) or ``bbs``
-    (quadratic-residue stream reseeded from the walk state, desk scale).
-    Evaluation mutates the bit counter and the generator of each stream,
-    which every step reseeds; give each worker its own instance.
+    ``mode`` selects the underlying stream for the expander and finalizer:
+    ``fast`` (SHAKE-256 of the salt and walk state, default for bulk
+    experiments) or ``bbs`` (quadratic-residue stream reseeded from the walk
+    state, desk scale). Evaluation mutates the bit counter, and under ``bbs``
+    the generator of each stream, which every step reseeds; give each worker
+    its own instance.
     """
 
     def __init__(
@@ -253,10 +258,9 @@ class GgmFunctionOracle(FunctionOracle):
             raise ValueError("key must be at least one bit wide")
         if mode not in _STREAM_GENERATORS:
             raise ValueError(f"unknown mode {mode!r}; expected one of {sorted(_STREAM_GENERATORS)}")
-        new_gen = _STREAM_GENERATORS[mode]
-        expand_salt, final_salt = derive_seed("ggm-expand", salt), derive_seed("ggm-final", salt)
-        expand_raw = _reseeded_stream(new_gen(expand_salt), 2 * key.width, expand_salt, key.width)
-        final_raw = _reseeded_stream(new_gen(final_salt), out_bits, final_salt, key.width)
+        new_stream = _STREAM_GENERATORS[mode]
+        expand_raw = new_stream(2 * key.width, derive_seed("ggm-expand", salt), key.width)
+        final_raw = new_stream(out_bits, derive_seed("ggm-final", salt), key.width)
         self.bits_generated = 0
 
         def expander(state: int) -> BitString:

@@ -242,27 +242,6 @@ class Gf2Matrix:
         if any(not 0 <= row < (1 << self.size) for row in self.rows):
             raise ValueError("row does not fit the matrix size")
 
-    @classmethod
-    def from_lists(cls, rows: list[list[int]]) -> "Gf2Matrix":
-        size = len(rows)
-        packed = []
-        for row in rows:
-            if len(row) != size:
-                raise ValueError("matrix must be square")
-            value = 0
-            for bit in row:
-                if bit not in (0, 1):
-                    raise ValueError("entries must be 0 or 1")
-                value = (value << 1) | bit
-            packed.append(value)
-        return cls(size, tuple(packed))
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> (self.size - 1 - j)) & 1
-
-    def to_lists(self) -> list[list[int]]:
-        return [[self.entry(i, j) for j in range(self.size)] for i in range(self.size)]
-
 
 def build_ufn2_matrix(k: int) -> Gf2Matrix:
     """(k+1) x (k+1) all-ones matrix with zeros on the anti-diagonal.

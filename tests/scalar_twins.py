@@ -1,11 +1,14 @@
 """Reference twins of the fast paths: the lane engines with the same counter keying,
-one int at a time, and the tree walk on ``BitString`` states with a fresh generator
-per step."""
+one int at a time, the tree walk on ``BitString`` states with each step's stream
+built from scratch, and ``statcheck.Gf2Matrix`` as nested lists."""
+
+import hashlib
 
 from feistel_lab.bits import BitString
 from feistel_lab.feistel import UfnPermutation
-from feistel_lab.prbg import BbsGenerator, FastBitGenerator, derive_seed, generate_bbs_params
+from feistel_lab.prbg import BbsGenerator, derive_seed, generate_bbs_params
 from feistel_lab.prf import CallableOracle
+from feistel_lab.statcheck import Gf2Matrix
 
 _M64 = (1 << 64) - 1
 
@@ -62,8 +65,17 @@ def zero_oracle(in_bits, out_bits):
     return CallableOracle(in_bits, out_bits, lambda _x: 0)
 
 
+def shake_leading_bits(text, out_bits):
+    """The first ``out_bits`` bits of SHAKE-256 of ``text``, read off the digest's
+    binary digits, most significant bit of the first byte first."""
+    digest = hashlib.shake_256(text.encode()).digest((out_bits + 7) // 8)
+    digits = "".join(f"{byte:08b}" for byte in digest)[:out_bits]
+    return int(digits, 2) if digits else 0
+
+
 def _fresh_fast_stream(out_bits, salt):
-    return lambda state: FastBitGenerator(derive_seed(salt, state)).next_bits(out_bits)
+    return lambda state: BitString(out_bits, shake_leading_bits(
+        f"{salt}\x1fb{state.width}.{state.value}", out_bits))
 
 
 def _fresh_bbs_stream(out_bits, salt):
@@ -78,9 +90,10 @@ def _fresh_bbs_stream(out_bits, salt):
 
 
 class BitStringGgmOracle:
-    """``prf.GgmFunctionOracle`` as first written: the walk holds ``BitString`` states,
-    each step seeds a fresh generator from ``derive_seed(salt, state)`` and splits
-    its output, and every oracle draws its own Blum moduli."""
+    """Reference ``prf.GgmFunctionOracle``: the walk holds ``BitString`` states,
+    each step hashes its full text from scratch (``fast``) or seeds a fresh generator
+    from ``derive_seed(salt, state)`` (``bbs``) and splits the output, and every
+    oracle draws its own Blum moduli."""
 
     def __init__(self, in_bits, out_bits, key, mode="fast", salt=0):
         make_stream = {"fast": _fresh_fast_stream, "bbs": _fresh_bbs_stream}[mode]
@@ -98,3 +111,27 @@ class BitStringGgmOracle:
             state = right if bits.bit(i) else left
         self.bits_generated += self.out_bits
         return self._final(state).value
+
+
+def gf2_from_lists(rows):
+    """The ``Gf2Matrix`` of a square list of 0/1 rows, leftmost column the MSB."""
+    size = len(rows)
+    packed = []
+    for row in rows:
+        if len(row) != size:
+            raise ValueError("matrix must be square")
+        value = 0
+        for bit in row:
+            if bit not in (0, 1):
+                raise ValueError("entries must be 0 or 1")
+            value = (value << 1) | bit
+        packed.append(value)
+    return Gf2Matrix(size, tuple(packed))
+
+
+def gf2_entry(matrix, i, j):
+    return (matrix.rows[i] >> (matrix.size - 1 - j)) & 1
+
+
+def gf2_to_lists(matrix):
+    return [[gf2_entry(matrix, i, j) for j in range(matrix.size)] for i in range(matrix.size)]

@@ -19,8 +19,10 @@ from feistel_lab.prbg import (
     is_generator,
     is_probable_prime,
     state_seeder,
+    state_stream,
 )
 from feistel_lab.prbg import _random_bases, _strong_probable_prime
+from scalar_twins import shake_leading_bits
 
 
 def _sieve_primes(limit):
@@ -283,13 +285,6 @@ def test_fast_generator_ones_frequency():
     assert 0.49 <= ones / 1_000_000 <= 0.51
 
 
-def test_fast_generator_reseed_replays():
-    gen = FastBitGenerator(5)
-    first = gen.next_bits(256)
-    gen.reseed(5)
-    assert gen.next_bits(256) == first
-
-
 def test_derive_seed_stable_and_separating():
     assert derive_seed("a", 1) == derive_seed("a", 1)
     assert derive_seed("a", 1) != derive_seed("a", 2)
@@ -362,9 +357,37 @@ def test_state_seeder_is_derive_seed_of_the_state(parts, width_value):
     assert state_seeder(width, *parts)(value) == expected
 
 
+# Parts whose text is plain ``str``: ints, labels that read as no other part,
+# and tuples of these.
+_PLAIN_PARTS = hs.recursive(
+    hs.integers() | hs.text(alphabet="gmxyz-_", min_size=1, max_size=6),
+    lambda inner: hs.lists(inner, max_size=3).map(tuple), max_leaves=4)
+
+
+@given(hs.lists(_PLAIN_PARTS, max_size=3), _WIDTH_VALUES, hs.integers(1, 600))
+@example([], (0, 0), 1)
+@example([7], (64, (1 << 64) - 1), 600)
+@example(["ggm", (1, "a")], (12, 0xABC), 257)
+@example([-3, ("x", (2,))], (1, 1), 599)
+@example([derive_seed("ggm-expand", 0)], (32, 0xDEADBEEF), 64)
+def test_state_stream_is_the_leading_shake_bits_of_the_state_text(parts, width_value, out_bits):
+    width, value = width_value
+    text = "\x1f".join([*map(str, parts), f"b{width}.{value}"])
+    got = state_stream(width, out_bits, *parts)(value)
+    assert got == BitString(out_bits, shake_leading_bits(text, out_bits))
+
+
+class _ReseededBmGenerator(BmGenerator):
+    """``BmGenerator`` plus a restart of its state from a seed, which only these
+    tests use."""
+
+    def reseed(self, seed):
+        self._x = derive_seed("bm-reseed", seed) % self.params.p
+
+
 def test_bm_generator_reseed_changes_stream():
     params = BmParams(23, 5, 3)
-    gen = BmGenerator(params)
+    gen = _ReseededBmGenerator(params)
     first = gen.next_bits(30)
     gen.reseed(3)
     second = gen.next_bits(30)

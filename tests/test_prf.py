@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
@@ -159,6 +161,23 @@ def test_ggm_oracle_matches_the_bitstring_twin_bit_for_bit(mode, in_bits, out_bi
     for x in xs:
         assert oracle.eval_int(x) == twin.eval_int(x), x
         assert oracle.bits_generated == twin.bits_generated
+
+
+def test_fast_stream_bits_are_balanced_over_every_state():
+    # Salt fixed before the first run. Over all 2^12 states each output bit
+    # position must be 1 within 4.5 binomial sigma of half the time: a shift
+    # that drops or pads bits pins a position to 0, and a twin that copied the
+    # helper would repeat it. The 20-bit finalizer drops 4 spare digest bits.
+    width, final_bits = 12, 20
+    oracle = GgmFunctionOracle(4, final_bits, BitString(width, 0), mode="fast",
+                               salt="balance")
+    states = range(1 << width)
+    slack = 4.5 * math.sqrt(len(states) / 4)
+    for stream, bits in ((oracle.key.expander, 2 * width), (oracle.key.finalizer, final_bits)):
+        values = [stream(s).value for s in states]
+        for pos in range(bits):
+            ones = sum(v >> pos & 1 for v in values)
+            assert abs(ones - len(states) / 2) <= slack, (bits, pos, ones)
 
 
 def test_bbs_moduli_are_built_once_per_round(monkeypatch):
