@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 __all__ = ["BitString", "Lanes", "LANE_BATCH", "lane_batches", "check_lane_width", "split_blocks",
@@ -103,65 +102,64 @@ class BitString:
         return BitString(self.width, self.value ^ ((1 << self.width) - 1))
 
 
-@lru_cache(maxsize=8)
-def _lane_masks(count: int) -> tuple[int, int]:  # 1, and 2^64 - 1, in every lane
-    ones = int.from_bytes((b"\x01" + bytes(15)) * count, "little")
-    return ones, ones * _M64
-
-
 @dataclass(slots=True)
 class Lanes:
     """``count`` unsigned 64-bit values in one int, lane t in bits [128t, 128t+64).
 
     ``^ | & << >> + *`` act on every lane at once and wrap it mod 2^64, as on numpy
     ``uint64`` arrays: the 64 spare bits above a lane take its carries and products
-    and are cleared after each step. An int operand, mod 2^64, fills every lane.
-    ``of`` looks up ``masks`` (1 and 2^64 - 1 in every lane) once, and every result
-    shares them, so a step pays no lookup.
+    and are cleared after each step. An int operand c fills every lane with c mod 2^64:
+    that spread is made on first use in a batch and kept in the ``spreads`` dict that
+    ``of`` starts and all results of the batch share, so it goes when the batch does.
     """
 
     value: int
     count: int
-    masks: tuple[int, int]
+    spreads: dict[int, int] = field(compare=False, repr=False)  # from 1 and -1, the lane mask
 
     @classmethod
     def of(cls, values: Iterable[int]) -> "Lanes":
         values = list(values)
         packed = struct.pack("<" + "Q8x" * len(values), *values)
-        return cls(int.from_bytes(packed, "little"), len(values), _lane_masks(len(values)))
+        ones = int.from_bytes((b"\x01" + bytes(15)) * len(values), "little")
+        return cls(int.from_bytes(packed, "little"), len(values), {1: ones, -1: ones * _M64})
 
     def tolist(self) -> list[int]:
         data = self.value.to_bytes(16 * self.count, "little")
         return list(struct.unpack(f"<{2 * self.count}Q", data)[::2])
 
     def _spread(self, other) -> int:
-        return other.value if other.__class__ is Lanes else (other & _M64) * self.masks[0]
+        if other.__class__ is Lanes:
+            return other.value
+        if other not in self.spreads:
+            self.spreads[other] = (other & _M64) * self.spreads[1]
+        return self.spreads[other]
 
     def __xor__(self, other) -> "Lanes":
-        return Lanes(self.value ^ self._spread(other), self.count, self.masks)
+        return Lanes(self.value ^ self._spread(other), self.count, self.spreads)
 
     def __or__(self, other) -> "Lanes":
-        return Lanes(self.value | self._spread(other), self.count, self.masks)
+        return Lanes(self.value | self._spread(other), self.count, self.spreads)
 
     def __and__(self, other) -> "Lanes":
-        return Lanes(self.value & self._spread(other), self.count, self.masks)
+        return Lanes(self.value & self._spread(other), self.count, self.spreads)
 
     def __add__(self, other) -> "Lanes":
-        return Lanes((self.value + self._spread(other)) & self.masks[1], self.count, self.masks)
+        return Lanes(self.value + self._spread(other) & self.spreads[-1], self.count, self.spreads)
 
     def __mul__(self, factor: int) -> "Lanes":
-        return Lanes(self.value * (factor & _M64) & self.masks[1], self.count, self.masks)
+        return Lanes(self.value * (factor & _M64) & self.spreads[-1], self.count, self.spreads)
 
     __rxor__, __ror__, __rand__, __radd__, __rmul__ = __xor__, __or__, __and__, __add__, __mul__
 
     def __lshift__(self, shift: int) -> "Lanes":
-        value = self.value << shift & self.masks[1] if shift < 64 else 0
-        return Lanes(value, self.count, self.masks)
+        value = self.value << shift & self.spreads[-1] if shift < 64 else 0
+        return Lanes(value, self.count, self.spreads)
 
     def __rshift__(self, shift: int) -> "Lanes":
         # Below 64, a neighbour's bits only reach the spare bits, which the mask clears.
-        value = self.value >> shift & self.masks[1] if shift < 64 else 0
-        return Lanes(value, self.count, self.masks)
+        value = self.value >> shift & self.spreads[-1] if shift < 64 else 0
+        return Lanes(value, self.count, self.spreads)
 
 
 # Trials per batch of the lane engines; bounds the memory that one batch holds.

@@ -17,7 +17,7 @@ from typing import Protocol
 from .bits import Lanes, check_lane_width, join_blocks, lane_batches
 from .feistel import UfnKind, UfnParams, UfnPermutation, ideal_ufn, splitmix_round_oracles
 from .prbg import FastBitGenerator, derive_seed
-from .prf import splitmix
+from .prf import splitmix, splitmix_stream
 from .stats import wilson_halfwidth
 
 __all__ = [
@@ -51,7 +51,7 @@ class IdealPermutationOracle:
     Lane t's i-th fresh query gets its i-th distinct candidate c_j = z(z(key, t+1), j+1)
     >> (64 - width), sampling without replacement; a repeated query replays its answer.
     A lane pass draws c_j for every lane and every lane keeps it, so a lane's answers do
-    not depend on its batch.
+    not depend on its batch. Answer j is pass j until some c_j ^ ((t+1) << 56) mod 2^64 repeats.
     """
 
     def __init__(self, width: int, key: int, trials: Lanes) -> None:
@@ -59,19 +59,24 @@ class IdealPermutationOracle:
             raise ValueError("width must be >= 1")
         check_lane_width(width)
         self.width = width
-        self._keys = splitmix(key, trials)
-        self._seen: list[dict[int, None]] = [{} for _ in range(trials.count)]
-        self._passes = 0
+        self._stream = splitmix_stream(splitmix(key, trials))
+        self._tags = trials << 56  # t+1 mod 256 in the top byte: distinct in a batch
+        self._tagged: set[int] = set()  # c_j ^ tag; a lane's repeat repeats it too
+        self._passes: list[Lanes] = []
         self._replies: dict[int, Lanes] = {}
         self.query_count = 0
 
     def distinct(self, m: int) -> list[Lanes]:
         """The answers to m fresh queries: each lane's first m distinct candidates."""
-        seen = self._seen
+        while len(self._passes) < m and len(self._tagged) == len(self._passes) * self._tags.count:
+            self._passes.append(next(self._stream) >> (64 - self.width))
+            self._tagged.update((self._passes[-1] ^ self._tags).tolist())
+        if len(self._tagged) == len(self._passes) * self._tags.count:  # no lane repeated
+            return self._passes[:m]
+        seen = [dict.fromkeys(lane) for lane in zip(*(p.tolist() for p in self._passes))]
         while min(map(len, seen)) < m:
-            self._passes += 1
-            candidates = splitmix(self._keys, self._passes) >> (64 - self.width)
-            for values, c in zip(seen, candidates.tolist()):
+            self._passes.append(next(self._stream) >> (64 - self.width))
+            for values, c in zip(seen, self._passes[-1].tolist()):
                 values[c] = None
         return [Lanes.of(column) for column in islice(zip(*seen), m)]
 

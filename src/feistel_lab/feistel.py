@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 from .bits import BitString, join_blocks, split_blocks
 from .prbg import FastBitGenerator, derive_seed
 from .prf import (FunctionOracle, GgmFunctionOracle, IdealFunctionOracle, SplitMixRound,
-                  split_master_key, splitmix)
+                  split_master_key, splitmix, splitmix_stream)
 
 __all__ = [
     "UfnKind",
@@ -227,9 +227,9 @@ def splitmix_round_oracles(params: UfnParams, master: int, trials) -> list[Split
     a numpy ``uint64`` array) holds t+1 for trial t. Trial t's key is T_t = z(master,
     t+1), round i's is K_i = z(T_t, i+1), and f_i(x) = z(K_i, x+1) >> (64 - out_bits),
     with z = ``prf.splitmix``: any split of the trials keys the same instances."""
-    trial_keys = splitmix(master, trials)
+    keys = splitmix_stream(splitmix(master, trials))
     in_bits, out_bits = params.round_in_bits, params.round_out_bits
-    return [SplitMixRound(in_bits, out_bits, splitmix(trial_keys, i + 1)) for i in range(params.r)]
+    return [SplitMixRound(in_bits, out_bits, next(keys)) for _ in range(params.r)]
 
 
 def ggm_round_oracles(

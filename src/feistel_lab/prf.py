@@ -36,6 +36,7 @@ __all__ = [
     "IdealFunctionOracle",
     "ideal_oracle",
     "splitmix",
+    "splitmix_stream",
     "SplitMixRound",
     "GgmKey",
     "ggm_walk_states",
@@ -122,30 +123,39 @@ def ideal_oracle(in_bits: int, out_bits: int, seed: object) -> IdealFunctionOrac
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-_MASK64 = (1 << 64) - 1
 
 
-def splitmix(s, j):
-    """z(s, j) = SplitMix64 finalizer of (s + j * gamma) mod 2^64, elementwise. At least
-    one of ``s`` and ``j`` is a numpy ``uint64`` array or a ``bits.Lanes``, whose arithmetic
-    wraps silently; an int multiple of gamma is reduced mod 2^64 before it meets them."""
-    z = s + ((j * _GAMMA) & _MASK64)
+def _mix(z):  # the SplitMix64 finalizer
     z = (z ^ (z >> 30)) * _MIX1
     z = (z ^ (z >> 27)) * _MIX2
     return z ^ (z >> 31)
 
 
+def splitmix(s, j):
+    """z(s, j) = mix((s + j * gamma) mod 2^64) elementwise, mix the SplitMix64 finalizer,
+    so z(s, j + 1) = z(s + gamma, j). ``j`` is a numpy ``uint64`` array or a ``bits.Lanes``,
+    whose products wrap mod 2^64, or an int against a ``Lanes`` s."""
+    return _mix(s + j * _GAMMA)
+
+
+def splitmix_stream(s):
+    """z(s, 1), z(s, 2), ...: SplitMix64's state s advances by gamma per output."""
+    while True:
+        s = s + _GAMMA
+        yield _mix(s)
+
+
 class SplitMixRound(FunctionOracle):
-    """Round x -> top ``out_bits`` bits of z(key, x + 1), on uint64 arrays or ``Lanes``;
-    ``key`` holds one round key per instance of a batch."""
+    """Round x -> top ``out_bits`` bits of z(key, x + 1) = z(key + gamma, x); it keeps
+    key + gamma, one round key per instance of a batch (uint64 array or ``Lanes``)."""
 
     def __init__(self, in_bits: int, out_bits: int, key) -> None:
         super().__init__(in_bits, out_bits)
-        self._key = key
+        self._base = key + _GAMMA
         self._shift = 64 - out_bits
 
     def eval_int(self, x):
-        return splitmix(self._key, x + 1) >> self._shift
+        return splitmix(self._base, x) >> self._shift
 
 
 @dataclass(frozen=True)

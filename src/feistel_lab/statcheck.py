@@ -149,20 +149,21 @@ def bad_event_counts(spec: BadEventSpec, seed: int, start: int, count: int) -> i
     master = derive_seed("bad-event-keys", seed)
     hits = 0
     for trials in lane_batches(start, count):
+        lanes = trials.count
         rounds = splitmix_round_oracles(params, master, trials)
-        seen: dict[int, list[Lanes]] = {rd: [] for rd in spec.rounds_watched}
+        seen = {rd: bytearray() for rd in spec.rounds_watched}
         for q in fixed or _uniform_queries(spec, seed, trials):
             blocks = split_blocks(q, params.n, params.block_count)
             for rd, f in enumerate(rounds, 1):
                 blocks = _forward(params, f, blocks)
                 if rd in seen:
-                    seen[rd].append(join_blocks(blocks[1:], params.n)
-                                    if spec.kind is UfnKind.SOURCE_HEAVY else blocks[-1])
-        hit = set()
-        for values in seen.values():
-            rows = zip(*(v.tolist() for v in values))
-            hit.update(t for t, row in enumerate(rows) if len(set(row)) < spec.m)
-        hits += len(hit)
+                    watched = (join_blocks(blocks[1:], params.n)
+                               if spec.kind is UfnKind.SOURCE_HEAVY else blocks[-1])
+                    packed = memoryview(watched.value.to_bytes(16 * lanes, "little")).cast("Q")
+                    seen[rd] += packed[::2].tobytes()  # each lane's 8 value bytes
+        # Query j of trial t is word j * lanes + t; any byte order keeps equality.
+        words = [memoryview(values).cast("Q") for values in seen.values()]
+        hits += sum(any(len(set(w[t::lanes])) < spec.m for w in words) for t in range(lanes))
     return hits
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as hs
 
-from feistel_lab.bits import BitString, Lanes, join_blocks, split_blocks
+from feistel_lab.bits import BitString, Lanes, join_blocks, lane_batches, split_blocks
 
 
 def test_xor_definition():
@@ -198,3 +198,45 @@ def test_lanes_act_on_each_lane_mod_2_64(xs, ys, c, shift):
     ]
     for got, expected in cases:
         assert got.tolist() == expected and got.count == len(xs)
+
+
+# Each Lanes operator with an int operand c, next to its per-lane scalar form.
+_INT_OPERATORS = [
+    (lambda a, c: a ^ c, lambda x, c: x ^ c),
+    (lambda a, c: c | a, lambda x, c: x | c),
+    (lambda a, c: a & c, lambda x, c: x & c),
+    (lambda a, c: c & a, lambda x, c: x & c),
+    (lambda a, c: a + c, lambda x, c: x + c),
+    (lambda a, c: c + a, lambda x, c: x + c),
+    (lambda a, c: a * c, lambda x, c: x * c),
+]
+
+
+def _check_int_operators(a, values, c):
+    for lane_op, scalar_op in _INT_OPERATORS:
+        got = lane_op(a, c)
+        assert got.tolist() == [scalar_op(x, c) & _M64 for x in values] and got.count == a.count
+
+
+@given(xs=hs.lists(_WORDS, min_size=1, max_size=9), ys=hs.lists(_WORDS, min_size=10, max_size=17),
+       c=hs.integers(-(1 << 70), 1 << 70))
+@example(xs=[_M64] * 9, ys=[0] * 10, c=-1)
+@example(xs=[3], ys=[_M64] * 17, c=(1 << 64) + 5)
+def test_int_operands_match_each_lane_across_batches_and_widths(xs, ys, c):
+    # One constant meets batches of two widths in turn, twice in each batch: a spread is
+    # made on its first use in a batch and read back after that, never across batches.
+    for values in (xs, ys, xs, ys):
+        batch = Lanes.of(values)
+        for _ in range(2):
+            _check_int_operators(batch, values, c)
+            _check_int_operators(batch ^ 1, [x ^ 1 for x in values], c)
+
+
+def test_int_operands_fit_the_short_last_batch():
+    # 2,000 trials end in a batch of 208 lanes; a spread kept from a 256-lane batch, or
+    # the other way round, would put the constant in too many or too few lanes.
+    batches = list(lane_batches(0, 2000))
+    assert [b.count for b in batches] == [256] * 7 + [208]
+    for c in (0x9E3779B97F4A7C15, -3, (1 << 64) + 7, 15):
+        for batch in batches + batches[::-1]:
+            _check_int_operators(batch, batch.tolist(), c)

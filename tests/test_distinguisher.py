@@ -6,6 +6,7 @@ from feistel_lab import bits
 from feistel_lab.bits import BitString, Lanes, split_blocks
 from feistel_lab.distinguisher import (
     GameReport,
+    IdealPermutationOracle,
     OracleMachine,
     advantage_counts,
     attack_leading_block,
@@ -108,6 +109,36 @@ def test_ideal_permutation_lanes_match_the_scalar_twin():
     for t, lane in enumerate(lanes):
         twin = ScalarIdealPermutation(width, splitmix_scalar(key, t + 1))
         assert lane == tuple(twin.query(x) for x in range(1 << width)), t
+
+
+@pytest.mark.parametrize("width, lanes, fresh", [(1, 40, 2), (2, 40, 4), (3, 40, 8), (64, 256, 6)])
+def test_distinct_returns_the_passes_until_a_lane_repeats(width, lanes, fresh):
+    # While no lane has drawn a candidate twice, answer j is pass j itself, so asking
+    # again hands back the same Lanes; from a lane's first repeat on, the answers are
+    # packed per lane, and they stay equal to the scalar twin throughout.
+    key = derive_seed("ideal-perm", width)
+    trials = Lanes.of(range(1, lanes + 1))
+    trial_keys = [splitmix_scalar(key, t + 1) for t in range(lanes)]
+    draws = [[splitmix_scalar(k, j) >> (64 - width) for j in range(1, fresh + 1)]
+             for k in trial_keys]
+    twins = [ScalarIdealPermutation(width, k) for k in trial_keys]
+    expected = list(zip(*([twin.query(x) for x in range(fresh)] for twin in twins)))
+    perm = IdealPermutationOracle(width, key, trials)
+    passes_returned = []
+    for m in range(1, fresh + 1):
+        answers = perm.distinct(m)
+        assert [tuple(a.tolist()) for a in answers] == expected[:m]
+        passes_returned.append(perm.distinct(m)[-1] is answers[-1])
+        assert passes_returned[-1] == all(len(set(lane[:m])) == m for lane in draws)
+    if width < 64:
+        assert not passes_returned[-1] and any(len(set(lane)) == fresh for lane in draws)
+    else:
+        assert all(passes_returned)
+    # Replays through query, in another order, against fresh twins.
+    perm = IdealPermutationOracle(width, key, trials)
+    twins = [ScalarIdealPermutation(width, k) for k in trial_keys]
+    for x in [fresh - 1, 0, fresh - 1, *range(fresh), 0]:
+        assert perm.query(x).tolist() == [twin.query(x) for twin in twins]
 
 
 def test_ideal_permutation_width_check():

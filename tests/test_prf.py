@@ -1,22 +1,26 @@
 import math
+from itertools import islice
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from feistel_lab import prbg, prf
-from feistel_lab.bits import BitString
+from feistel_lab.bits import BitString, Lanes
 from feistel_lab.feistel import UfnKind, UfnParams, ggm_ufn
 from feistel_lab.prf import (
     CallableOracle,
     GgmFunctionOracle,
     GgmKey,
+    SplitMixRound,
     ggm_eval,
     ggm_walk_states,
     ideal_oracle,
     split_master_key,
+    splitmix_stream,
 )
-from scalar_twins import BitStringGgmOracle, zero_oracle
+from scalar_twins import BitStringGgmOracle, splitmix_scalar, zero_oracle
 
 
 def test_ideal_oracle_memoizes():
@@ -235,3 +239,41 @@ def test_oracle_widths_validated():
         zero_oracle(0, 4)
     with pytest.raises(ValueError):
         GgmFunctionOracle(4, 4, BitString(0, 0))
+
+
+_GAMMA = 0x9E3779B97F4A7C15
+# Round keys; key + gamma wraps past 2^64 for all but the first and the fourth.
+_ROUND_KEYS = [0, (1 << 64) - _GAMMA, (1 << 64) - 1, 0x0123456789ABCDEF, _GAMMA]
+
+
+def _round_inputs(in_bits):
+    top = (1 << in_bits) - 1
+    if in_bits <= 8:
+        return list(range(top + 1))
+    return [0, 1, 2, top // 3, top - 1, top]
+
+
+@pytest.mark.parametrize("in_bits", [1, 3, 8, 32, 63, 64])
+@pytest.mark.parametrize("out_bits", [1, 16, 64])
+def test_splitmix_round_matches_the_scalar_twin(in_bits, out_bits):
+    # The round keeps key + gamma and adds x * gamma: z(key, x + 1) = z(key + gamma, x).
+    def twin(key, x):
+        return splitmix_scalar(key, x + 1) >> (64 - out_bits)
+
+    xs = _round_inputs(in_bits)
+    keys = [_ROUND_KEYS[i % len(_ROUND_KEYS)] for i in range(len(xs))]
+    expected = [twin(key, x) for key, x in zip(keys, xs)]
+    lanes = SplitMixRound(in_bits, out_bits, Lanes.of(keys))
+    assert lanes.eval_int(Lanes.of(xs)).tolist() == expected
+    arrays = SplitMixRound(in_bits, out_bits, np.array(keys, dtype=np.uint64))
+    assert arrays.eval_int(np.array(xs, dtype=np.uint64)).tolist() == expected
+    # A first round meets int blocks: one int x against every lane's key.
+    lanes = SplitMixRound(in_bits, out_bits, Lanes.of(_ROUND_KEYS))
+    for x in xs:
+        assert lanes.eval_int(x).tolist() == [twin(key, x) for key in _ROUND_KEYS]
+
+
+def test_splitmix_stream_matches_the_scalar_twin():
+    expected = [[splitmix_scalar(key, j) for key in _ROUND_KEYS] for j in range(1, 5)]
+    for start in (Lanes.of(_ROUND_KEYS), np.array(_ROUND_KEYS, dtype=np.uint64)):
+        assert [z.tolist() for z in islice(splitmix_stream(start), 4)] == expected
