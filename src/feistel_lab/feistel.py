@@ -1,17 +1,22 @@
 """Permutation structures built from round-function oracles.
 
-Four round shapes over a state of equal-width sub-blocks:
+Every structure is r rounds of one map on the joined w = (k+1)n-bit state
+x = L || R, where R is the low p1 bits of x and feeds the round function f:
 
-* ``balanced``: two blocks, round function n -> n.
-* ``source-heavy``: k+1 blocks, the k rightmost feed a kn -> n round
-  function whose output is XORed into the single left block.
-* ``target-heavy``: k+1 blocks, the rightmost feeds an n -> kn round
-  function whose output is cut into k slices, one per left block.
-* ``ufn2``: like target-heavy but with an n -> n round function whose single
-  output is XORed into every left block; this is the shape that widens an
-  n-bit block cipher to (k+1)n bits.
+    x -> R || (L xor E(f(R)))
 
-Every round is a bijection, so any composition encrypts and decrypts.
+(Schneier and Kelsey's unbalanced Feistel round). E spreads f's output over
+the w - p1 bits of L:
+
+    kind            p1    f           E
+    balanced        n     n -> n      identity (the k = 1 case)
+    source-heavy    kn    kn -> n     identity
+    target-heavy    n     n -> kn     identity
+    ufn2            n     n -> n      times the repunit sum_{i<k} 2^(in)
+
+ufn2 XORs the one n-bit output into each of the k left blocks; it is the
+shape that widens an n-bit block cipher to (k+1)n bits. Every round is a
+bijection, so any composition encrypts and decrypts.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from .bits import BitString, join_blocks, split_blocks
+from .bits import BitString, split_blocks
 from .prbg import FastBitGenerator, derive_seed
 from .prf import (FunctionOracle, GgmFunctionOracle, IdealFunctionOracle, SplitMixRound,
                   split_master_key, splitmix, splitmix_stream)
@@ -71,10 +76,6 @@ class UfnParams:
         return (self.k + 1) * self.n
 
     @property
-    def block_count(self) -> int:
-        return self.k + 1
-
-    @property
     def round_in_bits(self) -> int:
         return self.k * self.n if self.kind is UfnKind.SOURCE_HEAVY else self.n
 
@@ -83,57 +84,30 @@ class UfnParams:
         return self.k * self.n if self.kind is UfnKind.TARGET_HEAVY else self.n
 
 
-def _forward(params: UfnParams, f: FunctionOracle, blocks: tuple[int, ...]) -> tuple[int, ...]:
-    """One round on the block values, leftmost block first.
-
-    * balanced: (L, R) -> (R, L xor f(R));
-    * source-heavy: (L, R_1..R_k) -> (R_1..R_k, L xor f(R_1 || ... || R_k));
-    * target-heavy: (L_1..L_k, R) -> (R, L_1 xor C_1, ..., L_k xor C_k), where
-      C_i is the i-th n-bit slice of f(R), leftmost first;
-    * ufn2: (L_1..L_k, R) -> (R, L_1 xor f(R), ..., L_k xor f(R)).
-    """
-    n, k = params.n, params.k
-    kind = params.kind
-    if kind is UfnKind.SOURCE_HEAVY:
-        acc = 0
-        for b in blocks[1:]:
-            acc = (acc << n) | b
-        return blocks[1:] + (blocks[0] ^ f.eval_int(acc),)
-    if kind is UfnKind.TARGET_HEAVY:
-        image = f.eval_int(blocks[-1])
-        mask = (1 << n) - 1
-        out = [blocks[-1]]
-        for i in range(k):
-            out.append(blocks[i] ^ ((image >> ((k - 1 - i) * n)) & mask))
-        return tuple(out)
-    if kind is UfnKind.UFN2:
-        image = f.eval_int(blocks[-1])
-        return (blocks[-1],) + tuple(b ^ image for b in blocks[:-1])
-    left, right = blocks
-    return (right, left ^ f.eval_int(right))
+def _image(params: UfnParams, f: FunctionOracle, right):
+    """E(f(R)): the identity, except for ufn2, whose E copies the n-bit output into
+    each of the k left blocks as a multiply by the repunit sum_{i<k} 2^(in)."""
+    image = f.eval_int(right)
+    if params.kind is UfnKind.UFN2:
+        return image * (((1 << params.k * params.n) - 1) // ((1 << params.n) - 1))
+    return image
 
 
-def _inverse(params: UfnParams, f: FunctionOracle, blocks: tuple[int, ...]) -> tuple[int, ...]:
-    n, k = params.n, params.k
-    kind = params.kind
-    if kind is UfnKind.SOURCE_HEAVY:
-        acc = 0
-        for b in blocks[:-1]:
-            acc = (acc << n) | b
-        return (blocks[-1] ^ f.eval_int(acc),) + blocks[:-1]
-    if kind is UfnKind.TARGET_HEAVY:
-        image = f.eval_int(blocks[0])
-        mask = (1 << n) - 1
-        out = []
-        for i in range(k):
-            out.append(blocks[i + 1] ^ ((image >> ((k - 1 - i) * n)) & mask))
-        out.append(blocks[0])
-        return tuple(out)
-    if kind is UfnKind.UFN2:
-        image = f.eval_int(blocks[0])
-        return tuple(b ^ image for b in blocks[1:]) + (blocks[0],)
-    left, right = blocks
-    return (right ^ f.eval_int(left), left)
+def _forward(params: UfnParams, f: FunctionOracle, x):
+    """One round on the joined state x = L || R, R its low p1 = ``round_in_bits`` bits:
+    x -> R || (L xor E(f(R))). ``x`` may be an int, a ``bits.Lanes`` or a numpy
+    ``uint64`` array."""
+    p1 = params.round_in_bits
+    right = x & ((1 << p1) - 1)
+    return (right << (params.state_bits - p1)) | ((x >> p1) ^ _image(params, f, right))
+
+
+def _inverse(params: UfnParams, f: FunctionOracle, y):
+    """The inverse round: R || L' -> (L' xor E(f(R))) || R."""
+    p1 = params.round_in_bits
+    q = params.state_bits - p1
+    right = y >> q
+    return (((y & ((1 << q) - 1)) ^ _image(params, f, right)) << p1) | right
 
 
 class UfnPermutation:
@@ -159,20 +133,20 @@ class UfnPermutation:
         self.width = params.state_bits
         self.query_count = 0
 
-    def _blocks(self, x: int) -> tuple[int, ...]:
+    def _state(self, x: int) -> int:
         if not 0 <= x < 1 << self.width:
             raise ValueError(f"state {x} does not fit in {self.width} bits")
-        return split_blocks(x, self.params.n, self.params.block_count)
+        return x
 
-    def _through(self, step, rounds, x: int) -> int:
+    def _through(self, step, rounds, x: int):
         """The round loop of ``encrypt``, ``decrypt`` and ``query``. ``step`` is
         ``_forward`` or ``_inverse``, read from the module at each call so
         that a rebound step is the one used."""
+        x = self._state(x)
         params = self.params
-        blocks = self._blocks(x)
         for f in rounds:
-            blocks = step(params, f, blocks)
-        return join_blocks(blocks, params.n)
+            x = step(params, f, x)
+        return x
 
     def _value(self, x: BitString) -> int:
         if x.width != self.width:
@@ -196,12 +170,10 @@ class UfnPermutation:
     def trace_states(self, x: int) -> list[tuple[int, ...]]:
         """Block tuples of the int state ``x`` before round 1 and after each
         round (r+1 entries)."""
-        blocks = self._blocks(x)
-        states = [blocks]
+        states = [self._state(x)]
         for f in self.rounds:
-            blocks = _forward(self.params, f, blocks)
-            states.append(blocks)
-        return states
+            states.append(_forward(self.params, f, states[-1]))
+        return [split_blocks(state, self.params.n, self.params.k + 1) for state in states]
 
 
 def ideal_round_oracles(params: UfnParams, seed: object) -> list[IdealFunctionOracle]:

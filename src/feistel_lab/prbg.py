@@ -12,6 +12,7 @@ import hashlib
 import math
 import random
 import re
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -62,8 +63,21 @@ def _label(text: str) -> str:
 
 
 def _bits_head(width: int) -> str:
-    """The text of a ``width``-bit string up to its value."""
+    """The text of a ``width``-bit string up to its value. The value follows in
+    decimal, so a width with values past Python's int-to-str digit limit
+    (``sys.get_int_max_str_digits()``, 0 for none) is refused here, before any
+    of its text is written."""
+    digits = sys.get_int_max_str_digits()
+    if digits and width > _widest_decimal(digits):
+        raise ValueError(f"a {width}-bit key is too wide to hash as decimal text; "
+                         f"the widest key is {_widest_decimal(digits)} bits")
     return f"b{width}."
+
+
+@functools.cache
+def _widest_decimal(digits: int) -> int:
+    """The widest bit string whose values all have at most ``digits`` decimal digits."""
+    return (10 ** digits).bit_length() - 1
 
 
 def _canonical(part: object) -> str:

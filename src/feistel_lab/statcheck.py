@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bits import Lanes, check_lane_width, join_blocks, lane_batches, split_blocks
+from .bits import Lanes, check_lane_width, lane_batches
 from .distinguisher import IdealPermutationOracle
 from .feistel import UfnKind, UfnParams, _forward, splitmix_round_oracles
 from .prbg import derive_seed
@@ -44,11 +44,7 @@ _UNIFORMITY_BATCH = 1 << 16
 
 def secure_rounds(kind: UfnKind, k: int) -> int:
     """Minimal round count at which each structure stops being attackable."""
-    if kind is UfnKind.BALANCED:
-        return 3
-    if kind in (UfnKind.SOURCE_HEAVY, UfnKind.TARGET_HEAVY):
-        return k + 2
-    return 2 * k + 1
+    return 2 * k + 1 if kind is UfnKind.UFN2 else k + 2
 
 
 def watched_rounds(kind: UfnKind, k: int) -> tuple[int, ...]:
@@ -142,9 +138,11 @@ def bad_event_counts(spec: BadEventSpec, seed: int, start: int, count: int) -> i
     Each batch of ``bits.lane_batches`` goes through ``feistel._forward`` a round at a
     time, its rounds keyed by ``feistel.splitmix_round_oracles`` from
     S = ``derive_seed("bad-event-keys", seed)``. A trial hits when two of its m queries
-    agree at a watched round: on the last k blocks for source-heavy, else the last.
+    agree at a watched round on the watched value x & (2^p1 - 1): the low
+    p1 = ``round_in_bits`` bits of the state, the next round's function input.
     """
     params = spec.params
+    mask = (1 << params.round_in_bits) - 1
     fixed = _adversarial_queries(spec) if spec.shaping == "adversarial" else None
     master = derive_seed("bad-event-keys", seed)
     hits = 0
@@ -152,14 +150,11 @@ def bad_event_counts(spec: BadEventSpec, seed: int, start: int, count: int) -> i
         lanes = trials.count
         rounds = splitmix_round_oracles(params, master, trials)
         seen = {rd: bytearray() for rd in spec.rounds_watched}
-        for q in fixed or _uniform_queries(spec, seed, trials):
-            blocks = split_blocks(q, params.n, params.block_count)
+        for x in fixed or _uniform_queries(spec, seed, trials):
             for rd, f in enumerate(rounds, 1):
-                blocks = _forward(params, f, blocks)
+                x = _forward(params, f, x)
                 if rd in seen:
-                    watched = (join_blocks(blocks[1:], params.n)
-                               if spec.kind is UfnKind.SOURCE_HEAVY else blocks[-1])
-                    packed = memoryview(watched.value.to_bytes(16 * lanes, "little")).cast("Q")
+                    packed = memoryview((x & mask).value.to_bytes(16 * lanes, "little")).cast("Q")
                     seen[rd] += packed[::2].tobytes()  # each lane's 8 value bytes
         # Query j of trial t is word j * lanes + t; any byte order keeps equality.
         words = [memoryview(values).cast("Q") for values in seen.values()]
@@ -303,11 +298,10 @@ def uniformity_counts(params: UfnParams, seed: object, start: int, count: int) -
     for lo in range(start, end, _UNIFORMITY_BATCH):
         hi = min(lo + _UNIFORMITY_BATCH, end)
         trials = np.arange(lo + 1, hi + 1, dtype=np.uint64)
-        blocks = (np.zeros(hi - lo, dtype=np.uint64),) * params.block_count
+        x = np.zeros(hi - lo, dtype=np.uint64)
         for f in splitmix_round_oracles(params, master, trials):
-            blocks = _forward(params, f, blocks)
-        outputs = join_blocks(blocks, params.n).astype(np.intp)
-        bins += np.bincount(outputs, minlength=bins.size)
+            x = _forward(params, f, x)
+        bins += np.bincount(x.astype(np.intp), minlength=bins.size)
     return bins.tolist()
 
 

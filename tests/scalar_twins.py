@@ -1,16 +1,71 @@
-"""Reference twins of the fast paths: the lane engines with the same counter keying,
-one int at a time, the tree walk on ``BitString`` states with each step's stream
-built from scratch, and ``statcheck.Gf2Matrix`` as nested lists."""
+"""Reference twins of the fast paths: the rounds per kind on block tuples, the lane
+engines with the same counter keying, one int at a time, the tree walk on ``BitString``
+states with each step's stream built from scratch, and ``statcheck.Gf2Matrix`` as
+nested lists."""
 
 import hashlib
 
 from feistel_lab.bits import BitString
-from feistel_lab.feistel import UfnPermutation
+from feistel_lab.feistel import UfnKind, UfnPermutation
 from feistel_lab.prbg import BbsGenerator, derive_seed, generate_bbs_params
 from feistel_lab.prf import CallableOracle
 from feistel_lab.statcheck import Gf2Matrix
 
 _M64 = (1 << 64) - 1
+
+
+def forward_blocks(params, f, blocks):
+    """One round on the block values, leftmost block first, one rule per kind:
+
+    * balanced: (L, R) -> (R, L xor f(R));
+    * source-heavy: (L, R_1..R_k) -> (R_1..R_k, L xor f(R_1 || ... || R_k));
+    * target-heavy: (L_1..L_k, R) -> (R, L_1 xor C_1, ..., L_k xor C_k), where
+      C_i is the i-th n-bit slice of f(R), leftmost first;
+    * ufn2: (L_1..L_k, R) -> (R, L_1 xor f(R), ..., L_k xor f(R)).
+    """
+    n, k = params.n, params.k
+    kind = params.kind
+    if kind is UfnKind.SOURCE_HEAVY:
+        acc = 0
+        for b in blocks[1:]:
+            acc = (acc << n) | b
+        return blocks[1:] + (blocks[0] ^ f.eval_int(acc),)
+    if kind is UfnKind.TARGET_HEAVY:
+        image = f.eval_int(blocks[-1])
+        mask = (1 << n) - 1
+        out = [blocks[-1]]
+        for i in range(k):
+            out.append(blocks[i] ^ ((image >> ((k - 1 - i) * n)) & mask))
+        return tuple(out)
+    if kind is UfnKind.UFN2:
+        image = f.eval_int(blocks[-1])
+        return (blocks[-1],) + tuple(b ^ image for b in blocks[:-1])
+    left, right = blocks
+    return (right, left ^ f.eval_int(right))
+
+
+def inverse_blocks(params, f, blocks):
+    """The inverse of ``forward_blocks``."""
+    n, k = params.n, params.k
+    kind = params.kind
+    if kind is UfnKind.SOURCE_HEAVY:
+        acc = 0
+        for b in blocks[:-1]:
+            acc = (acc << n) | b
+        return (blocks[-1] ^ f.eval_int(acc),) + blocks[:-1]
+    if kind is UfnKind.TARGET_HEAVY:
+        image = f.eval_int(blocks[0])
+        mask = (1 << n) - 1
+        out = []
+        for i in range(k):
+            out.append(blocks[i + 1] ^ ((image >> ((k - 1 - i) * n)) & mask))
+        out.append(blocks[0])
+        return tuple(out)
+    if kind is UfnKind.UFN2:
+        image = f.eval_int(blocks[0])
+        return tuple(b ^ image for b in blocks[1:]) + (blocks[0],)
+    left, right = blocks
+    return (right ^ f.eval_int(left), left)
 
 
 def splitmix_scalar(s, j):

@@ -124,6 +124,64 @@ def test_encrypt_usage_errors(capsys):
     assert code == 1
 
 
+# The widest bit string whose values Python writes within its default limit of 4,300
+# decimal digits: 2^14284 - 1 has 4,300 digits and 2^14285 - 1 has 4,301.
+_WIDEST_KEY = 14284
+
+
+def _too_wide(width):
+    return (f"error: a {width}-bit key is too wide to hash as decimal text; "
+            f"the widest key is {_WIDEST_KEY} bits\n")
+
+
+@pytest.fixture
+def default_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("expander", ["fast", "bbs"])
+@pytest.mark.parametrize("width", [_WIDEST_KEY, _WIDEST_KEY + 1])
+def test_tree_walk_refuses_round_keys_too_wide_for_decimal_text(capsys, default_digit_limit,
+                                                                expander, width):
+    # Four rounds cut the 4 * width-bit key into round keys of width bits each.
+    base = ["--kind", "balanced", "--n", "2", "--k", "1", "--rounds", "4",
+            "--key", "F" * width, "--expander", expander]
+    for block in ("4:0", "4:5", "4:A")[:1 if expander == "bbs" else 3]:
+        code, out, err = run_cli(capsys, "encrypt", *base, "--in", block)
+        if width > _WIDEST_KEY:
+            assert (code, out, err) == (1, "", _too_wide(width))
+            continue
+        assert code == 0 and err == ""
+        code, out, _ = run_cli(capsys, "decrypt", *base, "--in", out.strip())
+        assert code == 0 and out.strip() == block
+
+
+@pytest.mark.parametrize("digits", [_WIDEST_KEY // 4, _WIDEST_KEY // 4 + 1])
+def test_ideal_prf_refuses_keys_too_wide_for_decimal_text(capsys, default_digit_limit, digits):
+    # The ideal rounds hash the whole key: 3,571 hex digits are 14,284 bits.
+    base = ["--kind", "balanced", "--n", "2", "--k", "1", "--rounds", "1",
+            "--key", "F" * digits, "--prf", "ideal"]
+    code, out, err = run_cli(capsys, "encrypt", *base, "--in", "4:A")
+    if 4 * digits > _WIDEST_KEY:
+        assert (code, out, err) == (1, "", _too_wide(4 * digits))
+    else:
+        assert code == 0 and out.startswith("4:") and err == ""
+
+
+@pytest.mark.parametrize("width", [_WIDEST_KEY, _WIDEST_KEY + 1])
+def test_bench_refuses_round_keys_too_wide_for_decimal_text(capsys, default_digit_limit, width):
+    # At n=2, k=1 every structure runs three rounds, so each round key is ell / 3 bits.
+    code, out, err = run_cli(capsys, "bench", "--mode", "ggm", "--n", "2", "--k", "1",
+                             "--workload", "1", "--ell", str(3 * width), "--seed", "1")
+    if width > _WIDEST_KEY:
+        assert (code, out, err) == (1, "", _too_wide(width))
+    else:
+        assert code == 0 and json.loads(out)["ell"] == 3 * width
+
+
 def test_unknown_flag_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "matrix", "--k", "3", "--frobnicate")
     assert code == 1

@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from feistel_lab import feistel, prbg
-from feistel_lab.bits import BitString, join_blocks, split_blocks
+from feistel_lab.bits import BitString, Lanes, join_blocks, split_blocks
 from feistel_lab.feistel import (
     UfnKind,
     UfnParams,
@@ -13,8 +14,8 @@ from feistel_lab.feistel import (
     ideal_round_oracles,
     ideal_ufn,
 )
-from feistel_lab.prf import CallableOracle, ideal_oracle
-from scalar_twins import zero_oracle
+from feistel_lab.prf import CallableOracle, SplitMixRound, ideal_oracle
+from scalar_twins import forward_blocks, inverse_blocks, splitmix_scalar, zero_oracle
 
 B = BitString
 
@@ -125,6 +126,57 @@ def test_ufn2_even_k_conservation_exhaustive():
             sx = (v >> 4) ^ ((v >> 2) & 3) ^ (v & 3)
             sy = (y.value >> 4) ^ ((y.value >> 2) & 3) ^ (y.value & 3)
             assert sx == sy
+
+
+_M64 = (1 << 64) - 1
+
+
+@hs.composite
+def _round_cases(draw):
+    """A kind with n and k such that (k+1)n <= 64, an operand type, and per operand
+    element a state and a round key."""
+    kind = draw(hs.sampled_from(list(UfnKind)))
+    k = 1 if kind is UfnKind.BALANCED else draw(hs.integers(1, 63))
+    n = draw(hs.integers(1, 64 // (k + 1)))
+    operand = draw(hs.sampled_from(["int", "lanes", "numpy"]))
+    count = 1 if operand == "int" else draw(hs.integers(1, 256))
+    params = UfnParams(kind, n, k, 1)
+    states = hs.integers(0, (1 << params.state_bits) - 1)
+    xs = draw(hs.lists(states, min_size=count, max_size=count))
+    keys = draw(hs.lists(hs.integers(0, _M64), min_size=count, max_size=count))
+    return params, operand, xs, keys
+
+
+def _round_operands(params, operand, xs, keys):
+    """The states ``xs`` as one operand, a round function keyed elementwise by
+    ``keys``, and the operand's values as a list."""
+    in_bits, out_bits = params.round_in_bits, params.round_out_bits
+    if operand == "int":
+        f = CallableOracle(in_bits, out_bits,
+                           lambda x: splitmix_scalar(keys[0], x + 1) >> (64 - out_bits))
+        return xs[0], f, lambda v: [v]
+    pack = Lanes.of if operand == "lanes" else (lambda v: np.array(v, dtype=np.uint64))
+    return pack(xs), SplitMixRound(in_bits, out_bits, pack(keys)), lambda v: v.tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_round_cases())
+@example(case=(UfnParams(UfnKind.SOURCE_HEAVY, 1, 63, 1), "lanes", [_M64] * 256, [_M64] * 256))
+@example(case=(UfnParams(UfnKind.TARGET_HEAVY, 32, 1, 1), "numpy", [_M64, 0], [0, _M64]))
+@example(case=(UfnParams(UfnKind.UFN2, 16, 3, 1), "int", [_M64 - 5], [7]))
+@example(case=(UfnParams(UfnKind.UFN2, 2, 31, 1), "lanes", [1, 2, 3], [4, 5, 6]))
+def test_round_map_matches_the_block_twin(case):
+    """One map on the joined state equals the per-kind block rounds of
+    ``scalar_twins``, forwards and back, on ints, ``Lanes`` and uint64 arrays."""
+    params, operand, xs, keys = case
+    n, count = params.n, params.k + 1
+    x, f, values = _round_operands(params, operand, xs, keys)
+    y = feistel._forward(params, f, x)
+    back = feistel._inverse(params, f, y)
+    assert values(y) == values(join_blocks(forward_blocks(params, f, split_blocks(x, n, count)), n))
+    assert values(back) == xs
+    twin_back = inverse_blocks(params, f, split_blocks(y, n, count))
+    assert values(back) == values(join_blocks(twin_back, n))
 
 
 def test_zero_function_rotation_composes():

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import example, given
@@ -283,6 +284,28 @@ def test_fast_generator_ones_frequency():
     bits = FastBitGenerator(123).next_bits(1_000_000)
     ones = bin(bits.value).count("1")
     assert 0.49 <= ones / 1_000_000 <= 0.51
+
+
+def test_bit_string_seeds_refuse_widths_past_the_digit_limit():
+    """A width whose values could need more decimal digits than
+    ``sys.get_int_max_str_digits()`` allows is refused, whatever its value; 0 lifts it."""
+    limit = sys.get_int_max_str_digits()
+    try:
+        for digits, widest in ((4300, 14284), (640, 2126)):
+            sys.set_int_max_str_digits(digits)
+            for value in (0, 1, (1 << widest) - 1):
+                derive_seed(BitString(widest, value))
+                with pytest.raises(ValueError, match=f"widest key is {widest} bits"):
+                    derive_seed(BitString(widest + 1, value))
+                with pytest.raises(ValueError, match=f"widest key is {widest} bits"):
+                    state_seeder(widest + 1, "salt")
+                with pytest.raises(ValueError, match=f"widest key is {widest} bits"):
+                    state_stream(widest + 1, 8, "salt")
+        sys.set_int_max_str_digits(0)
+        assert derive_seed(BitString(20000, (1 << 20000) - 1)) == derive_seed(
+            BitString(20000, (1 << 20000) - 1))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_derive_seed_stable_and_separating():
