@@ -135,15 +135,20 @@ def state_seeder(width: int, *parts: object) -> Callable[[int], int]:
 def state_stream(width: int, out_bits: int, *parts: object) -> Callable[[int], BitString]:
     """``value ->`` the leading ``out_bits`` bits (big-endian) of SHAKE-256 (NIST
     FIPS 202) over the text ``derive_seed(*parts, BitString(width, value))``
-    hashes, with the text before the value absorbed once: one digest per
-    tree-walk step, and no generator state between steps."""
+    hashes up to ``value``, absorbed once, followed by ``value`` as
+    ``ceil(width / 8)`` big-endian bytes: one digest per tree-walk step, and no
+    generator state between steps. The head ends in ``b<width>.``, which fixes
+    the byte count, so under the same parts distinct widths and values give
+    distinct messages. Unlike decimal text, the bytes cost time linear in
+    ``width``."""
     head = hashlib.shake_256(_state_head(width, parts))
+    value_bytes = -(-width // 8)
     size = -(-out_bits // 8)
     spare = 8 * size - out_bits
 
     def stream(value: int) -> BitString:
         h = head.copy()
-        h.update(str(value).encode())
+        h.update(value.to_bytes(value_bytes, "big"))
         return BitString(out_bits, int.from_bytes(h.digest(size), "big") >> spare)
 
     return stream

@@ -176,16 +176,18 @@ class GgmKey:
 def ggm_walk_states(key: GgmKey, x: BitString) -> list[int]:
     """States of the tree walk over the bits of ``x``, initial state first."""
     width = key.key.width
+    doubled_width = 2 * width
     mask = (1 << width) - 1
+    expander, path = key.expander, x.value
     state = key.key.value
     states = [state]
     for shift in range(x.width - 1, -1, -1):
-        doubled = key.expander(state)
-        if doubled.width != 2 * width:
+        doubled = expander(state)
+        if doubled.width != doubled_width:
             raise ValueError(
-                f"expander produced {doubled.width} bits; expected {2 * width}"
+                f"expander produced {doubled.width} bits; expected {doubled_width}"
             )
-        state = doubled.value & mask if x.value >> shift & 1 else doubled.value >> width
+        state = doubled.value & mask if path >> shift & 1 else doubled.value >> width
         states.append(state)
     return states
 
@@ -269,12 +271,13 @@ class GgmFunctionOracle(FunctionOracle):
         if mode not in _STREAM_GENERATORS:
             raise ValueError(f"unknown mode {mode!r}; expected one of {sorted(_STREAM_GENERATORS)}")
         new_stream = _STREAM_GENERATORS[mode]
-        expand_raw = new_stream(2 * key.width, derive_seed("ggm-expand", salt), key.width)
+        doubled_width = 2 * key.width
+        expand_raw = new_stream(doubled_width, derive_seed("ggm-expand", salt), key.width)
         final_raw = new_stream(out_bits, derive_seed("ggm-final", salt), key.width)
         self.bits_generated = 0
 
         def expander(state: int) -> BitString:
-            self.bits_generated += 2 * key.width
+            self.bits_generated += doubled_width
             return expand_raw(state)
 
         def finalizer(state: int) -> BitString:

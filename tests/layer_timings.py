@@ -1,7 +1,7 @@
 """Layer timings (ROADMAP layers L0 and L1) of one or more source trees, written as JSON.
 
     python tests/layer_timings.py --tree parent=/path/to/parent/src --tree change=src \
-        --out BENCH_layers_pr16.json
+        --out BENCH_layers_pr17.json
 
 Each tree runs in its own interpreter, the trees in alternating order, ``--passes``
 times. Every item is timed with ``timeit`` after a warm-up call: per pass, the
@@ -10,8 +10,9 @@ median over passes, in microseconds per call. pytest does not collect this file.
 
 Items: one round ``feistel._forward`` per kind on an int, on 256-lane ``bits.Lanes``
 and on a 2,000-element numpy ``uint64`` array; one ``encrypt`` per kind at its
-secure round count; ``prbg.derive_seed``; one ``prbg.state_stream`` step; one
-SplitMix64 pass at 1 and 256 lanes. A tree whose rounds take block tuples
+secure round count; ``prbg.derive_seed``; one ``prbg.state_stream`` expander step
+on a state of 128, 1,280 and 14,284 bits (the widest round key); one SplitMix64 pass
+at 1 and 256 lanes. A tree whose rounds take block tuples
 (``UfnParams.block_count`` exists) gets its round input as a block tuple, so its
 round numbers leave out the split at entry and the join at exit.
 """
@@ -81,8 +82,10 @@ def measure() -> dict[str, float]:
         block = BitString(perm.width, 0x0123456789ABCDEF)
         out[f"encrypt.{kind.value}"] = _time(lambda: perm.encrypt(block), 5000)
     out["derive_seed"] = _time(lambda: derive_seed("ideal-ufn", 123456789), 20000)
-    step = state_stream(128, 256, derive_seed("ggm-expand", 0))
-    out["state_stream.step"] = _time(lambda: step(0x0123456789ABCDEF0123456789ABCDEF), 20000)
+    for width, number in ((128, 20000), (1280, 5000), (14284, 500)):
+        step = state_stream(width, 2 * width, derive_seed("ggm-expand", 0))
+        state = (1 << width) // 3
+        out[f"state_stream.step{width}"] = _time(lambda: step(state), number)
     for lanes in (1, 256):
         keys = Lanes.of(range(1, lanes + 1))
         out[f"splitmix.lanes{lanes}"] = _time(lambda: splitmix(12345, keys), 2000)

@@ -120,17 +120,25 @@ def zero_oracle(in_bits, out_bits):
     return CallableOracle(in_bits, out_bits, lambda _x: 0)
 
 
-def shake_leading_bits(text, out_bits):
-    """The first ``out_bits`` bits of SHAKE-256 of ``text``, read off the digest's
-    binary digits, most significant bit of the first byte first."""
-    digest = hashlib.shake_256(text.encode()).digest((out_bits + 7) // 8)
+def shake_leading_bits(message, out_bits):
+    """The first ``out_bits`` bits of SHAKE-256 of the bytes ``message``, read off the
+    digest's binary digits, most significant bit of the first byte first."""
+    digest = hashlib.shake_256(message).digest((out_bits + 7) // 8)
     digits = "".join(f"{byte:08b}" for byte in digest)[:out_bits]
     return int(digits, 2) if digits else 0
 
 
+def state_bytes(width, value):
+    """``value`` as the whole bytes that hold ``width`` bits, most significant byte
+    first, read off its zero-padded hex digits."""
+    size = (width + 7) // 8
+    return bytes.fromhex(f"{value:0{2 * size}x}") if size else b""
+
+
 def _fresh_fast_stream(out_bits, salt):
     return lambda state: BitString(out_bits, shake_leading_bits(
-        f"{salt}\x1fb{state.width}.{state.value}", out_bits))
+        f"{salt}\x1fb{state.width}.".encode() + state_bytes(state.width, state.value),
+        out_bits))
 
 
 def _fresh_bbs_stream(out_bits, salt):
@@ -146,7 +154,7 @@ def _fresh_bbs_stream(out_bits, salt):
 
 class BitStringGgmOracle:
     """Reference ``prf.GgmFunctionOracle``: the walk holds ``BitString`` states,
-    each step hashes its full text from scratch (``fast``) or seeds a fresh generator
+    each step hashes its full message from scratch (``fast``) or seeds a fresh generator
     from ``derive_seed(salt, state)`` (``bbs``) and splits the output, and every
     oracle draws its own Blum moduli."""
 

@@ -23,7 +23,7 @@ from feistel_lab.prbg import (
     state_stream,
 )
 from feistel_lab.prbg import _random_bases, _strong_probable_prime
-from scalar_twins import shake_leading_bits
+from scalar_twins import shake_leading_bits, state_bytes
 
 
 def _sieve_primes(limit):
@@ -393,11 +393,18 @@ _PLAIN_PARTS = hs.recursive(
 @example(["ggm", (1, "a")], (12, 0xABC), 257)
 @example([-3, ("x", (2,))], (1, 1), 599)
 @example([derive_seed("ggm-expand", 0)], (32, 0xDEADBEEF), 64)
-def test_state_stream_is_the_leading_shake_bits_of_the_state_text(parts, width_value, out_bits):
+@example([5], (7, 0x55), 14)
+@example([5], (8, 0x80), 16)
+@example([5], (9, 0x1FE), 18)
+@example([derive_seed("ggm-expand", 0)], (14284, (1 << 14284) // 3), 2 * 14284)
+def test_state_stream_is_the_leading_shake_bits_of_the_state_bytes(parts, width_value, out_bits):
+    # The head is the text derive_seed writes up to the value; the value follows
+    # as the ceil(width / 8) bytes that hold it, most significant first.
     width, value = width_value
-    text = "\x1f".join([*map(str, parts), f"b{width}.{value}"])
+    head = "\x1f".join([*map(str, parts), f"b{width}."]).encode()
     got = state_stream(width, out_bits, *parts)(value)
-    assert got == BitString(out_bits, shake_leading_bits(text, out_bits))
+    assert got == BitString(out_bits, shake_leading_bits(head + state_bytes(width, value),
+                                                         out_bits))
 
 
 class _ReseededBmGenerator(BmGenerator):
