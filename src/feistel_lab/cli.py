@@ -15,8 +15,10 @@ import argparse
 import functools
 import json
 import os
+import pickle
+import signal
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401  perfbench.tracing patches this name
 
 from .bench import BenchConfig, report_csv, run_bench
 from .bits import BitString, check_lane_width
@@ -120,36 +122,70 @@ def _run_chunked(worker, args: tuple, trials: int, jobs: int, combine):
 
     Per-trial seeds are derived from absolute indices, so the aggregate does
     not depend on the chunking. More processes than CPUs would only add
-    start-up cost, so ``jobs`` is capped at the CPU count.
+    start-up cost, so ``jobs`` is capped at the CPU count, and at 1 where
+    ``os`` cannot fork. The parent runs chunk 0 and forks one child per
+    further chunk; the children inherit ``args``, so nothing is pickled on
+    the way in.
     """
-    jobs = min(jobs, trials, os.cpu_count() or 1)
+    jobs = min(jobs, trials, os.cpu_count() or 1, jobs if hasattr(os, "fork") else 1)
     if jobs == 1:
         return combine([worker(*args, 0, trials)])
     # An empty range raises configuration errors before any worker starts.
     worker(*args, 0, 0)
     bounds = [trials * i // jobs for i in range(jobs + 1)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(worker, *args, start, end - start)
-                   for start, end in zip(bounds, bounds[1:])]
-        return combine([f.result() for f in futures])
+    children = []
+    try:
+        for start, end in zip(bounds[1:-1], bounds[2:]):
+            children.append(_fork_chunk(worker, args, start, end - start))
+        results = [(True, worker(*args, 0, bounds[1]))]
+    except BaseException:
+        for pid, fd in children:
+            os.kill(pid, signal.SIGKILL)
+            os.close(fd)
+            os.waitpid(pid, 0)
+        raise
+    results += [_join_chunk(pid, fd) for pid, fd in children]
+    for ok, value in results:
+        if not ok:
+            raise value
+    return combine([value for _, value in results])
+
+
+def _fork_chunk(worker, args: tuple, start: int, count: int) -> tuple[int, int]:
+    """Fork a child that pickles ``(ok, result or exception)`` into a pipe: (pid, read end)."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # The child never returns into the caller's stack and never flushes its stdio.
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                result = (True, worker(*args, start, count))
+            except BaseException as exc:
+                result = (False, exc)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pickle.dump(result, pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _join_chunk(pid: int, read_fd: int) -> tuple[bool, object]:
+    """Read a forked chunk's result until EOF and reap the child."""
+    with os.fdopen(read_fd, "rb") as pipe:
+        data = pipe.read()
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status or not data:
+        return False, RuntimeError(f"a --jobs worker ended without a result "
+                                   f"(exit status {status})")
+    return pickle.loads(data)
 
 
 def _column_sums(parts: list) -> list[int]:
     return [sum(column) for column in zip(*parts)]
-
-
-# Module-level workers, so that the pool pickles them by name: the counting
-# functions they call may be rebound to closures, which do not pickle.
-def _advantage_worker(machine, params: UfnParams, seed: int, start: int, count: int):
-    return _advantage_counts(machine, params, seed, start, count)
-
-
-def _badprob_worker(spec: BadEventSpec, seed: int, start: int, count: int) -> int:
-    return bad_event_counts(spec, seed, start, count)
-
-
-def _uniformity_worker(params: UfnParams, seed: int, start: int, count: int) -> list[int]:
-    return uniformity_counts(params, seed, start, count)
 
 
 def _parse_block(text: str) -> BitString:
@@ -198,7 +234,7 @@ def _cmd_game(args: argparse.Namespace) -> int:
     params = UfnParams(UfnKind(args.kind or target_kind), args.n, args.k, rounds)
     check_lane_width(params.state_bits)
     machine = machine_factory(args.n, args.k)
-    ones_a, ones_b = _run_chunked(_advantage_worker, (machine, params, seed), args.trials,
+    ones_a, ones_b = _run_chunked(_advantage_counts, (machine, params, seed), args.trials,
                                   args.jobs, _column_sums)
     payload = GameReport(ones_a, ones_b, args.trials, seed).to_json_dict()
     payload.update({"name": args.name, "kind": params.kind.value, "n": params.n,
@@ -210,7 +246,7 @@ def _cmd_game(args: argparse.Namespace) -> int:
 def _cmd_badprob(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     spec = BadEventSpec(UfnKind(args.kind), args.n, args.k, args.m, args.shaping)
-    hits = _run_chunked(_badprob_worker, (spec, seed), args.trials, args.jobs, sum)
+    hits = _run_chunked(bad_event_counts, (spec, seed), args.trials, args.jobs, sum)
     return _emit_check(BadProbReport(spec, hits, args.trials, seed), args.out)
 
 
@@ -219,7 +255,7 @@ def _cmd_uniformity(args: argparse.Namespace) -> int:
     kind = UfnKind(args.kind)
     rounds = args.rounds if args.rounds is not None else secure_rounds(kind, args.k)
     params = UfnParams(kind, args.n, args.k, rounds)
-    bins = _run_chunked(_uniformity_worker, (params, seed), args.trials, args.jobs,
+    bins = _run_chunked(uniformity_counts, (params, seed), args.trials, args.jobs,
                         _column_sums)
     return _emit_check(UniformityReport(params, bins, seed, args.significance), args.out)
 

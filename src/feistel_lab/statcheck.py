@@ -150,12 +150,18 @@ def bad_event_counts(spec: BadEventSpec, seed: int, start: int, count: int) -> i
         lanes = trials.count
         rounds = splitmix_round_oracles(params, master, trials)
         seen = {rd: bytearray() for rd in spec.rounds_watched}
+        reused = None
         for x in fixed or _uniform_queries(spec, seed, trials):
             for rd, f in enumerate(rounds, 1):
                 x = _forward(params, f, x)
                 if rd in seen:
                     packed = memoryview((x & mask).value.to_bytes(16 * lanes, "little")).cast("Q")
                     seen[rd] += packed[::2].tobytes()  # each lane's 8 value bytes
+            # The first query spreads every constant the rounds reuse; an int query
+            # after it only adds its own one-use spreads (x·γ, varied block): drop them.
+            reused = reused or len(trials.spreads)
+            while len(trials.spreads) > reused:
+                trials.spreads.popitem()
         # Query j of trial t is word j * lanes + t; any byte order keeps equality.
         words = [memoryview(values).cast("Q") for values in seen.values()]
         hits += sum(any(len(set(w[t::lanes])) < spec.m for w in words) for t in range(lanes))

@@ -1,18 +1,23 @@
-"""Layer timings (ROADMAP layers L0 and L1) of one or more source trees, written as JSON.
+"""Layer timings (ROADMAP layers L0, L1 and one L3 item) of source trees, written as JSON.
 
     python tests/layer_timings.py --tree parent=/path/to/parent/src --tree change=src \
-        --out BENCH_layers_pr17.json
+        --out BENCH_layers_pr18.json
 
-Each tree runs in its own interpreter, the trees in alternating order, ``--passes``
-times. Every item is timed with ``timeit`` after a warm-up call: per pass, the
-minimum over 5 repeats of the mean over ``number`` calls; the JSON keeps the
-median over passes, in microseconds per call. pytest does not collect this file.
+Each pass starts one interpreter per tree and times the items one at a time,
+each item on every tree before the next item, the tree order alternating from
+item to item and from pass to pass, so that a change in the machine's load
+falls on all trees alike. Every item is timed with ``timeit`` after a warm-up
+call: per pass, the minimum over 5 repeats of the mean over ``number`` calls.
+The JSON keeps, per item and tree, the median and the quartiles over
+``--passes`` passes, in microseconds per call. pytest does not collect this file.
 
 Items: one round ``feistel._forward`` per kind on an int, on 256-lane ``bits.Lanes``
 and on a 2,000-element numpy ``uint64`` array; one ``encrypt`` per kind at its
 secure round count; ``prbg.derive_seed``; one ``prbg.state_stream`` expander step
 on a state of 128, 1,280 and 14,284 bits (the widest round key); one SplitMix64 pass
-at 1 and 256 lanes. A tree whose rounds take block tuples
+at 1 and 256 lanes; the fork-to-join time of ``cli._run_chunked`` at two jobs with a
+no-op worker (two trials, the CPU count reported as 2), a cost that no span of the
+benchmark tracer covers. A tree whose rounds take block tuples
 (``UfnParams.block_count`` exists) gets its round input as a block tuple, so its
 round numbers leave out the split at entry and the join at exit.
 """
@@ -41,23 +46,27 @@ def _time(fn, number: int) -> float:
     return min(timeit.repeat(fn, number=number, repeat=5)) / number * 1e6
 
 
-def measure() -> dict[str, float]:
-    """Microseconds per call of every item, in this interpreter's ``feistel_lab``."""
+def _noop_chunk(start: int, count: int) -> int:
+    return count
+
+
+def items() -> dict[str, tuple]:
+    """Item name -> (callable, calls per repeat), in this interpreter's ``feistel_lab``."""
     import numpy as np
 
-    from feistel_lab import feistel
+    from feistel_lab import cli, feistel
     from feistel_lab.bits import BitString, Lanes, split_blocks
     from feistel_lab.feistel import UfnKind, UfnParams, ideal_ufn
     from feistel_lab.prbg import derive_seed, state_stream
     from feistel_lab.prf import SplitMixRound, ideal_oracle, splitmix
 
     blocks = hasattr(UfnParams, "block_count")
-    out: dict[str, float] = {}
+    out: dict[str, tuple] = {}
 
     def round_item(name, params, f, x, number):
         if blocks:
             x = split_blocks(x, params.n, params.k + 1)
-        out[name] = _time(lambda: feistel._forward(params, f, x), number)
+        out[name] = (lambda: feistel._forward(params, f, x), number)
 
     for kind in UfnKind:
         n, k = LANE_SHAPES[kind.value]
@@ -80,16 +89,32 @@ def measure() -> dict[str, float]:
         r = 2 * k + 1 if kind is UfnKind.UFN2 else k + 2
         perm = ideal_ufn(UfnParams(kind, n, k, r), 7)
         block = BitString(perm.width, 0x0123456789ABCDEF)
-        out[f"encrypt.{kind.value}"] = _time(lambda: perm.encrypt(block), 5000)
-    out["derive_seed"] = _time(lambda: derive_seed("ideal-ufn", 123456789), 20000)
+        out[f"encrypt.{kind.value}"] = (lambda perm=perm, block=block: perm.encrypt(block), 5000)
+    out["derive_seed"] = (lambda: derive_seed("ideal-ufn", 123456789), 20000)
     for width, number in ((128, 20000), (1280, 5000), (14284, 500)):
         step = state_stream(width, 2 * width, derive_seed("ggm-expand", 0))
         state = (1 << width) // 3
-        out[f"state_stream.step{width}"] = _time(lambda: step(state), number)
+        out[f"state_stream.step{width}"] = (lambda step=step, state=state: step(state), number)
     for lanes in (1, 256):
         keys = Lanes.of(range(1, lanes + 1))
-        out[f"splitmix.lanes{lanes}"] = _time(lambda: splitmix(12345, keys), 2000)
+        out[f"splitmix.lanes{lanes}"] = (lambda keys=keys: splitmix(12345, keys), 2000)
+    # This interpreter only measures, so the reported CPU count can be pinned here.
+    os.cpu_count = lambda: 2
+    out["run_chunked.jobs2"] = (lambda: cli._run_chunked(_noop_chunk, (), 2, 2, list), 20)
     return out
+
+
+def serve() -> None:
+    """Print the item names as one JSON line, then time each item named on stdin."""
+    table = items()
+    print(json.dumps(list(table)), flush=True)
+    for line in sys.stdin:
+        print(json.dumps(_time(*table[line.strip()])), flush=True)
+
+
+def _summary(values: list[float]) -> dict[str, float]:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": round(median, 3), "q1": round(q1, 3), "q3": round(q3, 3)}
 
 
 def main() -> None:
@@ -101,25 +126,36 @@ def main() -> None:
     parser.add_argument("--one", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.one:
-        print(json.dumps(measure()))
+        serve()
         return
     trees = dict(spec.split("=", 1) for spec in args.tree)
-    runs: dict[str, list[dict]] = {label: [] for label in trees}
+    runs: dict[str, dict[str, list[float]]] = {label: {} for label in trees}
     for i in range(args.passes):
-        for label in (list(trees) if i % 2 == 0 else list(trees)[::-1]):
-            env = {**os.environ, "PYTHONPATH": os.path.abspath(trees[label])}
-            done = subprocess.run([sys.executable, __file__, "--one"], env=env, check=True,
-                                  capture_output=True, text=True)
-            runs[label].append(json.loads(done.stdout))
+        procs = {label: subprocess.Popen(
+                     [sys.executable, __file__, "--one"], text=True,
+                     stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                     env={**os.environ, "PYTHONPATH": os.path.abspath(src)})
+                 for label, src in trees.items()}
+        names = [json.loads(proc.stdout.readline()) for proc in procs.values()]
+        for j, name in enumerate(n for n in names[0] if all(n in other for other in names)):
+            for label in (list(trees) if (i + j) % 2 == 0 else list(trees)[::-1]):
+                procs[label].stdin.write(name + "\n")
+                procs[label].stdin.flush()
+                runs[label].setdefault(name, []).append(
+                    json.loads(procs[label].stdout.readline()))
+        for proc in procs.values():
+            proc.stdin.close()
+            if proc.wait():
+                raise SystemExit(f"a timing interpreter exited with {proc.returncode}")
     report = {
-        "unit": "us per call; median over passes of the best of 5 timeit repeats",
+        "unit": "us per call; median and quartiles over passes of the best of 5 timeit "
+                "repeats, the trees interleaved item by item",
         "passes": args.passes,
         "python": platform.python_version(),
         "machine": f"{os.cpu_count()} cores, {platform.machine()}",
         "trees": {label: {"src": trees[label]} for label in trees},
-        "items": {name: {label: round(statistics.median(r[name] for r in runs[label]), 3)
-                         for label in trees}
-                  for name in runs[next(iter(trees))][0]},
+        "items": {name: {label: _summary(runs[label][name]) for label in trees}
+                  for name in runs[next(iter(trees))]},
     }
     text = json.dumps(report, indent=1)
     if args.out:

@@ -3,7 +3,8 @@ import json
 import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -285,14 +286,86 @@ def test_jobs_are_capped_at_the_cpu_count(capsys, monkeypatch):
             "--seed", "19")
     _, serial, _ = run_cli(capsys, *args)
 
-    def no_pool(*_args, **_kwargs):
-        raise AssertionError("a process pool started")
+    def no_fork():
+        raise AssertionError("a worker process was forked")
 
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(cli.os, "fork", no_fork)
     code, out, _ = run_cli(capsys, *args, "--jobs", "4")
     assert code == 0
     assert out == serial
+
+
+_BADPROB = ("badprob", "--kind", "target-heavy", "--n", "4", "--k", "2", "--m", "4",
+            "--trials", "40", "--seed", "3")
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def failing_in(chunk_start, failure):
+    """``bad_event_counts`` that calls ``failure()`` in the chunk starting at ``chunk_start``."""
+    real = cli.bad_event_counts
+
+    def counts(spec, seed, start, count):
+        if count and start == chunk_start:
+            failure()
+        return real(spec, seed, start, count)
+
+    return counts
+
+
+def test_forked_jobs_leave_no_child_behind(capsys, monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    _, serial, _ = run_cli(capsys, *_BADPROB, "--jobs", "1")
+    assert run_cli(capsys, *_BADPROB, "--jobs", "2") == (0, serial, "")
+    assert_no_child_left()
+
+
+def test_child_exception_is_raised_in_the_parent(capsys, monkeypatch):
+    def fail():
+        raise ValueError("chunk 1 refused")
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "bad_event_counts", failing_in(20, fail))
+    assert run_cli(capsys, *_BADPROB, "--jobs", "2") == (1, "", "error: chunk 1 refused\n")
+    assert_no_child_left()
+
+
+def test_child_without_a_result_is_a_one_line_error(capsys, monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "bad_event_counts", failing_in(20, lambda: os._exit(3)))
+    code, out, err = run_cli(capsys, *_BADPROB, "--jobs", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: a --jobs worker ended without a result (exit status 3)\n"
+    assert_no_child_left()
+
+
+def test_failing_parent_chunk_kills_and_reaps_the_children(capsys, monkeypatch):
+    real = cli.bad_event_counts
+
+    def counts(spec, seed, start, count):
+        if count:
+            if start == 0:
+                raise ValueError("chunk 0 refused")
+            time.sleep(60)
+        return real(spec, seed, start, count)
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(cli, "bad_event_counts", counts)
+    began = time.monotonic()
+    assert run_cli(capsys, *_BADPROB, "--jobs", "3") == (1, "", "error: chunk 0 refused\n")
+    assert time.monotonic() - began < 10
+    assert_no_child_left()
+
+
+def test_jobs_without_fork_run_in_one_process(capsys, monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    _, serial, _ = run_cli(capsys, *_BADPROB, "--jobs", "1")
+    monkeypatch.delattr(cli.os, "fork")
+    assert run_cli(capsys, *_BADPROB, "--jobs", "2") == (0, serial, "")
 
 
 @settings(max_examples=8, deadline=None)
@@ -316,6 +389,35 @@ def test_uniformity_json_does_not_depend_on_jobs(shape, trials, seed):
                 code = main(argv + ["--jobs", jobs])
             outputs.append((code, buf.getvalue()))
     assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][1])["trials"] == trials
+
+
+_TRIAL_BASES = {
+    "badprob-adversarial": ("badprob", "--kind", "source-heavy", "--n", "4", "--k", "2",
+                            "--m", "6"),
+    "badprob-uniform": ("badprob", "--kind", "ufn2", "--n", "2", "--k", "2", "--m", "8",
+                        "--shaping", "uniform"),
+    "attack": ("attack", "--name", "tgt-k1", "--n", "4", "--k", "2"),
+    "advantage": ("advantage", "--name", "ufn2-2k", "--kind", "ufn2", "--n", "3", "--k", "3",
+                  "--rounds", "5"),
+}
+
+
+@pytest.mark.parametrize("command", list(_TRIAL_BASES))
+@settings(max_examples=6, deadline=None)
+@given(trials=hs.integers(1, 400), seed=hs.integers(0, 2**64 - 1))
+def test_trial_json_does_not_depend_on_jobs(command, trials, seed):
+    argv = [*_TRIAL_BASES[command], "--trials", str(trials), "--seed", str(seed)]
+    outputs = []
+    with pytest.MonkeyPatch.context() as mp:
+        # Up to three chunks on any machine: --jobs is capped at the CPU count.
+        mp.setattr(cli.os, "cpu_count", lambda: 3)
+        for jobs in ("1", "2", "3"):
+            buf = io.StringIO()
+            with redirect_stdout(buf), redirect_stderr(io.StringIO()):
+                code = main(argv + ["--jobs", jobs])
+            outputs.append((code, buf.getvalue()))
+    assert outputs[0] == outputs[1] == outputs[2]
     assert json.loads(outputs[0][1])["trials"] == trials
 
 

@@ -470,3 +470,20 @@ def test_uniform_queries_fill_the_whole_state_space():
         assert sorted(row) == list(range(64))
     # Every state is queried, so the 2-bit watched block repeats in every trial.
     assert bad_event_counts(spec, 3, 0, 40) == 40
+
+
+@pytest.mark.parametrize("kind", _BAD_EVENT_KINDS, ids=lambda kind: kind.value)
+def test_adversarial_batches_keep_no_one_use_spread(monkeypatch, kind):
+    # Each fixed query spreads its own x·γ or varied block in round 1; a batch that
+    # kept those would hold one spread per query (m = 64 here) until it ends.
+    real = statcheck.lane_batches
+    sizes = []
+
+    def spied(start, count):
+        for batch in real(start, count):
+            yield batch
+            sizes.append(len(batch.spreads))
+
+    monkeypatch.setattr(statcheck, "lane_batches", spied)
+    bad_event_counts(BadEventSpec(kind, 16, 3, 64), 5, 0, 200)
+    assert len(sizes) == 1 and sizes[0] < 10
