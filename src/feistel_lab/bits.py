@@ -1,13 +1,17 @@
-"""Fixed-width bit strings, 64-bit lanes in one int, and the split of a state into blocks."""
+"""Fixed-width bit strings, 64-bit lanes in one int, the split of a state into blocks,
+and the trial chunks that run in forked processes."""
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-__all__ = ["BitString", "Lanes", "LANE_BATCH", "lane_batches", "check_lane_width", "split_blocks",
-           "join_blocks"]
+__all__ = ["BitString", "Lanes", "LANE_BATCH", "lane_batches", "usable_cpus", "run_chunks",
+           "check_lane_width", "split_blocks", "join_blocks"]
 
 _M64 = (1 << 64) - 1
 
@@ -170,6 +174,84 @@ def lane_batches(start: int, count: int) -> Iterator[Lanes]:
     """Trials [start, start+count) in ``Lanes`` of at most ``LANE_BATCH``, t+1 in lane t."""
     for lo in range(start, start + count, LANE_BATCH):
         yield Lanes.of(range(lo + 1, min(lo + LANE_BATCH, start + count) + 1))
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where ``os`` has one, else all."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def run_chunks(worker, args: tuple, trials: int, jobs: int) -> list:
+    """``worker(*args, start, count)`` over trials [0, trials) in at most ``jobs``
+    chunks: the chunk results, in chunk order.
+
+    Seeds come from absolute trial indices, so the chunking cannot change results.
+    ``jobs`` is capped at ``usable_cpus()`` (more would only add start-up cost), and at
+    1 where ``os`` cannot fork. The caller runs chunk 0 and forks one child per further
+    chunk; the children inherit ``args``. A chunk's error is raised once every child is
+    reaped, and no child outlives the call.
+    """
+    jobs = max(1, min(jobs, trials, usable_cpus(), jobs if hasattr(os, "fork") else 1))
+    if jobs == 1:
+        return [worker(*args, 0, trials)]
+    # An empty range raises configuration errors before any child starts.
+    worker(*args, 0, 0)
+    bounds = [trials * i // jobs for i in range(jobs + 1)]
+    children = []  # (pid, read end) of each child not yet reaped
+    try:
+        for start, end in zip(bounds[1:-1], bounds[2:]):
+            children.append(_fork_chunk(worker, args, start, end - start))
+        results = [(True, worker(*args, 0, bounds[1]))]
+        while children:
+            pid, pipe = children[0]
+            data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pipe.close()
+            del children[0]
+            results.append(_chunk_result(data, status))
+    finally:
+        for pid, pipe in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
+    for ok, value in results:
+        if not ok:
+            raise value
+    return [value for _, value in results]
+
+
+def _fork_chunk(worker, args: tuple, start: int, count: int):
+    """Fork a child that pickles ``(ok, result or exception)`` into a pipe: (pid, read end)."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # The child never returns into the caller's stack and never flushes its stdio.
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                result = (True, worker(*args, start, count))
+            except BaseException as exc:
+                result = (False, exc)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pickle.dump(result, pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb")
+
+
+def _chunk_result(data: bytes, status: int) -> tuple[bool, object]:
+    """A reaped child's ``(ok, value)``; an error if it sent none that loads."""
+    if not status and data:
+        try:
+            return pickle.loads(data)
+        except Exception:  # loading a raised exception calls its class, which may fail
+            pass
+    return False, RuntimeError(f"a --jobs worker ended without a result (exit status {status})")
 
 
 def check_lane_width(width: int) -> None:

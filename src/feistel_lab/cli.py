@@ -3,7 +3,9 @@
 Subcommands: encrypt, decrypt, attack, advantage, badprob, uniformity,
 matrix, bench. Every randomized run carries an explicit seed: pass --seed,
 set FEISTEL_LAB_SEED, or let the tool draw one (it is printed to stderr and
-echoed in the JSON so the run can be replayed byte for byte).
+echoed in the JSON so the run can be replayed byte for byte). Each subcommand
+parses its arguments, makes one library call and serialises the result; a trial
+subcommand passes --jobs to its estimator, which owns the trial loop and its processes.
 
 Exit codes: 0 success, 1 usage error, 2 empirical check failure (a measured
 value violating its bound or significance level).
@@ -15,28 +17,18 @@ import argparse
 import functools
 import json
 import os
-import pickle
-import signal
 import sys
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401  perfbench.tracing patches this name
 
 from .bench import BenchConfig, report_csv, run_bench
-from .bits import BitString, check_lane_width
-from .distinguisher import GameReport, attack_leading_block, attack_ufn2_2k, attack_ufn2_even_k
-from .distinguisher import advantage_counts as _advantage_counts
+from .bits import BitString
+from .distinguisher import attack_leading_block, attack_ufn2_2k, attack_ufn2_even_k
+from .distinguisher import estimate_advantage
 from .feistel import UfnKind, UfnParams, UfnPermutation, ggm_ufn
 from .prbg import derive_seed
 from .prf import ideal_oracle
-from .statcheck import (
-    BadEventSpec,
-    BadProbReport,
-    UniformityReport,
-    bad_event_counts,
-    build_ufn2_matrix,
-    gf2_nonsingular,
-    secure_rounds,
-    uniformity_counts,
-)
+from .statcheck import BadEventSpec, build_ufn2_matrix, conditional_uniformity_check
+from .statcheck import estimate_bad_prob, gf2_nonsingular, secure_rounds
 
 SEED_ENV_VAR = "FEISTEL_LAB_SEED"
 SCHEMA_VERSION = 1
@@ -117,77 +109,6 @@ def _emit_check(report, out_path: str | None) -> int:
     return 0
 
 
-def _run_chunked(worker, args: tuple, trials: int, jobs: int, combine):
-    """Run ``worker(*args, start, count)`` over trials [0, trials), in ``jobs`` processes.
-
-    Per-trial seeds are derived from absolute indices, so the aggregate does
-    not depend on the chunking. More processes than CPUs would only add
-    start-up cost, so ``jobs`` is capped at the CPU count, and at 1 where
-    ``os`` cannot fork. The parent runs chunk 0 and forks one child per
-    further chunk; the children inherit ``args``, so nothing is pickled on
-    the way in.
-    """
-    jobs = min(jobs, trials, os.cpu_count() or 1, jobs if hasattr(os, "fork") else 1)
-    if jobs == 1:
-        return combine([worker(*args, 0, trials)])
-    # An empty range raises configuration errors before any worker starts.
-    worker(*args, 0, 0)
-    bounds = [trials * i // jobs for i in range(jobs + 1)]
-    children = []
-    try:
-        for start, end in zip(bounds[1:-1], bounds[2:]):
-            children.append(_fork_chunk(worker, args, start, end - start))
-        results = [(True, worker(*args, 0, bounds[1]))]
-    except BaseException:
-        for pid, fd in children:
-            os.kill(pid, signal.SIGKILL)
-            os.close(fd)
-            os.waitpid(pid, 0)
-        raise
-    results += [_join_chunk(pid, fd) for pid, fd in children]
-    for ok, value in results:
-        if not ok:
-            raise value
-    return combine([value for _, value in results])
-
-
-def _fork_chunk(worker, args: tuple, start: int, count: int) -> tuple[int, int]:
-    """Fork a child that pickles ``(ok, result or exception)`` into a pipe: (pid, read end)."""
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        # The child never returns into the caller's stack and never flushes its stdio.
-        code = 1
-        try:
-            os.close(read_fd)
-            try:
-                result = (True, worker(*args, start, count))
-            except BaseException as exc:
-                result = (False, exc)
-            with os.fdopen(write_fd, "wb") as pipe:
-                pickle.dump(result, pipe)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    return pid, read_fd
-
-
-def _join_chunk(pid: int, read_fd: int) -> tuple[bool, object]:
-    """Read a forked chunk's result until EOF and reap the child."""
-    with os.fdopen(read_fd, "rb") as pipe:
-        data = pipe.read()
-    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if status or not data:
-        return False, RuntimeError(f"a --jobs worker ended without a result "
-                                   f"(exit status {status})")
-    return pickle.loads(data)
-
-
-def _column_sums(parts: list) -> list[int]:
-    return [sum(column) for column in zip(*parts)]
-
-
 def _parse_block(text: str) -> BitString:
     try:
         return BitString.parse(text)
@@ -232,11 +153,9 @@ def _cmd_game(args: argparse.Namespace) -> int:
     target_kind, machine_factory, attackable_rounds = _ATTACKS[args.name]
     rounds = args.rounds if args.rounds is not None else attackable_rounds(args.k)
     params = UfnParams(UfnKind(args.kind or target_kind), args.n, args.k, rounds)
-    check_lane_width(params.state_bits)
-    machine = machine_factory(args.n, args.k)
-    ones_a, ones_b = _run_chunked(_advantage_counts, (machine, params, seed), args.trials,
-                                  args.jobs, _column_sums)
-    payload = GameReport(ones_a, ones_b, args.trials, seed).to_json_dict()
+    report = estimate_advantage(machine_factory(args.n, args.k), params, args.trials, seed,
+                                args.jobs)
+    payload = report.to_json_dict()
     payload.update({"name": args.name, "kind": params.kind.value, "n": params.n,
                     "k": params.k, "rounds": params.r})
     _emit_json(payload, args.out)
@@ -246,8 +165,7 @@ def _cmd_game(args: argparse.Namespace) -> int:
 def _cmd_badprob(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     spec = BadEventSpec(UfnKind(args.kind), args.n, args.k, args.m, args.shaping)
-    hits = _run_chunked(bad_event_counts, (spec, seed), args.trials, args.jobs, sum)
-    return _emit_check(BadProbReport(spec, hits, args.trials, seed), args.out)
+    return _emit_check(estimate_bad_prob(spec, args.trials, seed, args.jobs), args.out)
 
 
 def _cmd_uniformity(args: argparse.Namespace) -> int:
@@ -255,9 +173,9 @@ def _cmd_uniformity(args: argparse.Namespace) -> int:
     kind = UfnKind(args.kind)
     rounds = args.rounds if args.rounds is not None else secure_rounds(kind, args.k)
     params = UfnParams(kind, args.n, args.k, rounds)
-    bins = _run_chunked(uniformity_counts, (params, seed), args.trials, args.jobs,
-                        _column_sums)
-    return _emit_check(UniformityReport(params, bins, seed, args.significance), args.out)
+    report = conditional_uniformity_check(params, args.trials, seed, args.significance,
+                                          args.jobs)
+    return _emit_check(report, args.out)
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
@@ -309,7 +227,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 def _add_trial_flags(p: argparse.ArgumentParser) -> None:
     _add_common_flags(p)
     p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes for trial loops, at most the CPU count "
+                   help="worker processes for trial loops, at most the usable CPUs "
                         "(deterministic aggregation)")
 
 

@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import islice
 from typing import Protocol
 
-from .bits import Lanes, check_lane_width, join_blocks, lane_batches
+from .bits import Lanes, check_lane_width, join_blocks, lane_batches, run_chunks
 from .feistel import UfnKind, UfnParams, UfnPermutation, ideal_ufn, splitmix_round_oracles
 from .prbg import FastBitGenerator, derive_seed
 from .prf import splitmix, splitmix_stream
@@ -336,9 +336,12 @@ def advantage_counts(
 
 
 def estimate_advantage(
-    machine: OracleMachine, params: UfnParams, trials: int, seed: object
+    machine: OracleMachine, params: UfnParams, trials: int, seed: object, jobs: int = 1
 ) -> GameReport:
     """Monte-Carlo acceptance gap of ``machine`` between the structure ``params``
-    and a uniform permutation, over trials [0, trials)."""
-    ones_a, ones_b = advantage_counts(machine, params, seed, 0, trials)
+    and a uniform permutation, over trials [0, trials) in up to ``jobs`` processes
+    (``bits.run_chunks``). A state wider than 64 bits raises ValueError before any trial."""
+    check_lane_width(params.state_bits)
+    parts = run_chunks(advantage_counts, (machine, params, seed), trials, jobs)
+    ones_a, ones_b = (sum(column) for column in zip(*parts))
     return GameReport(ones_a, ones_b, trials, seed)

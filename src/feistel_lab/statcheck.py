@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bits import Lanes, check_lane_width, lane_batches
+from .bits import Lanes, check_lane_width, lane_batches, run_chunks
 from .distinguisher import IdealPermutationOracle
 from .feistel import UfnKind, UfnParams, _forward, splitmix_round_oracles
 from .prbg import derive_seed
@@ -224,9 +224,11 @@ class BadProbReport:
         }
 
 
-def estimate_bad_prob(spec: BadEventSpec, trials: int, seed: int) -> BadProbReport:
-    """Collision-event frequency over trials [0, trials) against its bound."""
-    return BadProbReport(spec, bad_event_counts(spec, seed, 0, trials), trials, seed)
+def estimate_bad_prob(spec: BadEventSpec, trials: int, seed: int, jobs: int = 1) -> BadProbReport:
+    """Collision-event frequency over trials [0, trials) against its bound, in up to
+    ``jobs`` processes (``bits.run_chunks``)."""
+    hits = sum(run_chunks(bad_event_counts, (spec, seed), trials, jobs))
+    return BadProbReport(spec, hits, trials, seed)
 
 
 @dataclass(frozen=True)
@@ -371,9 +373,10 @@ class UniformityReport:
 
 
 def conditional_uniformity_check(
-    params: UfnParams, trials: int, seed: int, significance: float = 0.01
+    params: UfnParams, trials: int, seed: int, significance: float = 0.01, jobs: int = 1
 ) -> UniformityReport:
-    """Chi-square uniformity of outputs over trials [0, trials).
+    """Chi-square uniformity of outputs over trials [0, trials), in up to ``jobs``
+    processes (``bits.run_chunks``).
 
     Each trial keys a fresh instance and contributes one output. A lone query
     admits no cross-query collision, so the conditioning event is vacuous and
@@ -382,5 +385,6 @@ def conditional_uniformity_check(
     """
     if not 0.0 < significance < 1.0:
         raise ValueError(f"significance must lie in (0, 1), got {significance}")
-    bins = uniformity_counts(params, seed, 0, trials)
+    parts = run_chunks(uniformity_counts, (params, seed), trials, jobs)
+    bins = [sum(column) for column in zip(*parts)]
     return UniformityReport(params, bins, seed, significance)

@@ -15,9 +15,9 @@ Items: one round ``feistel._forward`` per kind on an int, on 256-lane ``bits.Lan
 and on a 2,000-element numpy ``uint64`` array; one ``encrypt`` per kind at its
 secure round count; ``prbg.derive_seed``; one ``prbg.state_stream`` expander step
 on a state of 128, 1,280 and 14,284 bits (the widest round key); one SplitMix64 pass
-at 1 and 256 lanes; the fork-to-join time of ``cli._run_chunked`` at two jobs with a
-no-op worker (two trials, the CPU count reported as 2), a cost that no span of the
-benchmark tracer covers. A tree whose rounds take block tuples
+at 1 and 256 lanes; the fork-to-join time of ``bits.run_chunks`` (``cli._run_chunked``
+on a tree from before it moved) at two jobs with a no-op worker (two trials, the usable
+CPU count pinned at 2), a cost that no span of the benchmark tracer covers. A tree whose rounds take block tuples
 (``UfnParams.block_count`` exists) gets its round input as a block tuple, so its
 round numbers leave out the split at entry and the join at exit.
 """
@@ -54,7 +54,7 @@ def items() -> dict[str, tuple]:
     """Item name -> (callable, calls per repeat), in this interpreter's ``feistel_lab``."""
     import numpy as np
 
-    from feistel_lab import cli, feistel
+    from feistel_lab import bits, cli, feistel
     from feistel_lab.bits import BitString, Lanes, split_blocks
     from feistel_lab.feistel import UfnKind, UfnParams, ideal_ufn
     from feistel_lab.prbg import derive_seed, state_stream
@@ -98,9 +98,13 @@ def items() -> dict[str, tuple]:
     for lanes in (1, 256):
         keys = Lanes.of(range(1, lanes + 1))
         out[f"splitmix.lanes{lanes}"] = (lambda keys=keys: splitmix(12345, keys), 2000)
-    # This interpreter only measures, so the reported CPU count can be pinned here.
-    os.cpu_count = lambda: 2
-    out["run_chunked.jobs2"] = (lambda: cli._run_chunked(_noop_chunk, (), 2, 2, list), 20)
+    # This interpreter only measures, so the usable CPU count can be pinned here.
+    if hasattr(bits, "run_chunks"):
+        bits.usable_cpus = lambda: 2
+        out["run_chunked.jobs2"] = (lambda: bits.run_chunks(_noop_chunk, (), 2, 2), 20)
+    else:  # a tree from before the fork seam moved from cli into bits
+        os.cpu_count = lambda: 2
+        out["run_chunked.jobs2"] = (lambda: cli._run_chunked(_noop_chunk, (), 2, 2, list), 20)
     return out
 
 

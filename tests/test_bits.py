@@ -2,10 +2,14 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
-from feistel_lab.bits import BitString, Lanes, join_blocks, lane_batches, split_blocks
+from feistel_lab import bits
+from feistel_lab.bits import BitString, Lanes, join_blocks, lane_batches, run_chunks, split_blocks
+from feistel_lab.distinguisher import attack_leading_block, estimate_advantage
+from feistel_lab.feistel import UfnKind, UfnParams
+from feistel_lab.statcheck import BadEventSpec, conditional_uniformity_check, estimate_bad_prob
 
 
 def test_xor_definition():
@@ -240,3 +244,53 @@ def test_int_operands_fit_the_short_last_batch():
     for c in (0x9E3779B97F4A7C15, -3, (1 << 64) + 7, 15):
         for batch in batches + batches[::-1]:
             _check_int_operators(batch, batch.tolist(), c)
+
+
+def _chunk(start, count):
+    return start, count
+
+
+@pytest.mark.parametrize("cpus, trials, expected", [
+    (1, 10, [(0, 10)]),
+    (2, 10, [(0, 5), (5, 5)]),
+    (3, 10, [(0, 3), (3, 3), (6, 4)]),
+    (3, 2, [(0, 1), (1, 1)]),
+])
+def test_run_chunks_returns_the_chunks_in_order(monkeypatch, cpus, trials, expected):
+    # jobs=4 is capped at the usable CPUs and at the trial count.
+    monkeypatch.setattr(bits, "usable_cpus", lambda: cpus)
+    assert run_chunks(_chunk, (), trials, 4) == expected
+
+
+# Each trial estimator at (trials, seed, jobs); small structures, every kind of check.
+_ESTIMATORS = {
+    "advantage": lambda trials, seed, jobs: estimate_advantage(
+        attack_leading_block(4, 2), UfnParams(UfnKind.SOURCE_HEAVY, 4, 2, 3), trials, seed,
+        jobs),
+    "bad-prob-adversarial": lambda trials, seed, jobs: estimate_bad_prob(
+        BadEventSpec(UfnKind.SOURCE_HEAVY, 4, 2, 6), trials, seed, jobs),
+    "bad-prob-uniform": lambda trials, seed, jobs: estimate_bad_prob(
+        BadEventSpec(UfnKind.UFN2, 2, 2, 8, "uniform"), trials, seed, jobs),
+    "uniformity": lambda trials, seed, jobs: conditional_uniformity_check(
+        UfnParams(UfnKind.TARGET_HEAVY, 2, 3, 5), trials, seed, jobs=jobs),
+}
+
+
+@pytest.mark.parametrize("estimator", list(_ESTIMATORS))
+@settings(max_examples=6, deadline=None)
+@given(trials=hs.integers(1, 400), seed=hs.integers(0, 2**64 - 1))
+def test_estimators_do_not_depend_on_jobs(estimator, trials, seed):
+    with pytest.MonkeyPatch.context() as mp:
+        # Up to three chunks on any machine: jobs is capped at the usable CPU count.
+        mp.setattr(bits, "usable_cpus", lambda: 3)
+        reports = [_ESTIMATORS[estimator](trials, seed, jobs) for jobs in (1, 2, 3)]
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0].trials == trials
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+@pytest.mark.parametrize("estimator", list(_ESTIMATORS))
+def test_estimators_need_trials_at_every_jobs(monkeypatch, estimator, jobs):
+    monkeypatch.setattr(bits, "usable_cpus", lambda: 3)
+    with pytest.raises(ValueError, match="^trials must be >= 1$"):
+        _ESTIMATORS[estimator](0, 1, jobs)

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import feistel_lab
-from feistel_lab import cli
+from feistel_lab import bits, cli, distinguisher, statcheck
 from feistel_lab.cli import SEED_ENV_VAR, main
 
 
@@ -273,8 +274,8 @@ def test_seeded_runs_are_byte_identical(capsys):
      "--trials", "303"),
 ], ids=["attack", "badprob", "badprob-uniform", "uniformity", "advantage"])
 def test_jobs_do_not_change_results(capsys, monkeypatch, base):
-    # Three chunks on any machine: --jobs is capped at the CPU count.
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    # Three chunks on any machine: --jobs is capped at the usable CPU count.
+    monkeypatch.setattr(bits, "usable_cpus", lambda: 3)
     _, serial, _ = run_cli(capsys, *base, "--seed", "17", "--jobs", "1")
     _, parallel, _ = run_cli(capsys, *base, "--seed", "17", "--jobs", "3")
     assert serial == parallel
@@ -289,15 +290,42 @@ def test_jobs_are_capped_at_the_cpu_count(capsys, monkeypatch):
     def no_fork():
         raise AssertionError("a worker process was forked")
 
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(cli.os, "fork", no_fork)
+    monkeypatch.setattr(bits, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(os, "fork", no_fork)
     code, out, _ = run_cli(capsys, *args, "--jobs", "4")
     assert code == 0
     assert out == serial
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here")
+def test_jobs_are_capped_at_the_usable_cpus(capsys, monkeypatch):
+    args = ("attack", "--name", "src-k1", "--n", "4", "--k", "2", "--trials", "50",
+            "--seed", "19")
+    _, serial, _ = run_cli(capsys, *args)
+
+    def no_fork():
+        raise AssertionError("a worker process was forked")
+
+    # Two CPUs in the machine, one of them usable by this process.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run_cli(capsys, *args, "--jobs", "2") == (0, serial, "")
+    # Without an affinity set, the cap is the CPU count.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert run_cli(capsys, *args, "--jobs", "2") == (0, serial, "")
+
+
 _BADPROB = ("badprob", "--kind", "target-heavy", "--n", "4", "--k", "2", "--m", "4",
             "--trials", "40", "--seed", "3")
+
+
+class UnloadableError(Exception):
+    """Pickles, but loading it calls ``__init__`` with one argument of two."""
+
+    def __init__(self, a, b):
+        super().__init__(a)
 
 
 def assert_no_child_left():
@@ -307,7 +335,7 @@ def assert_no_child_left():
 
 def failing_in(chunk_start, failure):
     """``bad_event_counts`` that calls ``failure()`` in the chunk starting at ``chunk_start``."""
-    real = cli.bad_event_counts
+    real = statcheck.bad_event_counts
 
     def counts(spec, seed, start, count):
         if count and start == chunk_start:
@@ -318,7 +346,7 @@ def failing_in(chunk_start, failure):
 
 
 def test_forked_jobs_leave_no_child_behind(capsys, monkeypatch):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(bits, "usable_cpus", lambda: 2)
     _, serial, _ = run_cli(capsys, *_BADPROB, "--jobs", "1")
     assert run_cli(capsys, *_BADPROB, "--jobs", "2") == (0, serial, "")
     assert_no_child_left()
@@ -328,23 +356,61 @@ def test_child_exception_is_raised_in_the_parent(capsys, monkeypatch):
     def fail():
         raise ValueError("chunk 1 refused")
 
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(cli, "bad_event_counts", failing_in(20, fail))
+    monkeypatch.setattr(bits, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(statcheck, "bad_event_counts", failing_in(20, fail))
     assert run_cli(capsys, *_BADPROB, "--jobs", "2") == (1, "", "error: chunk 1 refused\n")
     assert_no_child_left()
 
 
 def test_child_without_a_result_is_a_one_line_error(capsys, monkeypatch):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(cli, "bad_event_counts", failing_in(20, lambda: os._exit(3)))
+    monkeypatch.setattr(bits, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(statcheck, "bad_event_counts", failing_in(20, lambda: os._exit(3)))
     code, out, err = run_cli(capsys, *_BADPROB, "--jobs", "2")
     assert (code, out) == (1, "")
     assert err == "error: a --jobs worker ended without a result (exit status 3)\n"
     assert_no_child_left()
 
 
+def test_child_result_that_does_not_load_is_a_one_line_error(capsys, monkeypatch):
+    def fail():
+        raise UnloadableError("chunk 1 refused", "twice")
+
+    monkeypatch.setattr(bits, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(statcheck, "bad_event_counts", failing_in(13, fail))
+    code, out, err = run_cli(capsys, *_BADPROB, "--jobs", "3")
+    assert (code, out) == (1, "")
+    assert err == "error: a --jobs worker ended without a result (exit status 0)\n"
+    assert_no_child_left()
+
+
+def test_interrupt_while_joining_kills_and_reaps_the_children(capsys, monkeypatch):
+    real = statcheck.bad_event_counts
+
+    def counts(spec, seed, start, count):
+        if count and start:
+            time.sleep(60)
+        return real(spec, seed, start, count)
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(bits, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(statcheck, "bad_event_counts", counts)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    began = time.monotonic()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(capsys, *_BADPROB, "--jobs", "3")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - began < 10
+    assert_no_child_left()
+
+
 def test_failing_parent_chunk_kills_and_reaps_the_children(capsys, monkeypatch):
-    real = cli.bad_event_counts
+    real = statcheck.bad_event_counts
 
     def counts(spec, seed, start, count):
         if count:
@@ -353,8 +419,8 @@ def test_failing_parent_chunk_kills_and_reaps_the_children(capsys, monkeypatch):
             time.sleep(60)
         return real(spec, seed, start, count)
 
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(cli, "bad_event_counts", counts)
+    monkeypatch.setattr(bits, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(statcheck, "bad_event_counts", counts)
     began = time.monotonic()
     assert run_cli(capsys, *_BADPROB, "--jobs", "3") == (1, "", "error: chunk 0 refused\n")
     assert time.monotonic() - began < 10
@@ -362,9 +428,9 @@ def test_failing_parent_chunk_kills_and_reaps_the_children(capsys, monkeypatch):
 
 
 def test_jobs_without_fork_run_in_one_process(capsys, monkeypatch):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(bits, "usable_cpus", lambda: 2)
     _, serial, _ = run_cli(capsys, *_BADPROB, "--jobs", "1")
-    monkeypatch.delattr(cli.os, "fork")
+    monkeypatch.delattr(os, "fork")
     assert run_cli(capsys, *_BADPROB, "--jobs", "2") == (0, serial, "")
 
 
@@ -381,8 +447,8 @@ def test_uniformity_json_does_not_depend_on_jobs(shape, trials, seed):
             "--seed", str(seed)]
     outputs = []
     with pytest.MonkeyPatch.context() as mp:
-        # Two chunks on any machine: --jobs is capped at the CPU count.
-        mp.setattr(cli.os, "cpu_count", lambda: 2)
+        # Two chunks on any machine: --jobs is capped at the usable CPU count.
+        mp.setattr(bits, "usable_cpus", lambda: 2)
         for jobs in ("1", "2"):
             buf = io.StringIO()
             with redirect_stdout(buf):
@@ -410,8 +476,8 @@ def test_trial_json_does_not_depend_on_jobs(command, trials, seed):
     argv = [*_TRIAL_BASES[command], "--trials", str(trials), "--seed", str(seed)]
     outputs = []
     with pytest.MonkeyPatch.context() as mp:
-        # Up to three chunks on any machine: --jobs is capped at the CPU count.
-        mp.setattr(cli.os, "cpu_count", lambda: 3)
+        # Up to three chunks on any machine: --jobs is capped at the usable CPU count.
+        mp.setattr(bits, "usable_cpus", lambda: 3)
         for jobs in ("1", "2", "3"):
             buf = io.StringIO()
             with redirect_stdout(buf), redirect_stderr(io.StringIO()):
@@ -513,8 +579,9 @@ def test_bad_input_exits_1_before_any_trial(capsys, monkeypatch, argv):
     def no_trials(*_args):
         raise AssertionError("a trial loop started")
 
-    for name in ("_advantage_counts", "bad_event_counts", "uniformity_counts"):
-        monkeypatch.setattr(cli, name, no_trials)
+    monkeypatch.setattr(distinguisher, "advantage_counts", no_trials)
+    for name in ("bad_event_counts", "uniformity_counts"):
+        monkeypatch.setattr(statcheck, name, no_trials)
     seed = () if argv[0] == "encrypt" else ("--seed", "1")
     code, out, err = run_cli(capsys, *argv, *seed)
     assert code == 1
@@ -574,8 +641,9 @@ def test_unwritable_output_path_is_a_one_line_error(capsys, monkeypatch, tmp_pat
     def no_trials(*_args):
         raise AssertionError("a trial loop started")
 
-    for name in ("_advantage_counts", "bad_event_counts", "uniformity_counts"):
-        monkeypatch.setattr(cli, name, no_trials)
+    monkeypatch.setattr(distinguisher, "advantage_counts", no_trials)
+    for name in ("bad_event_counts", "uniformity_counts"):
+        monkeypatch.setattr(statcheck, name, no_trials)
     bench = ("bench", "--mode", "ggm", "--n", "4", "--k", "2", "--workload", "0",
              "--seed", "1")
     if target == "out-dir":
