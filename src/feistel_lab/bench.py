@@ -22,9 +22,8 @@ import time
 from dataclasses import dataclass
 
 from .bits import BitString
-from .feistel import UfnKind, UfnParams, UfnPermutation, ggm_ufn, ideal_ufn
+from .feistel import UfnKind, UfnParams, UfnPermutation, ggm_ufn, ideal_ufn, secure_rounds
 from .prbg import FastBitGenerator, derive_seed
-from .statcheck import secure_rounds
 
 __all__ = [
     "structure_profile",

@@ -4,8 +4,6 @@ and the trial chunks that run in forked processes."""
 from __future__ import annotations
 
 import os
-import pickle
-import signal
 import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -196,6 +194,8 @@ def run_chunks(worker, args: tuple, trials: int, jobs: int) -> list:
     jobs = max(1, min(jobs, trials, usable_cpus(), jobs if hasattr(os, "fork") else 1))
     if jobs == 1:
         return [worker(*args, 0, trials)]
+    import signal  # only a forking run needs it
+
     # An empty range raises configuration errors before any child starts.
     worker(*args, 0, 0)
     bounds = [trials * i // jobs for i in range(jobs + 1)]
@@ -224,6 +224,8 @@ def run_chunks(worker, args: tuple, trials: int, jobs: int) -> list:
 
 def _fork_chunk(worker, args: tuple, start: int, count: int):
     """Fork a child that pickles ``(ok, result or exception)`` into a pipe: (pid, read end)."""
+    import pickle  # in the parent, so that no child loads it again
+
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -246,6 +248,8 @@ def _fork_chunk(worker, args: tuple, start: int, count: int):
 
 def _chunk_result(data: bytes, status: int) -> tuple[bool, object]:
     """A reaped child's ``(ok, value)``; an error if it sent none that loads."""
+    import pickle
+
     if not status and data:
         try:
             return pickle.loads(data)

@@ -7,6 +7,11 @@ echoed in the JSON so the run can be replayed byte for byte). Each subcommand
 parses its arguments, makes one library call and serialises the result; a trial
 subcommand passes --jobs to its estimator, which owns the trial loop and its processes.
 
+Every call of the tool starts a fresh interpreter and pays for each module it
+loads, so this module imports only what encrypt and decrypt run; every other
+handler imports the library module it calls (distinguisher, statcheck or bench)
+when it runs.
+
 Exit codes: 0 success, 1 usage error, 2 empirical check failure (a measured
 value violating its bound or significance level).
 """
@@ -18,29 +23,29 @@ import functools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor  # noqa: F401  perfbench.tracing patches this name
 
-from .bench import BenchConfig, report_csv, run_bench
 from .bits import BitString
-from .distinguisher import attack_leading_block, attack_ufn2_2k, attack_ufn2_even_k
-from .distinguisher import estimate_advantage
-from .feistel import UfnKind, UfnParams, UfnPermutation, ggm_ufn
+from .feistel import UfnKind, UfnParams, UfnPermutation, ggm_ufn, secure_rounds
 from .prbg import derive_seed
 from .prf import ideal_oracle
-from .statcheck import BadEventSpec, build_ufn2_matrix, conditional_uniformity_check
-from .statcheck import estimate_bad_prob, gf2_nonsingular, secure_rounds
 
 SEED_ENV_VAR = "FEISTEL_LAB_SEED"
 SCHEMA_VERSION = 1
 
-# Attack name -> (target structure, machine factory, attackable rounds at ratio k).
-# The XOR-sum relation of ufn2-even holds at every round count; it targets the
-# count that would otherwise be considered safe.
+
+def ProcessPoolExecutor(*args, **kwargs):  # noqa: N802  perfbench.tracing patches this name
+    from concurrent import futures  # on call only: no command opens a pool
+    return futures.ProcessPoolExecutor(*args, **kwargs)
+
+
+# Attack name -> (target structure, machine factory in distinguisher, attackable rounds
+# at ratio k). The XOR-sum relation of ufn2-even holds at every round count; it targets
+# the count that would otherwise be considered safe.
 _ATTACKS = {
-    "src-k1": (UfnKind.SOURCE_HEAVY, attack_leading_block, lambda k: k + 1),
-    "tgt-k1": (UfnKind.TARGET_HEAVY, attack_leading_block, lambda k: k + 1),
-    "ufn2-even": (UfnKind.UFN2, attack_ufn2_even_k, lambda k: 2 * k + 1),
-    "ufn2-2k": (UfnKind.UFN2, attack_ufn2_2k, lambda k: 2 * k),
+    "src-k1": (UfnKind.SOURCE_HEAVY, "attack_leading_block", lambda k: k + 1),
+    "tgt-k1": (UfnKind.TARGET_HEAVY, "attack_leading_block", lambda k: k + 1),
+    "ufn2-even": (UfnKind.UFN2, "attack_ufn2_even_k", lambda k: 2 * k + 1),
+    "ufn2-2k": (UfnKind.UFN2, "attack_ufn2_2k", lambda k: 2 * k),
 }
 
 
@@ -149,12 +154,14 @@ def _cmd_crypt(args: argparse.Namespace) -> int:
 
 
 def _cmd_game(args: argparse.Namespace) -> int:
+    from . import distinguisher
+
     seed = _resolve_seed(args)
     target_kind, machine_factory, attackable_rounds = _ATTACKS[args.name]
     rounds = args.rounds if args.rounds is not None else attackable_rounds(args.k)
     params = UfnParams(UfnKind(args.kind or target_kind), args.n, args.k, rounds)
-    report = estimate_advantage(machine_factory(args.n, args.k), params, args.trials, seed,
-                                args.jobs)
+    machine = getattr(distinguisher, machine_factory)(args.n, args.k)
+    report = distinguisher.estimate_advantage(machine, params, args.trials, seed, args.jobs)
     payload = report.to_json_dict()
     payload.update({"name": args.name, "kind": params.kind.value, "n": params.n,
                     "k": params.k, "rounds": params.r})
@@ -163,12 +170,16 @@ def _cmd_game(args: argparse.Namespace) -> int:
 
 
 def _cmd_badprob(args: argparse.Namespace) -> int:
+    from .statcheck import BadEventSpec, estimate_bad_prob
+
     seed = _resolve_seed(args)
     spec = BadEventSpec(UfnKind(args.kind), args.n, args.k, args.m, args.shaping)
     return _emit_check(estimate_bad_prob(spec, args.trials, seed, args.jobs), args.out)
 
 
 def _cmd_uniformity(args: argparse.Namespace) -> int:
+    from .statcheck import conditional_uniformity_check
+
     seed = _resolve_seed(args)
     kind = UfnKind(args.kind)
     rounds = args.rounds if args.rounds is not None else secure_rounds(kind, args.k)
@@ -179,12 +190,16 @@ def _cmd_uniformity(args: argparse.Namespace) -> int:
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
+    from .statcheck import build_ufn2_matrix, gf2_nonsingular
+
     matrix = build_ufn2_matrix(args.k)
     _emit_json({"k": args.k, "nonsingular": gf2_nonsingular(matrix)}, args.out)
     return 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from .bench import BenchConfig, report_csv, run_bench
+
     seed = _resolve_seed(args)
     mode = {"mem": "memoized", "ggm": "ggm"}[args.mode]
     report = run_bench(BenchConfig(n=args.n, k=args.k, prf_mode=mode, workload=args.workload,

@@ -33,6 +33,7 @@ from .prf import (FunctionOracle, GgmFunctionOracle, IdealFunctionOracle, SplitM
 __all__ = [
     "UfnKind",
     "UfnParams",
+    "secure_rounds",
     "UfnPermutation",
     "ideal_round_oracles",
     "splitmix_round_oracles",
@@ -82,6 +83,11 @@ class UfnParams:
     @property
     def round_out_bits(self) -> int:
         return self.k * self.n if self.kind is UfnKind.TARGET_HEAVY else self.n
+
+
+def secure_rounds(kind: UfnKind, k: int) -> int:
+    """Minimal round count at which each structure stops being attackable."""
+    return 2 * k + 1 if kind is UfnKind.UFN2 else k + 2
 
 
 def _image(params: UfnParams, f: FunctionOracle, right):

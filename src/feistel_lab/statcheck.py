@@ -17,7 +17,7 @@ from functools import cached_property
 
 from .bits import Lanes, check_lane_width, lane_batches, run_chunks
 from .distinguisher import IdealPermutationOracle
-from .feistel import UfnKind, UfnParams, _forward, splitmix_round_oracles
+from .feistel import UfnKind, UfnParams, _forward, secure_rounds, splitmix_round_oracles
 from .prbg import derive_seed
 from .stats import chi_square_critical, chi_square_statistic, wilson_halfwidth
 
@@ -40,11 +40,6 @@ __all__ = [
 _MAX_UNIFORMITY_STATE_BITS = 12
 # Trials per array pass of uniformity_counts: bounds its memory at any trial count.
 _UNIFORMITY_BATCH = 1 << 16
-
-
-def secure_rounds(kind: UfnKind, k: int) -> int:
-    """Minimal round count at which each structure stops being attackable."""
-    return 2 * k + 1 if kind is UfnKind.UFN2 else k + 2
 
 
 def watched_rounds(kind: UfnKind, k: int) -> tuple[int, ...]:

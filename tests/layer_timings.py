@@ -1,7 +1,7 @@
-"""Layer timings (ROADMAP layers L0, L1 and one L3 item) of source trees, written as JSON.
+"""Layer timings (ROADMAP layers L0, L1 and some L3 items) of source trees, written as JSON.
 
     python tests/layer_timings.py --tree parent=/path/to/parent/src --tree change=src \
-        --out BENCH_layers_pr18.json
+        --out BENCH_layers_pr20.json
 
 Each pass starts one interpreter per tree and times the items one at a time,
 each item on every tree before the next item, the tree order alternating from
@@ -17,9 +17,12 @@ secure round count; ``prbg.derive_seed``; one ``prbg.state_stream`` expander ste
 on a state of 128, 1,280 and 14,284 bits (the widest round key); one SplitMix64 pass
 at 1 and 256 lanes; the fork-to-join time of ``bits.run_chunks`` (``cli._run_chunked``
 on a tree from before it moved) at two jobs with a no-op worker (two trials, the usable
-CPU count pinned at 2), a cost that no span of the benchmark tracer covers. A tree whose rounds take block tuples
-(``UfnParams.block_count`` exists) gets its round input as a block tuple, so its
-round numbers leave out the split at entry and the join at exit.
+CPU count pinned at 2), a cost that no span of the benchmark tracer covers; and
+``start.<subcommand>`` (L3), the spawn-to-exit time of a fresh interpreter on the
+tree's ``src`` running one benchmark workload's one-trial set-up command, which the
+benchmark's ``setup_s`` times up to the first output line. A tree whose rounds take
+block tuples (``UfnParams.block_count`` exists) gets its round input as a block tuple,
+so its round numbers leave out the split at entry and the join at exit.
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ import statistics
 import subprocess
 import sys
 import timeit
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # (kind, n, k): the int and lane rounds run on 64-bit states, the array rounds on
 # 12-bit states as in the uniformity check.
@@ -39,6 +45,9 @@ LANE_SHAPES = {"balanced": (32, 1), "source-heavy": (16, 3), "target-heavy": (16
                "ufn2": (16, 3)}
 ARRAY_SHAPES = {"balanced": (6, 1), "source-heavy": (4, 2), "target-heavy": (4, 2),
                 "ufn2": (4, 2)}
+# Benchmark workloads whose set-up commands the start.<subcommand> items run.
+START_WORKLOADS = ("treewalk", "games", "collisions", "uniformity")
+START_CODE = "import sys; from feistel_lab.cli import main; sys.exit(main())"
 
 
 def _time(fn, number: int) -> float:
@@ -48,6 +57,14 @@ def _time(fn, number: int) -> float:
 
 def _noop_chunk(start: int, count: int) -> int:
     return count
+
+
+def _start(argv: list[str]) -> None:
+    """Run one CLI command in a fresh interpreter on this interpreter's PYTHONPATH."""
+    proc = subprocess.run([sys.executable, "-c", START_CODE, *argv], cwd=ROOT,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    if proc.returncode not in (0, 2):  # 2 is a check's verdict, not a failure
+        raise SystemExit(f"{argv[0]} exited with {proc.returncode}: {proc.stderr.strip()}")
 
 
 def items() -> dict[str, tuple]:
@@ -105,6 +122,12 @@ def items() -> dict[str, tuple]:
     else:  # a tree from before the fork seam moved from cli into bits
         os.cpu_count = lambda: 2
         out["run_chunked.jobs2"] = (lambda: cli._run_chunked(_noop_chunk, (), 2, 2, list), 20)
+    sys.path.insert(0, str(ROOT))
+    from perfbench import workloads
+
+    for workload in START_WORKLOADS:
+        argv = workloads.setup_argv(workloads.commands(workload, 1)[0])
+        out[f"start.{argv[0]}"] = (lambda argv=argv: _start(argv), 1)
     return out
 
 
@@ -125,10 +148,12 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tree", action="append", default=[],
                         help="LABEL=SRC: a source tree holding the feistel_lab package")
-    parser.add_argument("--passes", type=int, default=5)
+    parser.add_argument("--passes", type=int, default=5, help="at least 2, for the quartiles")
     parser.add_argument("--out")
     parser.add_argument("--one", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
+    if args.passes < 2:
+        parser.exit(2, f"error: --passes must be at least 2 for the quartiles, got {args.passes}\n")
     if args.one:
         serve()
         return
@@ -152,8 +177,8 @@ def main() -> None:
             if proc.wait():
                 raise SystemExit(f"a timing interpreter exited with {proc.returncode}")
     report = {
-        "unit": "us per call; median and quartiles over passes of the best of 5 timeit "
-                "repeats, the trees interleaved item by item",
+        "unit": "us per call (per start for start.*); median and quartiles over passes of "
+                "the best of 5 timeit repeats, the trees interleaved item by item",
         "passes": args.passes,
         "python": platform.python_version(),
         "machine": f"{os.cpu_count()} cores, {platform.machine()}",

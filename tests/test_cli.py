@@ -510,18 +510,24 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
     assert real_build() is not real_build()
 
 
-def _heavy_modules_loaded(argv):
-    """Which of numpy and scipy a fresh interpreter has loaded after one command."""
-    script = ("import sys; from feistel_lab.cli import main; rc = main(sys.argv[1:]); "
-              "print(sorted({'numpy', 'scipy'} & set(sys.modules)), file=sys.stderr); "
-              "sys.exit(rc)")
+_RUN_COMMAND = "from feistel_lab.cli import main; rc = main(sys.argv[1:])"
+
+
+def _fresh_modules(argv, run=_RUN_COMMAND):
+    """The modules a fresh interpreter has loaded after ``run`` (by default one command)."""
+    script = f"import sys; {run}; print(*sorted(sys.modules), file=sys.stderr); sys.exit(rc)"
     src = str(Path(feistel_lab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return proc.stderr.strip().splitlines()[-1]
+    return set(proc.stderr.strip().splitlines()[-1].split())
+
+
+def _heavy_modules_loaded(argv):
+    """Which of numpy and scipy a fresh interpreter has loaded after one command."""
+    return str(sorted({"numpy", "scipy"} & _fresh_modules(argv)))
 
 
 @pytest.mark.parametrize("argv", [
@@ -542,6 +548,31 @@ def test_uniformity_loads_numpy_but_not_scipy():
     # scipy serves only as the tests' reference for the chi-square critical value.
     assert _heavy_modules_loaded(("uniformity", "--kind", "ufn2", "--n", "2", "--k", "3",
                                   "--trials", "2000", "--seed", "1")) == "['numpy']"
+
+
+_CRYPT_UNUSED = {"feistel_lab.statcheck", "feistel_lab.distinguisher", "concurrent.futures",
+                 "pickle"}
+
+
+@pytest.mark.parametrize("argv,unused", [
+    (("encrypt", "--kind", "ufn2", "--n", "2", "--k", "2", "--rounds", "5",
+      "--key", "A3F2C12345", "--in", "6:2D"), _CRYPT_UNUSED),
+    (("bench", "--mode", "ggm", "--n", "4", "--k", "2", "--workload", "1", "--seed", "1"),
+     _CRYPT_UNUSED),
+    (("attack", "--name", "src-k1", "--n", "4", "--k", "2", "--trials", "50", "--seed", "1"),
+     {"feistel_lab.statcheck", "feistel_lab.bench", "concurrent.futures"}),
+], ids=["encrypt", "bench-ggm", "attack"])
+def test_a_fresh_command_loads_only_the_modules_it_runs(argv, unused):
+    # Every fresh process pays for each module it loads; see the README on start-up cost.
+    loaded = {m for m in _fresh_modules(argv)
+              if m.startswith("feistel_lab.") or m in ("concurrent.futures", "pickle")}
+    assert not loaded & unused, sorted(loaded)
+
+
+def test_importing_the_package_loads_no_submodule():
+    loaded = _fresh_modules((), run="import feistel_lab; rc = 0")
+    assert "feistel_lab" in loaded
+    assert not {m for m in loaded if m.startswith("feistel_lab.")}, sorted(loaded)
 
 
 @pytest.mark.parametrize("argv", [

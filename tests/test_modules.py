@@ -1,13 +1,34 @@
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
 
 import pytest
 
+import feistel_lab
+
 MODULES = ("bench", "bits", "cli", "distinguisher", "feistel", "prbg", "prf", "statcheck",
            "stats")
 ROOT = Path(__file__).resolve().parents[1]
+
+# The names the package exported when its __init__ imported every module, by the module
+# each was imported from.
+PACKAGE_EXPORTS = {
+    "bits": ("BitString",),
+    "distinguisher": ("GameReport", "IdealPermutationOracle", "OracleMachine",
+                      "attack_leading_block", "attack_ufn2_2k", "attack_ufn2_even_k",
+                      "calibrate_w_index", "estimate_advantage", "ideal_permutation"),
+    "feistel": ("UfnKind", "UfnParams", "UfnPermutation", "extend_block_cipher", "ggm_ufn",
+                "ideal_ufn"),
+    "prbg": ("BbsParams", "BitGenerator", "BmParams", "bbs_generate", "bm_generate",
+             "derive_seed", "generate_bbs_params"),
+    "prf": ("FunctionOracle", "GgmKey", "IdealFunctionOracle", "ggm_eval", "ideal_oracle",
+            "split_master_key"),
+    "statcheck": ("BadEventSpec", "Gf2Matrix", "bad_event_bound", "build_ufn2_matrix",
+                  "conditional_uniformity_check", "estimate_bad_prob", "gf2_nonsingular",
+                  "secure_rounds"),
+}
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -30,3 +51,20 @@ def test_runtime_imports_are_the_declared_dependencies():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         declared = tomllib.load(fh)["project"]["dependencies"]
     assert third_party == {re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in declared}
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE_EXPORTS))
+def test_package_exports_each_name_as_bound_in_its_module(module):
+    source = importlib.import_module(f"feistel_lab.{module}")
+    for name in PACKAGE_EXPORTS[module]:
+        namespace = {}
+        exec(f"from feistel_lab import {name}", namespace)
+        assert namespace[name] is getattr(source, name), name
+        assert name in dir(feistel_lab), name
+
+
+def test_package_refuses_an_unknown_name():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        feistel_lab.no_such_name
+    with pytest.raises(ImportError):
+        exec("from feistel_lab import no_such_name", {})
