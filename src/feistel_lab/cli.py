@@ -331,9 +331,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
-        outputs = [args.out, _bench_csv_path(args) if args.command == "bench" else None]
-        for path in filter(None, outputs):
+        csv_path = _bench_csv_path(args) if args.command == "bench" else None
+        for path in filter(None, (args.out, csv_path)):
             _check_writable(path)
+        if args.out and csv_path and os.path.realpath(args.out) == os.path.realpath(csv_path):
+            raise UsageError(f"cannot write both the JSON and its CSV mirror to {csv_path}")
         return args.func(args)
     except (UsageError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

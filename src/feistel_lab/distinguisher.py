@@ -2,6 +2,8 @@
 
 A machine gets query access to a permutation, asks at most its declared
 budget of questions, and counts the instances on which its relation holds.
+Every attack here is one relation: with s the XOR over its fixed queries x of
+x ^ y (y the reply to x), a range of n-bit blocks of s XORs to 0.
 ``estimate_advantage`` plays it against a counter-keyed build of a structure and
 a uniform permutation, and reports the acceptance rates, their gap, and Wilson
 95% intervals.
@@ -10,8 +12,9 @@ a uniform permutation, and reports the acceptance rates, their gap, and Wilson
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import islice
+from operator import xor
 from typing import Protocol
 
 from .bits import Lanes, check_lane_width, join_blocks, lane_batches, run_chunks
@@ -105,8 +108,37 @@ class OracleMachine:
         raise NotImplementedError
 
 
-def _accepting(residual) -> int:
-    return residual.tolist().count(0) if isinstance(residual, Lanes) else int(residual == 0)
+class _BlockXorMachine(OracleMachine):
+    """Asks ``queries`` of a (k+1)n-bit permutation and accepts when the n-bit blocks
+    ``low`` .. ``low+count-1`` (block 0 is the rightmost) of s = XOR over the queries
+    of (x ^ y) XOR to 0, y being the reply to x."""
+
+    def __init__(self, n: int, k: int, queries: tuple[int, ...], low: int, count: int) -> None:
+        self.n = n
+        self.k = k
+        self.queries = queries
+        self.low = low
+        self.count = count
+        self.query_budget = len(queries)
+        self._query_xor = reduce(xor, queries)
+
+    def run(self, oracle: PermutationOracle) -> int:
+        if oracle.width != (self.k + 1) * self.n:
+            raise ValueError(f"oracle width {oracle.width} does not match machine")
+        s = self._query_xor
+        for x in self.queries:
+            s = oracle.query(x) ^ s
+        residual = _block_xor_sum(s, self.n, self.low, self.count)
+        return residual.tolist().count(0) if isinstance(residual, Lanes) else int(residual == 0)
+
+
+def _block_xor_sum(v, n: int, low: int, count: int):
+    """XOR of the n-bit blocks low .. low+count-1 of ``v``, block 0 the rightmost."""
+    mask = (1 << n) - 1
+    acc = v >> low * n & mask
+    for i in range(low + 1, low + count):
+        acc ^= v >> i * n & mask
+    return acc
 
 
 def _query_pair(n: int, k: int, seed: object | None) -> tuple[int, int]:
@@ -123,78 +155,24 @@ def _query_pair(n: int, k: int, seed: object | None) -> tuple[int, int]:
     return join_blocks([left_p, *shared], n), join_blocks([left_q, *shared], n)
 
 
-class _PairMachine(OracleMachine):
-    """Two queries differing only in the leftmost block; a subclass defines the
-    ``_residual`` of the two replies."""
-
-    query_budget = 2
-
-    def __init__(self, n: int, k: int, seed: object | None = None) -> None:
-        self.n = n
-        self.k = k
-        self.x_p, self.x_q = _query_pair(n, k, seed)
-
-    def run(self, oracle: PermutationOracle) -> int:
-        if oracle.width != (self.k + 1) * self.n:
-            raise ValueError(f"oracle width {oracle.width} does not match machine")
-        return _accepting(self._residual(oracle.query(self.x_p), oracle.query(self.x_q)))
-
-
-class _LeadingBlockXorMachine(_PairMachine):
-    """Accepts when the leftmost output blocks XOR to the input difference.
-
-    That relation is an identity for both under-rounded unbalanced shapes:
-    after k+1 rounds the leftmost block is the original leftmost block XORed
-    with round-function outputs that both queries share.
-    """
-
-    def _residual(self, y_p, y_q):
-        return (self.x_p ^ self.x_q ^ y_p ^ y_q) >> (self.k * self.n)
-
-
 def attack_leading_block(n: int, k: int, seed: object | None = None) -> OracleMachine:
-    """Distinguisher for the source-heavy and target-heavy shapes at up to k+1 rounds."""
-    return _LeadingBlockXorMachine(n, k, seed)
-
-
-class _XorSumMachine(OracleMachine):
-    """Single query; accepts when the XOR over all output blocks equals the
-    XOR over all input blocks. With an even ratio the repeated round-function
-    output cancels out of that sum, so the relation holds at every round
-    count."""
-
-    query_budget = 1
-
-    def __init__(self, n: int, k: int, seed: object | None = None) -> None:
-        if k % 2 != 0:
-            raise ValueError(f"k={k} is odd: the XOR-sum relation needs even k")
-        self.n = n
-        self.k = k
-        if seed is None:
-            self.x = 0
-        else:
-            gen = FastBitGenerator(derive_seed("xor-sum-query", seed))
-            self.x = gen.next_int((k + 1) * n)
-
-    def run(self, oracle: PermutationOracle) -> int:
-        if oracle.width != (self.k + 1) * self.n:
-            raise ValueError(f"oracle width {oracle.width} does not match machine")
-        return _accepting(_block_xor_sum(self.x ^ oracle.query(self.x), self.n, self.k + 1))
-
-
-def _block_xor_sum(v, n: int, count: int):
-    """XOR of the ``count`` lowest n-bit blocks of ``v``."""
-    acc = 0
-    mask = (1 << n) - 1
-    for _ in range(count):
-        acc ^= v & mask
-        v >>= n
-    return acc
+    """Distinguisher for the source-heavy and target-heavy shapes at up to k+1 rounds:
+    two queries differing only in the leftmost block, whose leftmost output blocks XOR
+    to that input difference, as both queries share the round outputs XORed into it."""
+    return _BlockXorMachine(n, k, _query_pair(n, k, seed), k, 1)
 
 
 def attack_ufn2_even_k(n: int, k: int, seed: object | None = None) -> OracleMachine:
-    """Single-query XOR-sum distinguisher; valid only for even k."""
-    return _XorSumMachine(n, k, seed)
+    """Single-query XOR-sum distinguisher; valid only for even k. The output blocks XOR
+    to what the input blocks XOR to: with an even ratio the repeated round-function
+    output cancels out of that sum at every round count."""
+    if k % 2 != 0:
+        raise ValueError(f"k={k} is odd: the XOR-sum relation needs even k")
+    if seed is None:
+        x = 0
+    else:
+        x = FastBitGenerator(derive_seed("xor-sum-query", seed)).next_int((k + 1) * n)
+    return _BlockXorMachine(n, k, (x,), 0, k + 1)
 
 
 def calibrate_w_index(n: int, k: int, probes: int = 64, seed: object = "w-cal") -> int:
@@ -216,42 +194,25 @@ def calibrate_w_index(n: int, k: int, probes: int = 64, seed: object = "w-cal") 
     for j in range(probes):
         perm = ideal_ufn(params, derive_seed(seed, n, k, "perm", j))
         x_p, x_q = _query_pair(n, k, derive_seed(seed, n, k, "pair", j))
-        base = _relation_residual(perm.query(x_p), perm.query(x_q), x_p, x_q, n, k)
-        keep = set()
-        for idx in candidates:
-            shift = (k - idx) * n
-            w_delta = ((x_p ^ x_q) >> shift) & ((1 << n) - 1)
-            if base ^ w_delta == 0:
-                keep.add(idx)
-        candidates = keep
+        # The pair differs only in block k, so blocks 1..k of x_p ^ x_q XOR to that delta.
+        base = _block_xor_sum(x_p ^ x_q ^ perm.query(x_p) ^ perm.query(x_q), n, 1, k)
+        candidates = {idx for idx in candidates
+                      if base == _block_xor_sum(x_p ^ x_q, n, k - idx, 1)}
         if not candidates:
             raise RuntimeError("no carried-block position satisfies the 2k-round relation")
     return min(candidates)
 
 
-def _relation_residual(y_p, y_q, x_p: int, x_q: int, n: int, k: int):
-    """XOR of the first k output blocks of both replies plus the input delta."""
-    return _block_xor_sum((y_p ^ y_q) >> n, n, k) ^ ((x_p ^ x_q) >> (k * n))
-
-
-class _CarriedBlockMachine(_PairMachine):
-    """Accepts when the XOR of the first k output blocks of both replies
-    equals the input difference. The carried block is block 1, which both
-    queries share, so it adds nothing to the relation. Exact at 2k rounds
-    for odd k."""
-
-    def _residual(self, y_p, y_q):
-        return _relation_residual(y_p, y_q, self.x_p, self.x_q, self.n, self.k)
-
-
 def attack_ufn2_2k(n: int, k: int, seed: object | None = None) -> OracleMachine:
-    """Two-query distinguisher for the 2k-round widened shape; odd k only."""
+    """Two-query distinguisher for the 2k-round widened shape; odd k only. The first k
+    output blocks of both replies XOR to the input difference, exactly at 2k rounds: the
+    carried block is block 1 (``calibrate_w_index``), which both queries share."""
     if k % 2 == 0:
         raise ValueError(
             f"k={k} is even: the 2k-round relation needs odd k; "
             "use the single-query XOR-sum machine instead"
         )
-    return _CarriedBlockMachine(n, k, seed)
+    return _BlockXorMachine(n, k, _query_pair(n, k, seed), 1, k)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Layer timings (ROADMAP layers L0, L1 and some L3 items) of source trees, written as JSON.
+"""Layer timings (ROADMAP layers L0 to L2 and some L3 items) of source trees, written as JSON.
 
     python tests/layer_timings.py --tree parent=/path/to/parent/src --tree change=src \
         --out BENCH_layers_pr20.json
@@ -9,7 +9,10 @@ item to item and from pass to pass, so that a change in the machine's load
 falls on all trees alike. Every item is timed with ``timeit`` after a warm-up
 call: per pass, the minimum over 5 repeats of the mean over ``number`` calls.
 The JSON keeps, per item and tree, the median and the quartiles over
-``--passes`` passes, in microseconds per call. pytest does not collect this file.
+``--passes`` passes, in microseconds per call; for each tree after the first, also
+the median and quartiles over passes of that pass's time ratio to the first tree,
+which a change in the machine's speed from pass to pass moves far less.
+pytest does not collect this file.
 
 Items: one round ``feistel._forward`` per kind on an int, on 256-lane ``bits.Lanes``
 and on a 2,000-element numpy ``uint64`` array; one ``encrypt`` per kind at its
@@ -17,7 +20,9 @@ secure round count; ``prbg.derive_seed``; one ``prbg.state_stream`` expander ste
 on a state of 128, 1,280 and 14,284 bits (the widest round key); one SplitMix64 pass
 at 1 and 256 lanes; the fork-to-join time of ``bits.run_chunks`` (``cli._run_chunked``
 on a tree from before it moved) at two jobs with a no-op worker (two trials, the usable
-CPU count pinned at 2), a cost that no span of the benchmark tracer covers; and
+CPU count pinned at 2), a cost that no span of the benchmark tracer covers;
+``game.<attack>.r<rounds>`` (L2), one ``distinguisher.advantage_counts`` batch of 256
+trials at each point of the benchmark's ``games`` workload, reported per trial; and
 ``start.<subcommand>`` (L3), the spawn-to-exit time of a fresh interpreter on the
 tree's ``src`` running one benchmark workload's one-trial set-up command, which the
 benchmark's ``setup_s`` times up to the first output line. A tree whose rounds take
@@ -28,6 +33,7 @@ so its round numbers leave out the split at entry and the join at exit.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -50,9 +56,10 @@ START_WORKLOADS = ("treewalk", "games", "collisions", "uniformity")
 START_CODE = "import sys; from feistel_lab.cli import main; sys.exit(main())"
 
 
-def _time(fn, number: int) -> float:
+def _time(fn, number: int, per: int = 1) -> float:
+    """Microseconds per call of ``fn``, or per unit when a call does ``per`` units."""
     fn()
-    return min(timeit.repeat(fn, number=number, repeat=5)) / number * 1e6
+    return min(timeit.repeat(fn, number=number, repeat=5)) / number / per * 1e6
 
 
 def _noop_chunk(start: int, count: int) -> int:
@@ -68,10 +75,11 @@ def _start(argv: list[str]) -> None:
 
 
 def items() -> dict[str, tuple]:
-    """Item name -> (callable, calls per repeat), in this interpreter's ``feistel_lab``."""
+    """Item name -> (callable, calls per repeat[, units per call]), in this interpreter's
+    ``feistel_lab``."""
     import numpy as np
 
-    from feistel_lab import bits, cli, feistel
+    from feistel_lab import bits, cli, distinguisher, feistel
     from feistel_lab.bits import BitString, Lanes, split_blocks
     from feistel_lab.feistel import UfnKind, UfnParams, ideal_ufn
     from feistel_lab.prbg import derive_seed, state_stream
@@ -125,6 +133,13 @@ def items() -> dict[str, tuple]:
     sys.path.insert(0, str(ROOT))
     from perfbench import workloads
 
+    for cmd in workloads.commands("games", 1):
+        name, kind, rounds = cmd.expect["name"], cmd.expect["kind"], cmd.expect["rounds"]
+        n, k = (int(cmd.argv[cmd.argv.index(flag) + 1]) for flag in ("--n", "--k"))
+        machine = getattr(distinguisher, cli._ATTACKS[name][1])(n, k)
+        trials = functools.partial(distinguisher.advantage_counts, machine,
+                                   UfnParams(UfnKind(kind), n, k, rounds), cmd.expect["seed"])
+        out[f"game.{name}.r{rounds}"] = (functools.partial(trials, 0, 256), 20, 256)
     for workload in START_WORKLOADS:
         argv = workloads.setup_argv(workloads.commands(workload, 1)[0])
         out[f"start.{argv[0]}"] = (lambda argv=argv: _start(argv), 1)
@@ -159,6 +174,7 @@ def main() -> None:
         return
     trees = dict(spec.split("=", 1) for spec in args.tree)
     runs: dict[str, dict[str, list[float]]] = {label: {} for label in trees}
+    first = next(iter(trees))
     for i in range(args.passes):
         procs = {label: subprocess.Popen(
                      [sys.executable, __file__, "--one"], text=True,
@@ -177,15 +193,20 @@ def main() -> None:
             if proc.wait():
                 raise SystemExit(f"a timing interpreter exited with {proc.returncode}")
     report = {
-        "unit": "us per call (per start for start.*); median and quartiles over passes of "
-                "the best of 5 timeit repeats, the trees interleaved item by item",
+        "unit": "us per call (per start for start.*, per trial for game.*); median and "
+                "quartiles over passes of the best of 5 timeit repeats, the trees interleaved "
+                "item by item; ratio: over passes, that pass's time over the first tree's",
         "passes": args.passes,
         "python": platform.python_version(),
         "machine": f"{os.cpu_count()} cores, {platform.machine()}",
         "trees": {label: {"src": trees[label]} for label in trees},
         "items": {name: {label: _summary(runs[label][name]) for label in trees}
-                  for name in runs[next(iter(trees))]},
+                  for name in runs[first]},
     }
+    for name, by_tree in report["items"].items():
+        for label in list(trees)[1:]:
+            by_tree[label]["ratio"] = _summary(
+                [t / t0 for t, t0 in zip(runs[label][name], runs[first][name])])
     text = json.dumps(report, indent=1)
     if args.out:
         with open(args.out, "w") as fh:

@@ -667,7 +667,7 @@ def test_bench_has_no_jobs_or_table_cap_flag(capsys, flag):
 
 
 @pytest.mark.parametrize("target", ["out-dir", "csv-missing-dir", "out-missing-dir",
-                                    "derived-csv-dir"])
+                                    "derived-csv-dir", "derived-csv-is-out", "csv-is-out"])
 def test_unwritable_output_path_is_a_one_line_error(capsys, monkeypatch, tmp_path, target):
     def no_trials(*_args):
         raise AssertionError("a trial loop started")
@@ -684,9 +684,14 @@ def test_unwritable_output_path_is_a_one_line_error(capsys, monkeypatch, tmp_pat
     elif target == "out-missing-dir":
         argv = ("attack", "--name", "src-k1", "--n", "4", "--k", "2", "--trials", "100000",
                 "--seed", "7", "--out", str(tmp_path / "missing" / "x.json"))
-    else:
+    elif target == "derived-csv-dir":
         (tmp_path / "report.csv").mkdir()
         argv = (*bench, "--out", str(tmp_path / "report.json"))
+    elif target == "derived-csv-is-out":
+        argv = (*bench, "--out", str(tmp_path / "report.csv"))
+    else:  # the same file named once absolute, once relative
+        monkeypatch.chdir(tmp_path)
+        argv = (*bench, "--out", str(tmp_path / "report.json"), "--csv", "report.json")
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
@@ -703,6 +708,20 @@ _GOLDEN_JSON = {
         '"ci":0.03838501620037556,"ci_a":0.00632148561227297,"ci_b":0.03206353058810259,'
         '"k":3,"kind":"ufn2","n":4,"name":"ufn2-2k","rounds":6,"schema":1,"seed":7,'
         '"trials":300}\n',
+    ),
+    "attack-tgt-k1": (
+        ("attack", "--name", "tgt-k1", "--n", "4", "--k", "2", "--trials", "300", "--seed", "8",
+         "--jobs", "2"),
+        '{"accept_a":1.0,"accept_b":0.04,"advantage":0.96,"ci":0.029109930887621833,'
+        '"ci_a":0.00632148561227297,"ci_b":0.022788445275348863,"k":2,"kind":"target-heavy",'
+        '"n":4,"name":"tgt-k1","rounds":3,"schema":1,"seed":8,"trials":300}\n',
+    ),
+    "attack-ufn2-even": (
+        ("attack", "--name", "ufn2-even", "--n", "4", "--k", "2", "--trials", "300", "--seed",
+         "9"),
+        '{"accept_a":1.0,"accept_b":0.06,"advantage":0.94,"ci":0.03359802342638116,'
+        '"ci_a":0.00632148561227297,"ci_b":0.027276537814108187,"k":2,"kind":"ufn2","n":4,'
+        '"name":"ufn2-even","rounds":5,"schema":1,"seed":9,"trials":300}\n',
     ),
     "advantage": (
         ("advantage", "--name", "src-k1", "--kind", "source-heavy", "--n", "4", "--k", "2",

@@ -182,8 +182,7 @@ def test_source_heavy_attack_relation_instance():
     # n=2, k=2: queries (00,01,10) and (11,01,10); accept iff the first
     # output blocks XOR to 11.
     machine = attack_leading_block(2, 2)
-    xp = split_blocks(machine.x_p, 2, 3)
-    xq = split_blocks(machine.x_q, 2, 3)
+    xp, xq = (split_blocks(x, 2, 3) for x in machine.queries)
     assert xp[1:] == xq[1:]
     assert (xp[0] ^ xq[0]) == 0b11
 
