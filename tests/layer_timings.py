@@ -22,7 +22,10 @@ at 1 and 256 lanes; the fork-to-join time of ``bits.run_chunks`` (``cli._run_chu
 on a tree from before it moved) at two jobs with a no-op worker (two trials, the usable
 CPU count pinned at 2), a cost that no span of the benchmark tracer covers;
 ``game.<attack>.r<rounds>`` (L2), one ``distinguisher.advantage_counts`` batch of 256
-trials at each point of the benchmark's ``games`` workload, reported per trial; and
+trials at each point of the benchmark's ``games`` workload, reported per trial;
+``badprob.<kind>.k<k>.<shaping>`` (L2), one ``statcheck.bad_event_counts`` call of 200
+trials (one ``--jobs 2`` chunk) at each point of the ``collisions`` workload, reported
+per trial; and
 ``start.<subcommand>`` (L3), the spawn-to-exit time of a fresh interpreter on the
 tree's ``src`` running one benchmark workload's one-trial set-up command, which the
 benchmark's ``setup_s`` times up to the first output line. A tree whose rounds take
@@ -79,7 +82,7 @@ def items() -> dict[str, tuple]:
     ``feistel_lab``."""
     import numpy as np
 
-    from feistel_lab import bits, cli, distinguisher, feistel
+    from feistel_lab import bits, cli, distinguisher, feistel, statcheck
     from feistel_lab.bits import BitString, Lanes, split_blocks
     from feistel_lab.feistel import UfnKind, UfnParams, ideal_ufn
     from feistel_lab.prbg import derive_seed, state_stream
@@ -140,6 +143,13 @@ def items() -> dict[str, tuple]:
         trials = functools.partial(distinguisher.advantage_counts, machine,
                                    UfnParams(UfnKind(kind), n, k, rounds), cmd.expect["seed"])
         out[f"game.{name}.r{rounds}"] = (functools.partial(trials, 0, 256), 20, 256)
+    for cmd in workloads.commands("collisions", 1):
+        kind, k, shaping = (cmd.argv[cmd.argv.index(flag) + 1]
+                            for flag in ("--kind", "--k", "--shaping"))
+        spec = statcheck.BadEventSpec(UfnKind(kind), cmd.expect["n"], int(k), cmd.expect["m"],
+                                      shaping)
+        out[f"badprob.{kind}.k{k}.{shaping}"] = (
+            functools.partial(statcheck.bad_event_counts, spec, cmd.expect["seed"], 0, 200), 4, 200)
     for workload in START_WORKLOADS:
         argv = workloads.setup_argv(workloads.commands(workload, 1)[0])
         out[f"start.{argv[0]}"] = (lambda argv=argv: _start(argv), 1)
@@ -193,9 +203,10 @@ def main() -> None:
             if proc.wait():
                 raise SystemExit(f"a timing interpreter exited with {proc.returncode}")
     report = {
-        "unit": "us per call (per start for start.*, per trial for game.*); median and "
-                "quartiles over passes of the best of 5 timeit repeats, the trees interleaved "
-                "item by item; ratio: over passes, that pass's time over the first tree's",
+        "unit": "us per call (per start for start.*, per trial for game.* and badprob.*); "
+                "median and quartiles over passes of the best of 5 timeit repeats, the trees "
+                "interleaved item by item; ratio: over passes, that pass's time over the first "
+                "tree's",
         "passes": args.passes,
         "python": platform.python_version(),
         "machine": f"{os.cpu_count()} cores, {platform.machine()}",

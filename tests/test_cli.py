@@ -550,6 +550,8 @@ def test_uniformity_loads_numpy_but_not_scipy():
                                   "--trials", "2000", "--seed", "1")) == "['numpy']"
 
 
+_BADPROB_FRESH = ("badprob", "--kind", "ufn2", "--n", "4", "--k", "3", "--m", "8",
+                  "--trials", "100", "--seed", "5")
 _CRYPT_UNUSED = {"feistel_lab.statcheck", "feistel_lab.distinguisher", "concurrent.futures",
                  "pickle"}
 
@@ -561,7 +563,10 @@ _CRYPT_UNUSED = {"feistel_lab.statcheck", "feistel_lab.distinguisher", "concurre
      _CRYPT_UNUSED),
     (("attack", "--name", "src-k1", "--n", "4", "--k", "2", "--trials", "50", "--seed", "1"),
      {"feistel_lab.statcheck", "feistel_lab.bench", "concurrent.futures"}),
-], ids=["encrypt", "bench-ggm", "attack"])
+    (_BADPROB_FRESH + ("--jobs", "1"), {"feistel_lab.bench", "concurrent.futures", "pickle"}),
+    # Forked chunks pickle their results, so only a --jobs 2 run loads pickle.
+    (_BADPROB_FRESH + ("--jobs", "2"), {"feistel_lab.bench", "concurrent.futures"}),
+], ids=["encrypt", "bench-ggm", "attack", "badprob-jobs1", "badprob-jobs2"])
 def test_a_fresh_command_loads_only_the_modules_it_runs(argv, unused):
     # Every fresh process pays for each module it loads; see the README on start-up cost.
     loaded = {m for m in _fresh_modules(argv)

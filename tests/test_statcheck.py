@@ -1,3 +1,4 @@
+import collections
 import random
 
 import numpy as np
@@ -9,6 +10,7 @@ from feistel_lab import bits, statcheck, stats
 from feistel_lab.bits import BitString, Lanes
 from feistel_lab.feistel import UfnKind, UfnParams, ideal_ufn
 from feistel_lab.prbg import FastBitGenerator, derive_seed
+from feistel_lab.prf import SplitMixRound
 from feistel_lab.statcheck import (
     BadEventSpec,
     BadProbReport,
@@ -103,6 +105,14 @@ def test_watched_rounds_per_structure():
     assert watched_rounds(UfnKind.UFN2, 3) == (3, 4, 5, 6)
     with pytest.raises(ValueError):
         watched_rounds(UfnKind.BALANCED, 1)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+@pytest.mark.parametrize("kind", [UfnKind.SOURCE_HEAVY, UfnKind.TARGET_HEAVY, UfnKind.UFN2],
+                         ids=lambda kind: kind.value)
+def test_the_last_watched_round_is_the_one_before_the_last(kind, k):
+    # So the collision check never reads the final round's output and need not run it.
+    assert max(watched_rounds(kind, k)) == secure_rounds(kind, k) - 1
 
 
 def test_secure_rounds_per_structure():
@@ -385,8 +395,9 @@ def _scalar_bad_event_hit(spec, seed, t):
 _BAD_EVENT_KINDS = (UfnKind.SOURCE_HEAVY, UfnKind.TARGET_HEAVY, UfnKind.UFN2)
 
 
-@pytest.mark.parametrize("shaping", ["adversarial", "uniform"])
-@pytest.mark.parametrize("m", [2, 8])
+# m = 16 = 2^n adversarial queries take every value of the varied block.
+@pytest.mark.parametrize("m,shaping", [(2, "adversarial"), (2, "uniform"), (8, "adversarial"),
+                                       (8, "uniform"), (16, "adversarial")])
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("kind", _BAD_EVENT_KINDS, ids=lambda kind: kind.value)
 def test_bad_event_counts_match_the_scalar_twin_bit_for_bit(kind, k, m, shaping):
@@ -487,3 +498,38 @@ def test_adversarial_batches_keep_no_one_use_spread(monkeypatch, kind):
     monkeypatch.setattr(statcheck, "lane_batches", spied)
     bad_event_counts(BadEventSpec(kind, 16, 3, 64), 5, 0, 200)
     assert len(sizes) == 1 and sizes[0] < 10
+
+
+# Round-function evaluations per round of one batch at n=16, m=64. Adversarial queries
+# differ only in the leading block, which on target-heavy and ufn2 reaches a round input
+# first at round k+1; rounds 1..k see one input in all m queries. The final round runs
+# only after the last watched round, so it is never evaluated.
+@pytest.mark.parametrize("kind,k,shaping,per_round", [
+    (UfnKind.TARGET_HEAVY, 2, "adversarial", [1, 1, 64, 0]),
+    (UfnKind.TARGET_HEAVY, 3, "adversarial", [1, 1, 1, 64, 0]),
+    (UfnKind.UFN2, 2, "adversarial", [1, 1, 64, 64, 0]),
+    (UfnKind.UFN2, 3, "adversarial", [1, 1, 1, 64, 64, 64, 0]),
+    (UfnKind.SOURCE_HEAVY, 2, "adversarial", [64, 64, 64, 0]),
+    (UfnKind.SOURCE_HEAVY, 3, "adversarial", [64, 64, 64, 64, 0]),
+    *[(kind, k, "uniform", [64] * (secure_rounds(kind, k) - 1) + [0])
+      for kind in _BAD_EVENT_KINDS for k in (2, 3)],
+], ids=lambda v: v.value if isinstance(v, UfnKind) else
+   "_".join(map(str, v)) if isinstance(v, list) else None)
+def test_bad_event_counts_evaluate_each_round_input_once_per_batch(monkeypatch, kind, k,
+                                                                   shaping, per_round):
+    real_rounds, real_eval = statcheck.splitmix_round_oracles, SplitMixRound.eval_int
+    batches, calls = [], collections.Counter()
+
+    def rounds(*args):
+        batches.append(real_rounds(*args))
+        return batches[-1]
+
+    def counted(self, x):
+        calls[id(self)] += 1
+        return real_eval(self, x)
+
+    monkeypatch.setattr(statcheck, "splitmix_round_oracles", rounds)
+    monkeypatch.setattr(SplitMixRound, "eval_int", counted)
+    bad_event_counts(BadEventSpec(kind, 16, k, 64, shaping), 7, 0, 200)
+    assert len(batches) == 1 and len(batches[0]) == secure_rounds(kind, k)
+    assert [calls[id(f)] for f in batches[0]] == per_round
