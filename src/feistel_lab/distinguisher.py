@@ -54,7 +54,9 @@ class IdealPermutationOracle:
     Lane t's i-th fresh query gets its i-th distinct candidate c_j = z(z(key, t+1), j+1)
     >> (64 - width), sampling without replacement; a repeated query replays its answer.
     A lane pass draws c_j for every lane and every lane keeps it, so a lane's answers do
-    not depend on its batch. Answer j is pass j until some c_j ^ ((t+1) << 56) mod 2^64 repeats.
+    not depend on its batch. Answer j is pass j until some c_j ^ ((t+1) << 55) mod 2^64 repeats.
+    The 9-bit tag tells apart the 512 = ``bits.LANE_BATCH`` lanes of a batch; two lanes that
+    shared a tag and a c_j would send the batch down the per-lane path: exact, but slower.
     """
 
     def __init__(self, width: int, key: int, trials: Lanes) -> None:
@@ -62,8 +64,8 @@ class IdealPermutationOracle:
             raise ValueError("width must be >= 1")
         check_lane_width(width)
         self.width = width
-        self._stream = splitmix_stream(splitmix(key, trials))
-        self._tags = trials << 56  # t+1 mod 256 in the top byte: distinct in a batch
+        self._stream = splitmix_stream(splitmix(key, trials), 64 - width)
+        self._tags = trials << 55  # t+1 mod 512 in the top 9 bits: distinct in a batch
         self._tagged: set[int] = set()  # c_j ^ tag; a lane's repeat repeats it too
         self._passes: list[Lanes] = []
         self._replies: dict[int, Lanes] = {}
@@ -72,13 +74,13 @@ class IdealPermutationOracle:
     def distinct(self, m: int) -> list[Lanes]:
         """The answers to m fresh queries: each lane's first m distinct candidates."""
         while len(self._passes) < m and len(self._tagged) == len(self._passes) * self._tags.count:
-            self._passes.append(next(self._stream) >> (64 - self.width))
+            self._passes.append(next(self._stream))
             self._tagged.update((self._passes[-1] ^ self._tags).tolist())
         if len(self._tagged) == len(self._passes) * self._tags.count:  # no lane repeated
             return self._passes[:m]
         seen = [dict.fromkeys(lane) for lane in zip(*(p.tolist() for p in self._passes))]
         while min(map(len, seen)) < m:
-            self._passes.append(next(self._stream) >> (64 - self.width))
+            self._passes.append(next(self._stream))
             for values, c in zip(seen, self._passes[-1].tolist()):
                 values[c] = None
         return [Lanes.of(column) for column in islice(zip(*seen), m)]
@@ -129,7 +131,7 @@ class _BlockXorMachine(OracleMachine):
         for x in self.queries:
             s = oracle.query(x) ^ s
         residual = _block_xor_sum(s, self.n, self.low, self.count)
-        return residual.tolist().count(0) if isinstance(residual, Lanes) else int(residual == 0)
+        return residual.zeros() if isinstance(residual, Lanes) else int(residual == 0)
 
 
 def _block_xor_sum(v, n: int, low: int, count: int):

@@ -125,24 +125,26 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def _mix(z):  # the SplitMix64 finalizer
+def _mix(z, shift=0):  # the SplitMix64 finalizer, then >> shift
     z = (z ^ (z >> 30)) * _MIX1
     z = (z ^ (z >> 27)) * _MIX2
-    return z ^ (z >> 31)
+    if shift < 33:  # z < 2^64, so from 33 on the last xorshift's z >> 31 is shifted out
+        z = z ^ (z >> 31)
+    return z >> shift if shift else z
 
 
-def splitmix(s, j):
-    """z(s, j) = mix((s + j * gamma) mod 2^64) elementwise, mix the SplitMix64 finalizer,
-    so z(s, j + 1) = z(s + gamma, j). ``j`` is a numpy ``uint64`` array or a ``bits.Lanes``,
-    whose products wrap mod 2^64, or an int against a ``Lanes`` s."""
-    return _mix(s + j * _GAMMA)
+def splitmix(s, j, shift=0):
+    """z(s, j) >> shift, z(s, j) = mix((s + j * gamma) mod 2^64) elementwise, mix the SplitMix64
+    finalizer, so z(s, j + 1) = z(s + gamma, j). ``j`` is a numpy ``uint64`` array or a
+    ``bits.Lanes``, whose products wrap mod 2^64, or an int against a ``Lanes`` s."""
+    return _mix(s + j * _GAMMA, shift)
 
 
-def splitmix_stream(s):
-    """z(s, 1), z(s, 2), ...: SplitMix64's state s advances by gamma per output."""
+def splitmix_stream(s, shift=0):
+    """z(s, 1) >> shift, z(s, 2) >> shift, ...: the state s advances by gamma per output."""
     while True:
         s = s + _GAMMA
-        yield _mix(s)
+        yield _mix(s, shift)
 
 
 class SplitMixRound(FunctionOracle):
@@ -155,7 +157,7 @@ class SplitMixRound(FunctionOracle):
         self._shift = 64 - out_bits
 
     def eval_int(self, x):
-        return splitmix(self._base, x) >> self._shift
+        return splitmix(self._base, x, self._shift)
 
 
 @dataclass(frozen=True)

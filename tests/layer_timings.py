@@ -11,18 +11,22 @@ call: per pass, the minimum over 5 repeats of the mean over ``number`` calls.
 The JSON keeps, per item and tree, the median and the quartiles over
 ``--passes`` passes, in microseconds per call; for each tree after the first, also
 the median and quartiles over passes of that pass's time ratio to the first tree,
-which a change in the machine's speed from pass to pass moves far less.
+which a change in the machine's speed from pass to pass moves far less. An item that
+a tree lacks is timed on the other trees only, with no ratio.
 pytest does not collect this file.
 
 Items: one round ``feistel._forward`` per kind on an int, on 256-lane ``bits.Lanes``
 and on a 2,000-element numpy ``uint64`` array; one ``encrypt`` per kind at its
 secure round count; ``prbg.derive_seed``; one ``prbg.state_stream`` expander step
 on a state of 128, 1,280 and 14,284 bits (the widest round key); one SplitMix64 pass
-at 1 and 256 lanes; the fork-to-join time of ``bits.run_chunks`` (``cli._run_chunked``
-on a tree from before it moved) at two jobs with a no-op worker (two trials, the usable
-CPU count pinned at 2), a cost that no span of the benchmark tracer covers;
-``game.<attack>.r<rounds>`` (L2), one ``distinguisher.advantage_counts`` batch of 256
-trials at each point of the benchmark's ``games`` workload, reported per trial;
+at 1 and 256 lanes; one ``prf.SplitMixRound`` evaluation at out_bits 4 and 16, and a
+count of the zero lanes by ``Lanes.zeros`` (on a tree that has it) and by
+``tolist().count(0)``, each at 256 and 512 lanes; the fork-to-join time of
+``bits.run_chunks`` (``cli._run_chunked`` on a tree from before it moved) at two jobs
+with a no-op worker (two trials, the usable CPU count pinned at 2), a cost that no span
+of the benchmark tracer covers; ``game.<attack>.r<rounds>`` (L2), one
+``distinguisher.advantage_counts`` batch of the tree's own ``bits.LANE_BATCH`` trials at
+each point of the benchmark's ``games`` workload, reported per trial;
 ``badprob.<kind>.k<k>.<shaping>`` (L2), one ``statcheck.bad_event_counts`` call of 200
 trials (one ``--jobs 2`` chunk) at each point of the ``collisions`` workload, reported
 per trial; and
@@ -31,6 +35,14 @@ tree's ``src`` running one benchmark workload's one-trial set-up command, which 
 benchmark's ``setup_s`` times up to the first output line. A tree whose rounds take
 block tuples (``UfnParams.block_count`` exists) gets its round input as a block tuple,
 so its round numbers leave out the split at entry and the join at exit.
+
+Each tree runs from a copy of its ``src`` without ``__pycache__`` and writes no
+bytecode, so every start compiles the package from source, as a fresh checkout does
+where ``PYTHONDONTWRITEBYTECODE`` is set, while the standard library keeps its installed
+bytecode. A tree's own ``__pycache__`` would bias the starts: current bytecode skips the
+compile, and bytecode from before an edit is recompiled for the edited modules alone. An
+empty ``PYTHONPYCACHEPREFIX`` would not do, as it hides the standard library's bytecode
+too: a start then takes about four times as long.
 """
 
 from __future__ import annotations
@@ -40,9 +52,11 @@ import functools
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import timeit
 from pathlib import Path
 
@@ -126,6 +140,16 @@ def items() -> dict[str, tuple]:
     for lanes in (1, 256):
         keys = Lanes.of(range(1, lanes + 1))
         out[f"splitmix.lanes{lanes}"] = (lambda keys=keys: splitmix(12345, keys), 2000)
+    for lanes in (256, 512):
+        keys = Lanes.of(range(1, lanes + 1))
+        x = Lanes.of(t % 3 for t in range(lanes))
+        for out_bits in (4, 16):
+            f = SplitMixRound(8, out_bits, keys)
+            out[f"splitmix_round.out{out_bits}.lanes{lanes}"] = (
+                lambda f=f, x=x: f.eval_int(x), 2000)
+        if hasattr(Lanes, "zeros"):
+            out[f"zeros.lanes{lanes}"] = (x.zeros, 20000)
+        out[f"tolist_count0.lanes{lanes}"] = (lambda x=x: x.tolist().count(0), 20000)
     # This interpreter only measures, so the usable CPU count can be pinned here.
     if hasattr(bits, "run_chunks"):
         bits.usable_cpus = lambda: 2
@@ -142,7 +166,8 @@ def items() -> dict[str, tuple]:
         machine = getattr(distinguisher, cli._ATTACKS[name][1])(n, k)
         trials = functools.partial(distinguisher.advantage_counts, machine,
                                    UfnParams(UfnKind(kind), n, k, rounds), cmd.expect["seed"])
-        out[f"game.{name}.r{rounds}"] = (functools.partial(trials, 0, 256), 20, 256)
+        out[f"game.{name}.r{rounds}"] = (functools.partial(trials, 0, bits.LANE_BATCH), 20,
+                                         bits.LANE_BATCH)
     for cmd in workloads.commands("collisions", 1):
         kind, k, shaping = (cmd.argv[cmd.argv.index(flag) + 1]
                             for flag in ("--kind", "--k", "--shaping"))
@@ -185,15 +210,22 @@ def main() -> None:
     trees = dict(spec.split("=", 1) for spec in args.tree)
     runs: dict[str, dict[str, list[float]]] = {label: {} for label in trees}
     first = next(iter(trees))
+    copies = tempfile.TemporaryDirectory()  # each tree's src without __pycache__
+    paths = {label: shutil.copytree(src, os.path.join(copies.name, label),
+                                    ignore=shutil.ignore_patterns("__pycache__"))
+             for label, src in trees.items()}
     for i in range(args.passes):
         procs = {label: subprocess.Popen(
                      [sys.executable, __file__, "--one"], text=True,
                      stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                     env={**os.environ, "PYTHONPATH": os.path.abspath(src)})
-                 for label, src in trees.items()}
-        names = [json.loads(proc.stdout.readline()) for proc in procs.values()]
-        for j, name in enumerate(n for n in names[0] if all(n in other for other in names)):
+                     env={**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"})
+                 for label, path in paths.items()}
+        names = {label: json.loads(proc.stdout.readline()) for label, proc in procs.items()}
+        # An item that only some trees have (a new function) is timed on those alone.
+        for j, name in enumerate(dict.fromkeys(n for tree in names.values() for n in tree)):
             for label in (list(trees) if (i + j) % 2 == 0 else list(trees)[::-1]):
+                if name not in names[label]:
+                    continue
                 procs[label].stdin.write(name + "\n")
                 procs[label].stdin.flush()
                 runs[label].setdefault(name, []).append(
@@ -202,6 +234,7 @@ def main() -> None:
             proc.stdin.close()
             if proc.wait():
                 raise SystemExit(f"a timing interpreter exited with {proc.returncode}")
+    copies.cleanup()
     report = {
         "unit": "us per call (per start for start.*, per trial for game.* and badprob.*); "
                 "median and quartiles over passes of the best of 5 timeit repeats, the trees "
@@ -211,13 +244,15 @@ def main() -> None:
         "python": platform.python_version(),
         "machine": f"{os.cpu_count()} cores, {platform.machine()}",
         "trees": {label: {"src": trees[label]} for label in trees},
-        "items": {name: {label: _summary(runs[label][name]) for label in trees}
-                  for name in runs[first]},
+        "items": {name: {label: _summary(runs[label][name]) for label in trees
+                         if name in runs[label]}
+                  for name in dict.fromkeys(n for tree in runs.values() for n in tree)},
     }
     for name, by_tree in report["items"].items():
         for label in list(trees)[1:]:
-            by_tree[label]["ratio"] = _summary(
-                [t / t0 for t, t0 in zip(runs[label][name], runs[first][name])])
+            if first in by_tree and label in by_tree:
+                by_tree[label]["ratio"] = _summary(
+                    [t / t0 for t, t0 in zip(runs[label][name], runs[first][name])])
     text = json.dumps(report, indent=1)
     if args.out:
         with open(args.out, "w") as fh:

@@ -236,11 +236,23 @@ def test_int_operands_match_each_lane_across_batches_and_widths(xs, ys, c):
             _check_int_operators(batch ^ 1, [x ^ 1 for x in values], c)
 
 
+@settings(deadline=None)
+@given(xs=hs.lists(hs.sampled_from([0, 1, _M64]) | _WORDS, min_size=1, max_size=600),
+       c=hs.sampled_from([0, 1, _M64]) | _WORDS)
+@example(xs=[0, _M64] * 256, c=_M64)
+def test_zeros_counts_the_lanes_that_hold_0(xs, c):
+    # Adding 2^64 - 1 carries out of a lane of 2^64 - 1 but not out of a 0 lane beside it.
+    a = Lanes.of(xs)
+    for got in (a, a ^ c, c + a, a & c, a * c, a >> 63, a ^ Lanes.of(xs[::-1])):
+        assert got.zeros() == got.tolist().count(0)
+
+
 def test_int_operands_fit_the_short_last_batch():
-    # 2,000 trials end in a batch of 208 lanes; a spread kept from a 256-lane batch, or
-    # the other way round, would put the constant in too many or too few lanes.
+    # 2,000 trials end in a short batch (464 lanes at 512 a batch); a spread kept from a
+    # full batch, or the other way round, would put the constant in too many or too few lanes.
     batches = list(lane_batches(0, 2000))
-    assert [b.count for b in batches] == [256] * 7 + [208]
+    full, last = divmod(2000, bits.LANE_BATCH)
+    assert last and [b.count for b in batches] == [bits.LANE_BATCH] * full + [last]
     for c in (0x9E3779B97F4A7C15, -3, (1 << 64) + 7, 15):
         for batch in batches + batches[::-1]:
             _check_int_operators(batch, batch.tolist(), c)

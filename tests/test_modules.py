@@ -68,3 +68,19 @@ def test_package_refuses_an_unknown_name():
         feistel_lab.no_such_name
     with pytest.raises(ImportError):
         exec("from feistel_lab import no_such_name", {})
+
+
+def test_each_derive_seed_label_has_one_call_site():
+    # Independent seed streams: a string label that one derive_seed call in src/ passes
+    # appears at no other call site, so two streams never hash the same parts.
+    sites: dict[str, list[str]] = {}
+    for path in sorted((ROOT / "src" / "feistel_lab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = getattr(node, "func", None)
+            if getattr(func, "id", getattr(func, "attr", None)) != "derive_seed":
+                continue
+            for arg in node.args:
+                if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                    sites.setdefault(arg.value, []).append(f"{path.name}:{node.lineno}")
+    assert {"game-keys", "ideal-perm", "bad-event-keys", "uniformity-keys"} <= set(sites)
+    assert {label: where for label, where in sites.items() if len(where) > 1} == {}

@@ -254,9 +254,10 @@ def _round_inputs(in_bits):
 
 
 @pytest.mark.parametrize("in_bits", [1, 3, 8, 32, 63, 64])
-@pytest.mark.parametrize("out_bits", [1, 16, 64])
+@pytest.mark.parametrize("out_bits", [1, 16, 31, 32, 33, 64])
 def test_splitmix_round_matches_the_scalar_twin(in_bits, out_bits):
     # The round keeps key + gamma and adds x * gamma: z(key, x + 1) = z(key + gamma, x).
+    # From out_bits 31 down it skips the finalizer's last xorshift; at 32 bit 63 still counts.
     def twin(key, x):
         return splitmix_scalar(key, x + 1) >> (64 - out_bits)
 
