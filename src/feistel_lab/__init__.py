@@ -22,8 +22,7 @@ _EXPORTS = {
                 "ideal_ufn", "secure_rounds"),
     "prbg": ("BbsParams", "BitGenerator", "BmParams", "bbs_generate", "bm_generate",
              "derive_seed", "generate_bbs_params"),
-    "prf": ("FunctionOracle", "GgmKey", "IdealFunctionOracle", "ggm_eval", "ideal_oracle",
-            "split_master_key"),
+    "prf": ("FunctionOracle", "GgmKey", "IdealFunctionOracle", "ggm_eval", "split_master_key"),
     "statcheck": ("BadEventSpec", "Gf2Matrix", "bad_event_bound", "build_ufn2_matrix",
                   "conditional_uniformity_check", "estimate_bad_prob", "gf2_nonsingular"),
 }

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .bits import BitString
 from .feistel import UfnKind, UfnParams, UfnPermutation, ggm_ufn, ideal_ufn, secure_rounds
-from .prbg import FastBitGenerator, derive_seed
+from .prbg import derive_seed, state_stream
 
 __all__ = [
     "structure_profile",
@@ -199,7 +199,7 @@ def _bench_ggm(
     params: UfnParams, cfg: BenchConfig, ell: int
 ) -> tuple[int | None, float]:
     """Returns (measured bits per encryption or None, seconds per encryption)."""
-    master = FastBitGenerator(derive_seed(cfg.seed, "master", params.kind.value)).next_bits(ell)
+    master = state_stream(0, ell, derive_seed(cfg.seed, "master", params.kind.value))(0)
     perm = ggm_ufn(params, master, mode="fast")
     inputs = _workload_inputs(params, cfg.workload)
     measured = None
@@ -214,6 +214,15 @@ def _bench_ggm(
     return measured, per_encryption
 
 
+def _ratios(name: str, costs: list[int]) -> list[float]:
+    """Each cost over the least; a ratio past the float range is refused."""
+    try:
+        return [cost / min(costs) for cost in costs]
+    except OverflowError:
+        raise ValueError(f"{name} reaches 2^{(max(costs) // min(costs)).bit_length() - 1}, "
+                         "which does not fit a float") from None
+
+
 def run_bench(cfg: BenchConfig) -> BenchReport:
     """Profile every structure kind, with ratios to the cheapest kind."""
     ell = cfg.resolved_ell()
@@ -223,14 +232,17 @@ def run_bench(cfg: BenchConfig) -> BenchReport:
         tables = [p.r * (1 << p.round_in_bits) * p.round_out_bits for p in profiles]
         coarse = [coarse_memory_bits(p.kind, cfg.n, cfg.k) for p in profiles]
         units = [p.r * p.round_out_bits for p in profiles]
+        memory_ratios = _ratios("memory_ratio", tables)
+        coarse_ratios = _ratios("coarse_memory_ratio", coarse)
     else:
         units = [(2 * p.round_in_bits * (ell // p.r) + p.round_out_bits) * p.r
                  for p in profiles]
+    time_ratios = _ratios("time_ratio", units)
     rows: list[StructureReport] = []
     for i, params in enumerate(profiles):
         shape = dict(kind=params.kind, rounds=params.r, p1=params.round_in_bits,
                      p2=params.round_out_bits, state_bits=params.state_bits,
-                     time_units=units[i], time_ratio=units[i] / min(units))
+                     time_units=units[i], time_ratio=time_ratios[i])
         if memoized:
             measured, workload_bits, per_enc = _bench_memoized(params, cfg)
             rows.append(
@@ -243,8 +255,8 @@ def run_bench(cfg: BenchConfig) -> BenchReport:
                     workload_table_bits=workload_bits,
                     exhausted=measured is not None,
                     seconds_per_encryption=per_enc,
-                    memory_ratio=tables[i] / min(tables),
-                    coarse_memory_ratio=coarse[i] / min(coarse),
+                    memory_ratio=memory_ratios[i],
+                    coarse_memory_ratio=coarse_ratios[i],
                 )
             )
         else:

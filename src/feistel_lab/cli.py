@@ -25,9 +25,7 @@ import os
 import sys
 
 from .bits import BitString
-from .feistel import UfnKind, UfnParams, UfnPermutation, ggm_ufn, secure_rounds
-from .prbg import derive_seed
-from .prf import ideal_oracle
+from .feistel import UfnKind, UfnParams, ggm_ufn, ideal_ufn, secure_rounds
 
 SEED_ENV_VAR = "FEISTEL_LAB_SEED"
 SCHEMA_VERSION = 1
@@ -133,15 +131,7 @@ def _build_cipher(args: argparse.Namespace):
         raise UsageError(f"--key must be hex digits, got {key_hex!r}") from exc
     if args.prf == "ggm":
         return ggm_ufn(params, master, mode=args.expander)
-    # encrypt and decrypt run as separate commands that visit the rounds in
-    # opposite orders. An ideal_ufn instance draws all rounds from one stream
-    # in miss order, so the two would key different functions; one stream per
-    # round makes each round's value at the one block it sees order-free.
-    return UfnPermutation(params, [
-        ideal_oracle(params.round_in_bits, params.round_out_bits,
-                     derive_seed("cli-key", master, "round", i))
-        for i in range(params.r)
-    ])
+    return ideal_ufn(params, master)
 
 
 def _cmd_crypt(args: argparse.Namespace) -> int:

@@ -17,9 +17,9 @@ from itertools import islice
 from operator import xor
 from typing import Protocol
 
-from .bits import Lanes, check_lane_width, join_blocks, lane_batches, run_chunks
+from .bits import Lanes, check_lane_width, join_blocks, lane_batches, run_chunks, split_blocks
 from .feistel import UfnKind, UfnParams, UfnPermutation, ideal_ufn, splitmix_round_oracles
-from .prbg import FastBitGenerator, derive_seed
+from .prbg import derive_seed, state_stream
 from .prf import splitmix, splitmix_stream
 from .stats import wilson_halfwidth
 
@@ -143,38 +143,25 @@ def _block_xor_sum(v, n: int, low: int, count: int):
     return acc
 
 
-def _query_pair(n: int, k: int, seed: object | None) -> tuple[int, int]:
-    """Two (k+1)n-bit int queries that differ exactly in the leftmost block."""
-    if seed is None:
-        shared = [0] * k
-        left_p, left_q = 0, (1 << n) - 1
-    else:
-        gen = FastBitGenerator(derive_seed("query-pair", seed))
-        shared = [gen.next_int(n) for _ in range(k)]
-        left_p = gen.next_int(n)
-        delta = gen.next_int(n) or 1
-        left_q = left_p ^ delta
-    return join_blocks([left_p, *shared], n), join_blocks([left_q, *shared], n)
+def _query_pair(n: int, k: int) -> tuple[int, int]:
+    """0 and the all-ones leftmost block: (k+1)n-bit queries that differ only there."""
+    return 0, ((1 << n) - 1) << k * n
 
 
-def attack_leading_block(n: int, k: int, seed: object | None = None) -> OracleMachine:
+def attack_leading_block(n: int, k: int) -> OracleMachine:
     """Distinguisher for the source-heavy and target-heavy shapes at up to k+1 rounds:
     two queries differing only in the leftmost block, whose leftmost output blocks XOR
     to that input difference, as both queries share the round outputs XORed into it."""
-    return _BlockXorMachine(n, k, _query_pair(n, k, seed), k, 1)
+    return _BlockXorMachine(n, k, _query_pair(n, k), k, 1)
 
 
-def attack_ufn2_even_k(n: int, k: int, seed: object | None = None) -> OracleMachine:
+def attack_ufn2_even_k(n: int, k: int) -> OracleMachine:
     """Single-query XOR-sum distinguisher; valid only for even k. The output blocks XOR
     to what the input blocks XOR to: with an even ratio the repeated round-function
     output cancels out of that sum at every round count."""
     if k % 2 != 0:
         raise ValueError(f"k={k} is odd: the XOR-sum relation needs even k")
-    if seed is None:
-        x = 0
-    else:
-        x = FastBitGenerator(derive_seed("xor-sum-query", seed)).next_int((k + 1) * n)
-    return _BlockXorMachine(n, k, (x,), 0, k + 1)
+    return _BlockXorMachine(n, k, (0,), 0, k + 1)
 
 
 def calibrate_w_index(n: int, k: int, probes: int = 64, seed: object = "w-cal") -> int:
@@ -184,18 +171,21 @@ def calibrate_w_index(n: int, k: int, probes: int = 64, seed: object = "w-cal") 
     (differing only in the leftmost block) against the input difference plus
     one carried input block W. Each candidate position is tested against
     freshly built 2k-round constructions with random round functions over
-    ``probes`` query pairs, and the smallest always-satisfied position wins.
-    The answer is block 1, which both queries share, so the attack machine
-    fixes W's difference at zero; this search remains as the empirical check
-    of that choice.
+    ``probes`` query pairs, pair j read off one ``prbg.state_stream`` at j, and the
+    smallest always-satisfied position wins. The answer is block 1, which both
+    queries share, so the attack machine fixes W's difference at zero; this search
+    remains as the empirical check of that choice.
     """
     if k % 2 == 0:
         raise ValueError(f"k={k} is even: the 2k-round relation needs odd k")
     params = UfnParams(UfnKind.UFN2, n, k, 2 * k)
+    pairs = state_stream(64, (k + 2) * n, derive_seed(seed, n, k, "pairs"))
     candidates = set(range(k + 1))
     for j in range(probes):
         perm = ideal_ufn(params, derive_seed(seed, n, k, "perm", j))
-        x_p, x_q = _query_pair(n, k, derive_seed(seed, n, k, "pair", j))
+        *blocks, delta = split_blocks(pairs(j).value, n, k + 2)
+        x_p = join_blocks(blocks, n)
+        x_q = x_p ^ (delta or 1) << k * n
         # The pair differs only in block k, so blocks 1..k of x_p ^ x_q XOR to that delta.
         base = _block_xor_sum(x_p ^ x_q ^ perm.query(x_p) ^ perm.query(x_q), n, 1, k)
         candidates = {idx for idx in candidates
@@ -205,7 +195,7 @@ def calibrate_w_index(n: int, k: int, probes: int = 64, seed: object = "w-cal") 
     return min(candidates)
 
 
-def attack_ufn2_2k(n: int, k: int, seed: object | None = None) -> OracleMachine:
+def attack_ufn2_2k(n: int, k: int) -> OracleMachine:
     """Two-query distinguisher for the 2k-round widened shape; odd k only. The first k
     output blocks of both replies XOR to the input difference, exactly at 2k rounds: the
     carried block is block 1 (``calibrate_w_index``), which both queries share."""
@@ -214,7 +204,7 @@ def attack_ufn2_2k(n: int, k: int, seed: object | None = None) -> OracleMachine:
             f"k={k} is even: the 2k-round relation needs odd k; "
             "use the single-query XOR-sum machine instead"
         )
-    return _BlockXorMachine(n, k, _query_pair(n, k, seed), 1, k)
+    return _BlockXorMachine(n, k, _query_pair(n, k), 1, k)
 
 
 @dataclass(frozen=True)

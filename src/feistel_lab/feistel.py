@@ -26,7 +26,7 @@ from enum import Enum
 from typing import Callable, Sequence
 
 from .bits import BitString, split_blocks
-from .prbg import FastBitGenerator, derive_seed
+from .prbg import derive_seed
 from .prf import (FunctionOracle, GgmFunctionOracle, IdealFunctionOracle, SplitMixRound,
                   split_master_key, splitmix, splitmix_stream)
 
@@ -35,7 +35,6 @@ __all__ = [
     "UfnParams",
     "secure_rounds",
     "UfnPermutation",
-    "ideal_round_oracles",
     "splitmix_round_oracles",
     "ggm_round_oracles",
     "ideal_ufn",
@@ -182,24 +181,6 @@ class UfnPermutation:
         return [split_blocks(state, self.params.n, self.params.k + 1) for state in states]
 
 
-def ideal_round_oracles(params: UfnParams, seed: object) -> list[IdealFunctionOracle]:
-    """Independent lazily-sampled round functions, one per round.
-
-    All rounds of one instance draw their misses from a single stream seeded
-    once from ``seed``, under a label of its own so that ``ideal_oracle`` with
-    the same seed draws another stream; each round keeps its own memo table.
-    Every miss is a fresh uniform draw, so the rounds are still independent
-    random functions. The stream position a miss reads depends on the order
-    of misses across rounds, which a fixed query sequence fixes, so instances
-    replay exactly. Share an instance's oracles with no other instance or
-    worker.
-    """
-    entropy = FastBitGenerator(derive_seed("ideal-ufn", seed))
-    in_bits = params.round_in_bits
-    out_bits = params.round_out_bits
-    return [IdealFunctionOracle(in_bits, out_bits, entropy) for _ in range(params.r)]
-
-
 def splitmix_round_oracles(params: UfnParams, master: int, trials) -> list[SplitMixRound]:
     """The r counter-keyed round functions of a batch; ``trials`` (a ``bits.Lanes`` or
     a numpy ``uint64`` array) holds t+1 for trial t. Trial t's key is T_t = z(master,
@@ -228,7 +209,13 @@ def ggm_round_oracles(
 
 
 def ideal_ufn(params: UfnParams, seed: object) -> UfnPermutation:
-    return UfnPermutation(params, ideal_round_oracles(params, seed))
+    """Lazily sampled rounds, round i keyed by ``derive_seed("ideal-ufn", seed, i)``: its
+    values depend on ``seed``, i and the round input, not on the order of queries."""
+    in_bits, out_bits = params.round_in_bits, params.round_out_bits
+    return UfnPermutation(params, [
+        IdealFunctionOracle(in_bits, out_bits, derive_seed("ideal-ufn", seed, i))
+        for i in range(params.r)
+    ])
 
 
 def ggm_ufn(params: UfnParams, master: BitString, mode: str = "fast") -> UfnPermutation:

@@ -62,15 +62,15 @@ def _label(text: str) -> str:
     return text
 
 
-def _bits_head(width: int) -> str:
+def _bits_head(width: int, what: str = "key") -> str:
     """The text of a ``width``-bit string up to its value. The value follows in
     decimal, so a width with values past Python's int-to-str digit limit
     (``sys.get_int_max_str_digits()``, 0 for none) is refused here, before any
-    of its text is written."""
+    of its text is written; the refusal names the string as ``what``."""
     digits = sys.get_int_max_str_digits()
     if digits and width > _widest_decimal(digits):
-        raise ValueError(f"a {width}-bit key is too wide to hash as decimal text; "
-                         f"the widest key is {_widest_decimal(digits)} bits")
+        raise ValueError(f"a {width}-bit {what} is too wide to hash as decimal text; "
+                         f"the widest {what} is {_widest_decimal(digits)} bits")
     return f"b{width}."
 
 
@@ -112,17 +112,19 @@ def derive_seed(*parts: object) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _state_head(width: int, parts: tuple) -> bytes:
-    """The text ``derive_seed(*parts, BitString(width, value))`` hashes, up to
-    ``value``."""
-    return "\x1f".join([_canonical(p) for p in parts] + [_bits_head(width)]).encode()
+def _state_head(width: int, salt: int, what: str = "key") -> bytes:
+    """``<salt>\x1fb<width>.``, the text ``derive_seed(salt, BitString(width, value))``
+    hashes up to ``value``. The separator and the dot end the digits, so no head begins another."""
+    if type(salt) is not int:
+        raise TypeError(f"a stream salt is an int, not {type(salt).__name__}")
+    return f"{salt}\x1f{_bits_head(width, what)}".encode()
 
 
-def state_seeder(width: int, *parts: object) -> Callable[[int], int]:
-    """``value -> derive_seed(*parts, BitString(width, value))`` for ``value`` in
+def state_seeder(width: int, salt: int) -> Callable[[int], int]:
+    """``value -> derive_seed(salt, BitString(width, value))`` for ``value`` in
     [0, 2^width), with the text before the value hashed once: a tree walk
     derives one seed per step from its state."""
-    head = hashlib.sha256(_state_head(width, parts))
+    head = hashlib.sha256(_state_head(width, salt))
 
     def seed(value: int) -> int:
         h = head.copy()
@@ -132,16 +134,16 @@ def state_seeder(width: int, *parts: object) -> Callable[[int], int]:
     return seed
 
 
-def state_stream(width: int, out_bits: int, *parts: object) -> Callable[[int], BitString]:
+def state_stream(width: int, out_bits: int, salt: int, *,
+                 what: str = "key") -> Callable[[int], BitString]:
     """``value ->`` the leading ``out_bits`` bits (big-endian) of SHAKE-256 (NIST
-    FIPS 202) over the text ``derive_seed(*parts, BitString(width, value))``
+    FIPS 202) over the text ``derive_seed(salt, BitString(width, value))``
     hashes up to ``value``, absorbed once, followed by ``value`` as
-    ``ceil(width / 8)`` big-endian bytes: one digest per tree-walk step, and no
-    generator state between steps. The head ends in ``b<width>.``, which fixes
-    the byte count, so under the same parts distinct widths and values give
-    distinct messages. Unlike decimal text, the bytes cost time linear in
-    ``width``."""
-    head = hashlib.shake_256(_state_head(width, parts))
+    ``ceil(width / 8)`` big-endian bytes, which cost time linear in ``width``: one
+    digest per step, no state between steps. The head fixes the salt, the width and so
+    the byte count, so distinct salts, widths and values give distinct messages. A
+    width ``derive_seed`` could not write is refused, naming the state ``what``."""
+    head = hashlib.shake_256(_state_head(width, salt, what))
     value_bytes = -(-width // 8)
     size = -(-out_bits // 8)
     spare = 8 * size - out_bits
@@ -262,16 +264,13 @@ class BitGenerator:
 
 
 class FastBitGenerator(BitGenerator):
-    """Deterministic utility stream for high-volume experiments.
-
-    Backed by the stdlib Mersenne Twister; passes basic frequency checks but
-    is NOT claimed cryptographically pseudo-random. Integer seeds are fed to
-    the engine directly (they are usually ``derive_seed`` outputs already);
-    anything else is canonicalized first.
+    """Deterministic utility stream, seeded by an int; it draws the Blum primes of
+    ``generate_bbs_params``. Backed by the stdlib Mersenne Twister; passes basic
+    frequency checks but is NOT claimed cryptographically pseudo-random.
     """
 
-    def __init__(self, seed: object) -> None:
-        self._rng = random.Random(seed if isinstance(seed, int) else derive_seed("fast", seed))
+    def __init__(self, seed: int) -> None:
+        self._rng = random.Random(seed)
 
     def next_bits(self, count: int) -> BitString:
         if count < 0:

@@ -2,8 +2,8 @@
 
 Three realizations of a deterministic function I_in -> I_out:
 
-* a lazily sampled ideal random function (memo table filled from a seeded
-  bit stream, entries never overwritten);
+* a lazily sampled ideal random function (memo table whose entry for x is the
+  keyed SHAKE-256 stream at x, a pure function of key and x);
 * a counter-keyed function, the top bits of SplitMix64 of key and input,
   for a whole batch of independently keyed instances at once; and
 * a keyed tree walk: a length-doubling generator is applied once per input
@@ -21,8 +21,6 @@ from .bits import BitString
 from .prbg import (
     BbsGenerator,
     BbsParams,
-    BitGenerator,
-    FastBitGenerator,
     derive_seed,
     generate_bbs_params,
     state_seeder,
@@ -34,7 +32,6 @@ __all__ = [
     "FunctionOracle",
     "CallableOracle",
     "IdealFunctionOracle",
-    "ideal_oracle",
     "splitmix",
     "splitmix_stream",
     "SplitMixRound",
@@ -77,18 +74,15 @@ class CallableOracle(FunctionOracle):
 
 
 class IdealFunctionOracle(FunctionOracle):
-    """Lazily sampled random function.
-
-    Memory grows only with distinct queries; an entry is drawn from the
-    entropy stream on first use and never overwritten. Several oracles may
-    share one stream (the rounds of an ``ideal_ufn`` instance do); a miss in
-    any of them advances it for all. A miss mutates the table and the stream,
-    so give each worker whole ``ideal_ufn`` instances, or lock externally.
+    """Lazily sampled random function: memory grows only with distinct queries, and
+    the entry for x, filled on first use, is ``prbg.state_stream(in_bits, out_bits,
+    key)`` at x, so it depends on ``key`` and x alone, never on the order of queries.
+    A miss mutates the table: give each worker its own instance, or lock externally.
     """
 
-    def __init__(self, in_bits: int, out_bits: int, entropy: BitGenerator) -> None:
+    def __init__(self, in_bits: int, out_bits: int, key: int) -> None:
         super().__init__(in_bits, out_bits)
-        self._entropy = entropy
+        self._draw = state_stream(in_bits, out_bits, key, what="round input")
         self._table: dict[int, int] = {}
 
     def eval_int(self, x: int) -> int:
@@ -98,8 +92,7 @@ class IdealFunctionOracle(FunctionOracle):
             return hit
         if len(table) >= DEFAULT_TABLE_CAP:
             raise RuntimeError(f"memo table reached its cap of {DEFAULT_TABLE_CAP} entries")
-        val = self._entropy.next_int(self.out_bits)
-        table[x] = val
+        val = table[x] = self._draw(x).value
         return val
 
     @property
@@ -110,12 +103,6 @@ class IdealFunctionOracle(FunctionOracle):
     def payload_bits(self) -> int:
         """Stored payload in bits: one out_bits value per distinct query."""
         return len(self._table) * self.out_bits
-
-
-def ideal_oracle(in_bits: int, out_bits: int, seed: object) -> IdealFunctionOracle:
-    """Fresh lazily-sampled random function, replayable from ``seed``."""
-    entropy = FastBitGenerator(derive_seed("ideal-fn", seed))
-    return IdealFunctionOracle(in_bits, out_bits, entropy)
 
 
 # SplitMix64 (Steele, Lea and Flood, OOPSLA 2014): the golden-gamma counter

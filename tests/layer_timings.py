@@ -100,7 +100,7 @@ def items() -> dict[str, tuple]:
     from feistel_lab.bits import BitString, Lanes, split_blocks
     from feistel_lab.feistel import UfnKind, UfnParams, ideal_ufn
     from feistel_lab.prbg import derive_seed, state_stream
-    from feistel_lab.prf import SplitMixRound, ideal_oracle, splitmix
+    from feistel_lab.prf import SplitMixRound, splitmix
 
     blocks = hasattr(UfnParams, "block_count")
     out: dict[str, tuple] = {}
@@ -114,7 +114,7 @@ def items() -> dict[str, tuple]:
         n, k = LANE_SHAPES[kind.value]
         params = UfnParams(kind, n, k, 1)
         x = 0x0123456789ABCDEF
-        f = ideal_oracle(params.round_in_bits, params.round_out_bits, 1)
+        f = ideal_ufn(params, 1).rounds[0]  # a memo-table round, on every tree
         round_item(f"round.{kind.value}.int", params, f, x, 20000)
         keys = Lanes.of(range(1, 257))
         f = SplitMixRound(params.round_in_bits, params.round_out_bits, keys)

@@ -1,13 +1,14 @@
 """Reference twins of the fast paths: the rounds per kind on block tuples, the lane
 engines with the same counter keying, one int at a time, the tree walk on ``BitString``
-states with each step's stream built from scratch, and ``statcheck.Gf2Matrix`` as
-nested lists."""
+states with each step's stream built from scratch, ``statcheck.Gf2Matrix`` as
+nested lists, and the attack machines on the seeded queries they once drew."""
 
 import hashlib
 
-from feistel_lab.bits import BitString
+from feistel_lab.bits import BitString, join_blocks
+from feistel_lab.distinguisher import _BlockXorMachine
 from feistel_lab.feistel import UfnKind, UfnPermutation
-from feistel_lab.prbg import BbsGenerator, derive_seed, generate_bbs_params
+from feistel_lab.prbg import BbsGenerator, FastBitGenerator, derive_seed, generate_bbs_params
 from feistel_lab.prf import CallableOracle
 from feistel_lab.statcheck import Gf2Matrix
 
@@ -114,6 +115,28 @@ class ScalarIdealPermutation:
                     break
             self._replies[x] = c
         return self._replies[x]
+
+
+def seeded_machine(factory, n, k, seed):
+    """``factory(n, k)``'s relation asked on queries drawn from ``seed``, exactly as
+    the attack factories drew them when they took a seed: a query pair from the
+    Mersenne Twister of ``derive_seed("query-pair", seed)`` (k shared blocks, the
+    leftmost block, then a nonzero difference in it), or the one XOR-sum query from
+    that of ``derive_seed("xor-sum-query", seed)``. ``seed`` None keeps the fixed
+    queries."""
+    machine = factory(n, k)
+    if seed is None:
+        return machine
+    if machine.query_budget == 1:
+        gen = FastBitGenerator(derive_seed("xor-sum-query", seed))
+        queries = (gen.next_int((k + 1) * n),)
+    else:
+        gen = FastBitGenerator(derive_seed("query-pair", seed))
+        shared = [gen.next_int(n) for _ in range(k)]
+        left_p = gen.next_int(n)
+        left_q = left_p ^ (gen.next_int(n) or 1)
+        queries = (join_blocks([left_p, *shared], n), join_blocks([left_q, *shared], n))
+    return _BlockXorMachine(n, k, queries, machine.low, machine.count)
 
 
 def zero_oracle(in_bits, out_bits):

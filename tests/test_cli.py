@@ -184,6 +184,36 @@ def test_bench_refuses_round_keys_too_wide_for_decimal_text(capsys, default_digi
         assert code == 0 and json.loads(out)["ell"] == 3 * width
 
 
+@pytest.mark.parametrize("width", [_WIDEST_KEY, _WIDEST_KEY + 1])
+def test_ideal_prf_refuses_round_inputs_too_wide_for_its_stream_head(capsys,
+                                                                     default_digit_limit,
+                                                                     width):
+    # Source-heavy at n=1 feeds each round the low k bits of its k+1-bit state.
+    state = width + 1
+    base = ["--kind", "source-heavy", "--n", "1", "--k", str(width), "--rounds", "1",
+            "--key", "BEEF", "--prf", "ideal"]
+    block = f"{state}:{'0' * ((state + 3) // 4)}"
+    code, out, err = run_cli(capsys, "encrypt", *base, "--in", block)
+    if width > _WIDEST_KEY:
+        assert (code, out) == (1, "")
+        assert err == (f"error: a {width}-bit round input is too wide to hash as decimal "
+                       f"text; the widest round input is {_WIDEST_KEY} bits\n")
+        return
+    assert code == 0 and err == ""
+    code, out, _ = run_cli(capsys, "decrypt", *base, "--in", out.strip())
+    assert code == 0 and out.strip() == block
+
+
+@pytest.mark.parametrize("shape", [("--n", "40", "--k", "30", "--workload", "1", "--analytic"),
+                                   ("--n", "64", "--k", "20")])
+def test_bench_refuses_a_memory_ratio_past_the_float_range(capsys, shape):
+    # The source-heavy table outgrows the least one by more than 2^1024.
+    code, out, err = run_cli(capsys, "bench", "--mode", "mem", *shape, "--seed", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: memory_ratio reaches 2^")
+    assert err.endswith(", which does not fit a float\n") and err.count("\n") == 1
+
+
 def test_unknown_flag_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "matrix", "--k", "3", "--frobnicate")
     assert code == 1

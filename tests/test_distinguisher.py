@@ -20,7 +20,7 @@ from feistel_lab.feistel import UfnKind, UfnParams, ideal_ufn
 from feistel_lab.prbg import FastBitGenerator, derive_seed
 from feistel_lab.statcheck import BadEventSpec, bad_event_counts
 from feistel_lab.stats import wilson_halfwidth
-from scalar_twins import ScalarIdealPermutation, scalar_perm, splitmix_scalar
+from scalar_twins import ScalarIdealPermutation, scalar_perm, seeded_machine, splitmix_scalar
 
 
 class CountingOracle:
@@ -201,7 +201,7 @@ def test_randomized_queries_also_always_accept():
     n, k = 4, 2
     params = UfnParams(UfnKind.SOURCE_HEAVY, n, k, k + 1)
     for t in range(100):
-        machine = attack_leading_block(n, k, seed=t)
+        machine = seeded_machine(attack_leading_block, n, k, t)
         assert machine.run(ideal_ufn(params, seed=1000 + t)) == 1
 
 
@@ -231,6 +231,16 @@ def test_calibration_finds_a_shared_block():
     for n in (3, 4):
         for k in (1, 3, 5):
             assert calibrate_w_index(n, k) == 1, (n, k)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_2k_attack_accepts_every_lane_at_2k_rounds(n, k):
+    # calibrate_w_index's claim on the lane engine: with the carried block fixed at
+    # block 1, the relation holds on every counter-keyed 2k-round instance.
+    params = UfnParams(UfnKind.UFN2, n, k, 2 * k)
+    ones_a, _ = advantage_counts(attack_ufn2_2k(n, k), params, (2500, n, k), 0, 512)
+    assert ones_a == 512
 
 
 def test_2k_attack_always_accepts_vulnerable_build():
@@ -390,7 +400,7 @@ def test_int_relations_agree_with_the_bitstring_twin(name, n, k, vulnerable, que
         k += k % 2
     elif name == "ufn2-2k":
         k -= 1 - k % 2
-    machine = factory(n, k, query_seed)
+    machine = seeded_machine(factory, n, k, query_seed)
     width = (k + 1) * n
     if vulnerable:
         inner = ideal_ufn(UfnParams(kind, n, k, rounds(k)), seed)
@@ -419,7 +429,7 @@ def test_trial_loops_build_no_bitstring(monkeypatch):
     for name, (factory, _, kind, rounds) in _TWINS.items():
         k = 2 if name != "ufn2-2k" else 3
         params = UfnParams(kind, n, k, rounds(k))
-        advantage_counts(factory(n, k, seed=1), params, seed=2, start=0, count=10)
+        advantage_counts(seeded_machine(factory, n, k, 1), params, seed=2, start=0, count=10)
     for shaping in ("adversarial", "uniform"):
         bad_event_counts(BadEventSpec(UfnKind.UFN2, n, 3, 8, shaping), seed=3, start=0,
                          count=10)
@@ -428,7 +438,7 @@ def test_trial_loops_build_no_bitstring(monkeypatch):
 
 def _game(name, n, k, r, query_seed=None):
     factory, _, kind, _ = _TWINS[name]
-    return factory(n, k, query_seed), UfnParams(kind, n, k, r)
+    return seeded_machine(factory, n, k, query_seed), UfnParams(kind, n, k, r)
 
 
 def _scalar_trial(machine, params, seed, t):

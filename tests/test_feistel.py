@@ -1,9 +1,11 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
-from feistel_lab import feistel, prbg
+from feistel_lab import feistel
 from feistel_lab.bits import BitString, Lanes, join_blocks, split_blocks
 from feistel_lab.feistel import (
     UfnKind,
@@ -11,10 +13,9 @@ from feistel_lab.feistel import (
     UfnPermutation,
     extend_block_cipher,
     ggm_ufn,
-    ideal_round_oracles,
     ideal_ufn,
 )
-from feistel_lab.prf import CallableOracle, SplitMixRound, ideal_oracle
+from feistel_lab.prf import CallableOracle, IdealFunctionOracle, SplitMixRound
 from scalar_twins import forward_blocks, inverse_blocks, splitmix_scalar, zero_oracle
 
 B = BitString
@@ -300,7 +301,7 @@ def test_ggm_ufn_is_deterministic():
 
 
 def test_extend_block_cipher_shape():
-    wide = extend_block_cipher(lambda i: ideal_oracle(8, 8, seed=i), n=8, k=3)
+    wide = extend_block_cipher(lambda i: IdealFunctionOracle(8, 8, i), n=8, k=3)
     assert wide.width == 32
     assert wide.params.r == 7
     assert wide.params.kind is UfnKind.UFN2
@@ -308,11 +309,11 @@ def test_extend_block_cipher_shape():
 
 def test_extend_block_cipher_rejects_even_k():
     with pytest.raises(ValueError, match="single-query"):
-        extend_block_cipher(lambda i: ideal_oracle(8, 8, seed=i), n=8, k=2)
+        extend_block_cipher(lambda i: IdealFunctionOracle(8, 8, i), n=8, k=2)
     # The invariant behind the rejection: with k even, every round keeps the
     # XOR of all blocks.
     wide = UfnPermutation(UfnParams(UfnKind.UFN2, 8, 2, 5),
-                          [ideal_oracle(8, 8, seed=i) for i in range(5)])
+                          [IdealFunctionOracle(8, 8, i) for i in range(5)])
     for v in (0, 1, 0x123456, 0xA5A5A5, 0xFFFFFF):
         x = B(24, v)
         xor_in = xor_out = 0
@@ -323,7 +324,7 @@ def test_extend_block_cipher_rejects_even_k():
 
 
 def test_extend_block_cipher_bijective():
-    wide = extend_block_cipher(lambda i: ideal_oracle(2, 2, seed=100 + i), n=2, k=3)
+    wide = extend_block_cipher(lambda i: IdealFunctionOracle(2, 2, 100 + i), n=2, k=3)
     outs = {wide.encrypt(B(8, v)).value for v in range(256)}
     assert len(outs) == 256
     for v in range(256):
@@ -333,33 +334,44 @@ def test_extend_block_cipher_bijective():
 
 def test_ideal_round_oracles_are_independent():
     params = UfnParams(UfnKind.UFN2, 4, 3, 4)
-    oracles = ideal_round_oracles(params, seed=9)
+    oracles = ideal_ufn(params, seed=9).rounds
     assert len({o.eval_int(5) for o in oracles} | {o.eval_int(9) for o in oracles}) > 1
 
 
-@pytest.mark.parametrize("r", [1, 4, 7])
-def test_ideal_ufn_seeds_one_generator_per_instance(monkeypatch, r):
-    calls = {"derive_seed": 0, "generator": 0}
-    real_derive = prbg.derive_seed
-    real_init = prbg.FastBitGenerator.__init__
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=hs.sampled_from(list(UfnKind)),
+    r=hs.integers(1, 7),
+    seed=hs.integers(0, 1 << 32),
+    data=hs.data(),
+)
+def test_ideal_ufn_values_do_not_depend_on_the_query_order(kind, r, seed, data):
+    params = UfnParams(kind, 3, 1 if kind is UfnKind.BALANCED else 2, r)
+    states = data.draw(hs.lists(hs.integers(0, (1 << params.state_bits) - 1), min_size=1,
+                                max_size=40, unique=True))
+    shuffled = data.draw(hs.permutations(states))
+    a, b = ideal_ufn(params, seed), ideal_ufn(params, seed)
+    assert {x: b.query(x) for x in shuffled} == {x: a.query(x) for x in states}
+    assert [f.table_size for f in a.rounds] == [f.table_size for f in b.rounds]
+    # A table per round: a round trip of one block shows each round one input.
+    one = ideal_ufn(params, seed)
+    x = B(params.state_bits, states[0])
+    assert one.decrypt(one.encrypt(x)) == x
+    assert [f.table_size for f in one.rounds] == [1] * r
 
-    def counted_derive(*parts):
-        calls["derive_seed"] += 1
-        return real_derive(*parts)
 
-    def counted_init(gen, seed):
-        calls["generator"] += 1
-        real_init(gen, seed)
-
-    for module in (feistel, prbg):
-        monkeypatch.setattr(module, "derive_seed", counted_derive)
-    monkeypatch.setattr(prbg.FastBitGenerator, "__init__", counted_init)
-    perm = ideal_ufn(UfnParams(UfnKind.UFN2, 4, 3, r), seed=11)
-    x = B(16, 0x1234)
-    assert perm.decrypt(perm.encrypt(x)) == x
-    assert calls == {"derive_seed": 1, "generator": 1}
-    # One stream, but a table per round: each round saw one distinct input.
-    assert [f.table_size for f in perm.rounds] == [1] * r
+def test_a_fresh_ideal_ufn_decrypts_blocks_in_shuffled_order():
+    # As encrypt and decrypt --prf ideal do: each builds its own instance and
+    # visits the rounds in the opposite order.
+    rng = random.Random(41)
+    for kind in UfnKind:
+        params = UfnParams(kind, 2, 1 if kind is UfnKind.BALANCED else 3, 5)
+        width = params.state_bits
+        encryptor = ideal_ufn(params, seed=B(16, 0xBEEF))
+        pairs = [(x, encryptor.encrypt(B(width, x))) for x in range(1 << width)]
+        rng.shuffle(pairs)
+        decryptor = ideal_ufn(params, seed=B(16, 0xBEEF))
+        assert [decryptor.decrypt(y).value for _, y in pairs] == [x for x, _ in pairs]
 
 
 def test_ideal_ufn_replays_from_its_seed():

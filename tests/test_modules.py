@@ -23,8 +23,7 @@ PACKAGE_EXPORTS = {
                 "ideal_ufn"),
     "prbg": ("BbsParams", "BitGenerator", "BmParams", "bbs_generate", "bm_generate",
              "derive_seed", "generate_bbs_params"),
-    "prf": ("FunctionOracle", "GgmKey", "IdealFunctionOracle", "ggm_eval", "ideal_oracle",
-            "split_master_key"),
+    "prf": ("FunctionOracle", "GgmKey", "IdealFunctionOracle", "ggm_eval", "split_master_key"),
     "statcheck": ("BadEventSpec", "Gf2Matrix", "bad_event_bound", "build_ufn2_matrix",
                   "conditional_uniformity_check", "estimate_bad_prob", "gf2_nonsingular",
                   "secure_rounds"),
@@ -84,3 +83,16 @@ def test_each_derive_seed_label_has_one_call_site():
                     sites.setdefault(arg.value, []).append(f"{path.name}:{node.lineno}")
     assert {"game-keys", "ideal-perm", "bad-event-keys", "uniformity-keys"} <= set(sites)
     assert {label: where for label, where in sites.items() if len(where) > 1} == {}
+
+
+def test_only_prbg_names_the_mersenne_twister_stream():
+    # Ideal round functions and queries are pure keyed functions; the one seeded
+    # Mersenne Twister left draws the Blum primes of generate_bbs_params.
+    names = {}
+    for path in sorted((ROOT / "src" / "feistel_lab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            # A Name's id, an Attribute's attr, an import alias's or a definition's name.
+            name = getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+            if name == "FastBitGenerator":
+                names.setdefault(path.stem, []).append(node.lineno)
+    assert set(names) == {"prbg"}, names

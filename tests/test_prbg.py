@@ -1,5 +1,6 @@
 import math
 import sys
+from itertools import permutations
 
 import pytest
 from hypothesis import example, given
@@ -298,9 +299,11 @@ def test_bit_string_seeds_refuse_widths_past_the_digit_limit():
                 with pytest.raises(ValueError, match=f"widest key is {widest} bits"):
                     derive_seed(BitString(widest + 1, value))
                 with pytest.raises(ValueError, match=f"widest key is {widest} bits"):
-                    state_seeder(widest + 1, "salt")
+                    state_seeder(widest + 1, 7)
                 with pytest.raises(ValueError, match=f"widest key is {widest} bits"):
-                    state_stream(widest + 1, 8, "salt")
+                    state_stream(widest + 1, 8, 7)
+                with pytest.raises(ValueError, match=f"widest round input is {widest} bits"):
+                    state_stream(widest + 1, 8, 7, what="round input")
         sys.set_int_max_str_digits(0)
         assert derive_seed(BitString(20000, (1 << 20000) - 1)) == derive_seed(
             BitString(20000, (1 << 20000) - 1))
@@ -364,47 +367,65 @@ _WIDTH_VALUES = hs.integers(0, 64).flatmap(
     lambda w: hs.tuples(hs.just(w), hs.integers(0, (1 << w) - 1)))
 
 
-@given(hs.lists(_PARTS, max_size=3), _WIDTH_VALUES)
-@example([], (0, 0))
-@example(["ggm", 7, (1, "a")], (64, (1 << 64) - 1))
-@example([BitString(4, 5), -3], (1, 1))
-def test_state_seeder_is_derive_seed_of_the_state(parts, width_value):
+@given(_PARTS, _WIDTH_VALUES)
+@example(0, (0, 0))
+@example(-3, (64, (1 << 64) - 1))
+@example(derive_seed("ggm", 7), (1, 1))
+@example("ggm", (1, 1))
+@example(BitString(4, 5), (1, 1))
+@example(True, (3, 5))
+def test_state_seeder_is_derive_seed_of_the_state(salt, width_value):
+    # Only an int salt is taken; any other part is refused, even where derive_seed
+    # would hash it.
     width, value = width_value
-    state = BitString(width, value)
-    try:
-        expected = derive_seed(*parts, state)
-    except (TypeError, ValueError) as exc:
-        with pytest.raises(type(exc)):
-            state_seeder(width, *parts)
+    if type(salt) is not int:
+        with pytest.raises(TypeError):
+            state_seeder(width, salt)
         return
-    assert state_seeder(width, *parts)(value) == expected
+    assert state_seeder(width, salt)(value) == derive_seed(salt, BitString(width, value))
 
 
-# Parts whose text is plain ``str``: ints, labels that read as no other part,
-# and tuples of these.
-_PLAIN_PARTS = hs.recursive(
-    hs.integers() | hs.text(alphabet="gmxyz-_", min_size=1, max_size=6),
-    lambda inner: hs.lists(inner, max_size=3).map(tuple), max_leaves=4)
-
-
-@given(hs.lists(_PLAIN_PARTS, max_size=3), _WIDTH_VALUES, hs.integers(1, 600))
-@example([], (0, 0), 1)
-@example([7], (64, (1 << 64) - 1), 600)
-@example(["ggm", (1, "a")], (12, 0xABC), 257)
-@example([-3, ("x", (2,))], (1, 1), 599)
-@example([derive_seed("ggm-expand", 0)], (32, 0xDEADBEEF), 64)
-@example([5], (7, 0x55), 14)
-@example([5], (8, 0x80), 16)
-@example([5], (9, 0x1FE), 18)
-@example([derive_seed("ggm-expand", 0)], (14284, (1 << 14284) // 3), 2 * 14284)
-def test_state_stream_is_the_leading_shake_bits_of_the_state_bytes(parts, width_value, out_bits):
+@given(_INTS, _WIDTH_VALUES, hs.integers(1, 600))
+@example(0, (0, 0), 1)
+@example(7, (64, (1 << 64) - 1), 600)
+@example(-3, (12, 0xABC), 257)
+@example(-3, (1, 1), 599)
+@example(derive_seed("ggm-expand", 0), (32, 0xDEADBEEF), 64)
+@example(5, (7, 0x55), 14)
+@example(5, (8, 0x80), 16)
+@example(5, (9, 0x1FE), 18)
+@example(derive_seed("ggm-expand", 0), (14284, (1 << 14284) // 3), 2 * 14284)
+def test_state_stream_is_the_leading_shake_bits_of_the_state_bytes(salt, width_value, out_bits):
     # The head is the text derive_seed writes up to the value; the value follows
     # as the ceil(width / 8) bytes that hold it, most significant first.
     width, value = width_value
-    head = "\x1f".join([*map(str, parts), f"b{width}."]).encode()
-    got = state_stream(width, out_bits, *parts)(value)
+    head = f"{salt}\x1fb{width}.".encode()
+    got = state_stream(width, out_bits, salt)(value)
     assert got == BitString(out_bits, shake_leading_bits(head + state_bytes(width, value),
                                                          out_bits))
+
+
+@given(hs.lists(hs.tuples(_INTS, hs.integers(0, 14284)), min_size=2, max_size=8,
+                unique=True))
+@example([(1, 0), (10, 0)])
+@example([(1, 1), (1, 10)])
+def test_stream_heads_begin_no_other_head(salts_and_widths):
+    # So no message of one (salt, width) is a message of another: the value bytes
+    # that follow a head have the count its width fixes.
+    heads = [prbg._state_head(width, salt) for salt, width in salts_and_widths]
+    for head, other in permutations(heads, 2):
+        assert not other.startswith(head)
+
+
+@pytest.mark.parametrize("salt", ["x", BitString(64, 10), (1,), True, 1.0, None])
+def test_state_streams_take_one_int_salt(salt):
+    # Under part lists, state_stream(64, 64, "x") at the bytes b"10\x1fb9.\x00\x05" and
+    # state_stream(9, 64, "x", BitString(64, 10)) at 5 hashed one message.
+    for make in (lambda: state_stream(64, 64, salt), lambda: state_seeder(64, salt)):
+        with pytest.raises(TypeError):
+            make()
+    with pytest.raises(TypeError):
+        state_stream(9, 64, "x", BitString(64, 10))
 
 
 class _ReseededBmGenerator(BmGenerator):

@@ -13,10 +13,10 @@ from feistel_lab.prf import (
     CallableOracle,
     GgmFunctionOracle,
     GgmKey,
+    IdealFunctionOracle,
     SplitMixRound,
     ggm_eval,
     ggm_walk_states,
-    ideal_oracle,
     split_master_key,
     splitmix_stream,
 )
@@ -24,12 +24,12 @@ from scalar_twins import BitStringGgmOracle, splitmix_scalar, zero_oracle
 
 
 def test_ideal_oracle_memoizes():
-    f = ideal_oracle(6, 4, seed=1)
+    f = IdealFunctionOracle(6, 4, 1)
     assert f.eval_int(0b101010) == f.eval_int(0b101010)
 
 
 def test_ideal_oracle_table_grows_with_distinct_queries():
-    f = ideal_oracle(8, 4, seed=2)
+    f = IdealFunctionOracle(8, 4, 2)
     for q, v in enumerate([3, 9, 3, 77, 9, 100]):
         f.eval_int(v)
     assert f.table_size == 4
@@ -37,20 +37,31 @@ def test_ideal_oracle_table_grows_with_distinct_queries():
 
 
 def test_ideal_oracle_output_width():
-    f = ideal_oracle(5, 9, seed=3)
+    f = IdealFunctionOracle(5, 9, 3)
     for v in range(32):
         assert 0 <= f.eval_int(v) < 1 << 9
 
 
+def test_ideal_oracle_entry_is_the_state_stream_of_its_key_at_the_input():
+    # A pure function of key and input: the query order does not change a value.
+    f = IdealFunctionOracle(12, 20, 77)
+    forward = [f.eval_int(v) for v in range(0, 4096, 37)]
+    g = IdealFunctionOracle(12, 20, 77)
+    backward = [g.eval_int(v) for v in reversed(range(0, 4096, 37))]
+    assert forward == backward[::-1]
+    stream = prbg.state_stream(12, 20, 77)
+    assert forward == [stream(v).value for v in range(0, 4096, 37)]
+
+
 def test_ideal_oracle_seed_separation():
-    a = ideal_oracle(8, 8, seed=10)
-    b = ideal_oracle(8, 8, seed=11)
+    a = IdealFunctionOracle(8, 8, 10)
+    b = IdealFunctionOracle(8, 8, 11)
     assert any(a.eval_int(v) != b.eval_int(v) for v in range(100))
 
 
 def test_ideal_oracle_table_cap(monkeypatch):
     monkeypatch.setattr(prf, "DEFAULT_TABLE_CAP", 4)
-    f = ideal_oracle(8, 4, seed=4)
+    f = IdealFunctionOracle(8, 4, 4)
     for v in range(4):
         f.eval_int(v)
     f.eval_int(0)  # replay is fine
@@ -60,7 +71,7 @@ def test_ideal_oracle_table_cap(monkeypatch):
 
 def test_ideal_oracle_per_bit_frequency():
     # Exhaust a 10-bit domain with 10-bit outputs: 10240 sample bits.
-    f = ideal_oracle(10, 10, seed=5)
+    f = IdealFunctionOracle(10, 10, 5)
     ones = sum(bin(f.eval_int(v)).count("1") for v in range(1 << 10))
     freq = ones / (10 * (1 << 10))
     assert 0.45 <= freq <= 0.55
