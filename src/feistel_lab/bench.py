@@ -3,9 +3,10 @@
 Two round-function realizations are profiled across the four structures at
 their minimal secure round counts:
 
-* ``memoized``: lazily sampled tables; memory is the stored payload, worst
-  case r * 2^P1 * P2 bits once every round function has seen its whole
-  domain.
+* ``memoized``: ideal rounds, each behind a memo table that this module keeps
+  (``functools.cache`` on the round's ``eval_int``); memory is the stored
+  payload, one P2-bit value per distinct round input, worst case
+  r * 2^P1 * P2 bits once every round function has seen its whole domain.
 * ``ggm``: keyed tree walks; memory is constant and the cost driver is the
   number of generator bits consumed, exactly (2*P1*l/r + P2)*r per
   encryption for an l-bit master key split across r rounds.
@@ -17,7 +18,9 @@ machine-independent; wall-clock numbers are reported for orientation only.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 import time
 from dataclasses import dataclass
 
@@ -162,8 +165,17 @@ class BenchReport:
         return dict(vars(self), structures=rows)
 
 
+def _memoized_ufn(params: UfnParams, seed: int) -> UfnPermutation:
+    """``ideal_ufn`` with each round's ``eval_int`` behind a memo table."""
+    perm = ideal_ufn(params, seed)
+    for f in perm.rounds:
+        f.eval_int = functools.cache(f.eval_int)
+    return perm
+
+
 def _table_payload_bits(perm: UfnPermutation) -> int:
-    return sum(f.payload_bits for f in perm.rounds)
+    """Stored payload of the memo tables: one out_bits value per distinct round input."""
+    return sum(f.eval_int.cache_info().currsize * f.out_bits for f in perm.rounds)
 
 
 def _ggm_bits(perm: UfnPermutation) -> int:
@@ -178,7 +190,7 @@ def _workload_inputs(params: UfnParams, workload: int) -> list[BitString]:
 def _bench_memoized(params: UfnParams, cfg: BenchConfig) -> tuple[int | None, int, float]:
     """Returns (exhausted payload bits or None, workload payload bits,
     seconds per encryption)."""
-    perm = ideal_ufn(params, derive_seed(cfg.seed, "bench", params.kind.value))
+    perm = _memoized_ufn(params, derive_seed(cfg.seed, "bench", params.kind.value))
     inputs = _workload_inputs(params, cfg.workload)
     started = time.perf_counter()
     for x in inputs:
@@ -189,7 +201,7 @@ def _bench_memoized(params: UfnParams, cfg: BenchConfig) -> tuple[int | None, in
 
     if cfg.analytic or params.state_bits > _EXHAUST_STATE_BITS:
         return None, workload_bits, per_encryption
-    full = ideal_ufn(params, derive_seed(cfg.seed, "exhaust", params.kind.value))
+    full = _memoized_ufn(params, derive_seed(cfg.seed, "exhaust", params.kind.value))
     for v in range(1 << params.state_bits):
         full.encrypt(BitString(params.state_bits, v))
     return _table_payload_bits(full), workload_bits, per_encryption
@@ -221,6 +233,19 @@ def _ratios(name: str, costs: list[int]) -> list[float]:
     except OverflowError:
         raise ValueError(f"{name} reaches 2^{(max(costs) // min(costs)).bit_length() - 1}, "
                          "which does not fit a float") from None
+
+
+def _check_printable(cfg: BenchConfig, rows: list[StructureReport]) -> None:
+    """Refuse a figure whose decimal text passes Python's int-to-str digit limit
+    (``sys.get_int_max_str_digits()``, 0 for none): neither JSON nor CSV could write it."""
+    digits = sys.get_int_max_str_digits()
+    for row in rows:
+        for name, value in vars(row).items():
+            # 0 digits sets no limit; below 2^(3 digits) < 10^digits a value is short enough.
+            if (digits and type(value) is int and value.bit_length() > 3 * digits
+                    and value >= 10 ** digits):
+                raise ValueError(f"{name} of {row.kind.value} at --n {cfg.n} --k {cfg.k} has "
+                                 f"more than {digits} decimal digits, past the int-to-str limit")
 
 
 def run_bench(cfg: BenchConfig) -> BenchReport:
@@ -270,6 +295,7 @@ def run_bench(cfg: BenchConfig) -> BenchReport:
                     seconds_per_encryption=per_enc,
                 )
             )
+    _check_printable(cfg, rows)
     return BenchReport(
         mode=cfg.prf_mode,
         n=cfg.n,

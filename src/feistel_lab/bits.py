@@ -6,7 +6,7 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 __all__ = ["BitString", "Lanes", "LANE_BATCH", "lane_batches", "usable_cpus", "run_chunks",
            "check_lane_width", "split_blocks", "join_blocks"]
@@ -22,8 +22,7 @@ class BitString:
 
     Bit 0 is the leftmost bit and the most significant bit of ``value``:
     ``BitString(6, 0b101101)`` is the string 101101 and formats as ``6:2D``.
-    Width 0 (the empty string) is allowed as the neutral element of
-    concatenation.
+    Width 0 (the empty string) is allowed.
     """
 
     width: int
@@ -34,15 +33,6 @@ class BitString:
             raise ValueError("width must be >= 0")
         if not 0 <= self.value < (1 << self.width):
             raise ValueError(f"value {self.value} does not fit in {self.width} bits")
-
-    @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "BitString":
-        value = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise ValueError("bits must be 0 or 1")
-            value = (value << 1) | b
-        return cls(len(bits), value)
 
     @classmethod
     def parse(cls, text: str) -> "BitString":
@@ -68,28 +58,6 @@ class BitString:
     def __str__(self) -> str:
         return self.text()
 
-    def __len__(self) -> int:
-        return self.width
-
-    def bit(self, i: int) -> int:
-        """Bit at position i, counted from the left starting at 0."""
-        if not 0 <= i < self.width:
-            raise IndexError(f"bit index {i} out of range for width {self.width}")
-        return (self.value >> (self.width - 1 - i)) & 1
-
-    def bits(self) -> tuple[int, ...]:
-        return tuple((self.value >> (self.width - 1 - i)) & 1 for i in range(self.width))
-
-    def xor(self, other: "BitString") -> "BitString":
-        if self.width != other.width:
-            raise ValueError(f"width mismatch: {self.width} vs {other.width}")
-        return BitString(self.width, self.value ^ other.value)
-
-    __xor__ = xor
-
-    def concat(self, other: "BitString") -> "BitString":
-        return BitString(self.width + other.width, (self.value << other.width) | other.value)
-
     def split(self, left_width: int) -> tuple["BitString", "BitString"]:
         """Split into (leftmost left_width bits, remainder)."""
         if not 0 <= left_width <= self.width:
@@ -99,9 +67,6 @@ class BitString:
             BitString(left_width, self.value >> right_width),
             BitString(right_width, self.value & ((1 << right_width) - 1)),
         )
-
-    def complement(self) -> "BitString":
-        return BitString(self.width, self.value ^ ((1 << self.width) - 1))
 
 
 @dataclass(slots=True)

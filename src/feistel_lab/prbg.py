@@ -204,44 +204,17 @@ def is_probable_prime(num: int) -> bool:
     return _strong_probable_prime(num, _random_bases(num, MILLER_RABIN_ROUNDS))
 
 
-def _pollard_rho(num: int) -> int:
-    if num % 2 == 0:
-        return 2
-    rng = random.Random(derive_seed("pollard-rho", num))
-    while True:
-        x = rng.randrange(2, num)
-        y = x
-        c = rng.randrange(1, num)
-        d = 1
-        while d == 1:
-            x = (x * x + c) % num
-            y = (y * y + c) % num
-            y = (y * y + c) % num
-            d = math.gcd(abs(x - y), num)
-        if d != num:
-            return d
-
-
 def _prime_factors(num: int) -> set[int]:
+    """The prime factors of ``num`` >= 1, by trial division up to its square root."""
     factors: set[int] = set()
-    for p in (2, 3):
-        while num % p == 0:
-            factors.add(p)
-            num //= p
-    f = 5
-    while f * f <= num and f < (1 << 20):
-        for p in (f, f + 2):
-            while num % p == 0:
-                factors.add(p)
-                num //= p
-        f += 6
+    f = 2
+    while f * f <= num:
+        while num % f == 0:
+            factors.add(f)
+            num //= f
+        f += 1
     if num > 1:
-        if is_probable_prime(num):
-            factors.add(num)
-        else:
-            d = _pollard_rho(num)
-            factors |= _prime_factors(d)
-            factors |= _prime_factors(num // d)
+        factors.add(num)
     return factors
 
 
@@ -258,9 +231,6 @@ class BitGenerator:
 
     def next_bits(self, count: int) -> BitString:
         raise NotImplementedError
-
-    def next_int(self, bits: int) -> int:
-        return self.next_bits(bits).value
 
 
 class FastBitGenerator(BitGenerator):
@@ -283,13 +253,22 @@ class FastBitGenerator(BitGenerator):
 
 @dataclass(frozen=True)
 class BmParams:
-    """Discrete-log stream parameters: prime p, group generator g, start x0."""
+    """Discrete-log stream parameters: prime p, group generator g, start x0.
+
+    p is at most ``BM_MAX_MODULUS`` (2^20): the hard-core predicate reads a full
+    discrete-log table, one entry per element of the group.
+    """
 
     p: int
     g: int
     x0: int
 
     def __post_init__(self) -> None:
+        if self.p > BM_MAX_MODULUS:
+            raise ValueError(
+                f"modulus {self.p} exceeds {BM_MAX_MODULUS}: the hard-core "
+                "predicate needs a full discrete-log table"
+            )
         if not is_probable_prime(self.p):
             raise ValueError(f"p={self.p} is not prime")
         if not is_generator(self.g, self.p):
@@ -317,13 +296,8 @@ class BmGenerator(BitGenerator):
     """
 
     def __init__(self, params: BmParams) -> None:
-        if params.p > BM_MAX_MODULUS:
-            raise ValueError(
-                f"modulus {params.p} exceeds {BM_MAX_MODULUS}: the hard-core "
-                "predicate needs a full discrete-log table"
-            )
         self.params = params
-        self._table = _dlog_table(params.p, params.g)
+        self._logs = _dlog_table(params.p, params.g)
         self._x = params.x0
         self._half = (params.p - 1) // 2
 
@@ -335,7 +309,7 @@ class BmGenerator(BitGenerator):
         x = self._x
         for _ in range(count):
             x = pow(g, x, p)
-            value = (value << 1) | (1 if self._table[x] <= self._half else 0)
+            value = (value << 1) | (1 if self._logs[x] <= self._half else 0)
         self._x = x
         return BitString(count, value)
 

@@ -2,8 +2,8 @@
 
 Three realizations of a deterministic function I_in -> I_out:
 
-* a lazily sampled ideal random function (memo table whose entry for x is the
-  keyed SHAKE-256 stream at x, a pure function of key and x);
+* an ideal random function: its value at x is the keyed SHAKE-256 stream at x,
+  a pure function of key and x that keeps no table;
 * a counter-keyed function, the top bits of SplitMix64 of key and input,
   for a whole batch of independently keyed instances at once; and
 * a keyed tree walk: a length-doubling generator is applied once per input
@@ -28,9 +28,7 @@ from .prbg import (
 )
 
 __all__ = [
-    "DEFAULT_TABLE_CAP",
     "FunctionOracle",
-    "CallableOracle",
     "IdealFunctionOracle",
     "splitmix",
     "splitmix_stream",
@@ -41,9 +39,6 @@ __all__ = [
     "split_master_key",
     "GgmFunctionOracle",
 ]
-
-# Most distinct queries one memo table answers; a guard on memory.
-DEFAULT_TABLE_CAP = 1 << 24
 
 
 class FunctionOracle:
@@ -59,50 +54,20 @@ class FunctionOracle:
         raise NotImplementedError
 
 
-class CallableOracle(FunctionOracle):
-    """Wrap a plain int -> int function; handy for stubs and known functions."""
-
-    def __init__(self, in_bits: int, out_bits: int, fn: Callable[[int], int]) -> None:
-        super().__init__(in_bits, out_bits)
-        self._fn = fn
-
-    def eval_int(self, x: int) -> int:
-        y = self._fn(x)
-        if not 0 <= y < (1 << self.out_bits):
-            raise ValueError(f"function value {y} does not fit in {self.out_bits} bits")
-        return y
-
-
 class IdealFunctionOracle(FunctionOracle):
-    """Lazily sampled random function: memory grows only with distinct queries, and
-    the entry for x, filled on first use, is ``prbg.state_stream(in_bits, out_bits,
+    """Ideal random function: the value at x is ``prbg.state_stream(in_bits, out_bits,
     key)`` at x, so it depends on ``key`` and x alone, never on the order of queries.
-    A miss mutates the table: give each worker its own instance, or lock externally.
+    It keeps no state between queries; ``bench`` caches it to measure a memo table.
     """
 
     def __init__(self, in_bits: int, out_bits: int, key: int) -> None:
         super().__init__(in_bits, out_bits)
         self._draw = state_stream(in_bits, out_bits, key, what="round input")
-        self._table: dict[int, int] = {}
 
     def eval_int(self, x: int) -> int:
-        table = self._table
-        hit = table.get(x)
-        if hit is not None:
-            return hit
-        if len(table) >= DEFAULT_TABLE_CAP:
-            raise RuntimeError(f"memo table reached its cap of {DEFAULT_TABLE_CAP} entries")
-        val = table[x] = self._draw(x).value
-        return val
-
-    @property
-    def table_size(self) -> int:
-        return len(self._table)
-
-    @property
-    def payload_bits(self) -> int:
-        """Stored payload in bits: one out_bits value per distinct query."""
-        return len(self._table) * self.out_bits
+        if not 0 <= x < 1 << self.in_bits:
+            raise ValueError(f"round input does not fit in {self.in_bits} bits")
+        return self._draw(x).value
 
 
 # SplitMix64 (Steele, Lea and Flood, OOPSLA 2014): the golden-gamma counter

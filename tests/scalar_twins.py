@@ -1,7 +1,8 @@
 """Reference twins of the fast paths: the rounds per kind on block tuples, the lane
 engines with the same counter keying, one int at a time, the tree walk on ``BitString``
 states with each step's stream built from scratch, ``statcheck.Gf2Matrix`` as
-nested lists, and the attack machines on the seeded queries they once drew."""
+nested lists, and the attack machines on the seeded queries they once drew; and
+``CallableOracle``, a round function from a plain int -> int function."""
 
 import hashlib
 
@@ -9,10 +10,24 @@ from feistel_lab.bits import BitString, join_blocks
 from feistel_lab.distinguisher import _BlockXorMachine
 from feistel_lab.feistel import UfnKind, UfnPermutation
 from feistel_lab.prbg import BbsGenerator, FastBitGenerator, derive_seed, generate_bbs_params
-from feistel_lab.prf import CallableOracle
+from feistel_lab.prf import FunctionOracle
 from feistel_lab.statcheck import Gf2Matrix
 
 _M64 = (1 << 64) - 1
+
+
+class CallableOracle(FunctionOracle):
+    """Wrap a plain int -> int function; handy for stubs and known functions."""
+
+    def __init__(self, in_bits, out_bits, fn):
+        super().__init__(in_bits, out_bits)
+        self._fn = fn
+
+    def eval_int(self, x):
+        y = self._fn(x)
+        if not 0 <= y < (1 << self.out_bits):
+            raise ValueError(f"function value {y} does not fit in {self.out_bits} bits")
+        return y
 
 
 def forward_blocks(params, f, blocks):
@@ -194,7 +209,7 @@ class BitStringGgmOracle:
         for i in range(bits.width):
             self.bits_generated += 2 * self.key.width
             left, right = self._expand(state).split(self.key.width)
-            state = right if bits.bit(i) else left
+            state = right if bits.value >> (bits.width - 1 - i) & 1 else left
         self.bits_generated += self.out_bits
         return self._final(state).value
 

@@ -214,6 +214,28 @@ def test_bench_refuses_a_memory_ratio_past_the_float_range(capsys, shape):
     assert err.endswith(", which does not fit a float\n") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("n", [14268, 14269])
+def test_bench_refuses_a_figure_past_the_decimal_digit_limit(capsys, default_digit_limit, n):
+    # At k=1 each structure's table is 3 * 2^n * n bits: 4,300 digits at n=14268, 4,301 at 14269.
+    code, out, err = run_cli(capsys, "bench", "--mode", "mem", "--n", str(n), "--k", "1",
+                             "--analytic", "--workload", "0", "--seed", "1")
+    if n == 14268:
+        assert code == 0
+        assert len(str(json.loads(out)["structures"][0]["analytic_table_bits"])) == 4300
+        return
+    assert (code, out) == (1, "")
+    assert err == (f"error: analytic_table_bits of balanced at --n {n} --k 1 has more than "
+                   "4300 decimal digits, past the int-to-str limit\n")
+
+
+def test_seed_env_that_is_not_an_int_is_a_one_line_error(capsys, monkeypatch):
+    monkeypatch.setenv(SEED_ENV_VAR, "abc")
+    code, out, err = run_cli(capsys, "attack", "--name", "src-k1", "--n", "4", "--k", "2",
+                             "--trials", "50")
+    assert (code, out) == (1, "")
+    assert err == f"error: {SEED_ENV_VAR} must be an integer, got 'abc'\n"
+
+
 def test_unknown_flag_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "matrix", "--k", "3", "--frobnicate")
     assert code == 1

@@ -15,8 +15,10 @@ from feistel_lab.feistel import (
     ggm_ufn,
     ideal_ufn,
 )
-from feistel_lab.prf import CallableOracle, IdealFunctionOracle, SplitMixRound
-from scalar_twins import forward_blocks, inverse_blocks, splitmix_scalar, zero_oracle
+from feistel_lab.bench import _memoized_ufn
+from feistel_lab.prf import IdealFunctionOracle, SplitMixRound
+from scalar_twins import (CallableOracle, forward_blocks, inverse_blocks, splitmix_scalar,
+                          zero_oracle)
 
 B = BitString
 
@@ -338,6 +340,11 @@ def test_ideal_round_oracles_are_independent():
     assert len({o.eval_int(5) for o in oracles} | {o.eval_int(9) for o in oracles}) > 1
 
 
+def _table_sizes(perm):
+    """Entries of each round's memo table under ``bench._memoized_ufn``."""
+    return [f.eval_int.cache_info().currsize for f in perm.rounds]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     kind=hs.sampled_from(list(UfnKind)),
@@ -352,12 +359,15 @@ def test_ideal_ufn_values_do_not_depend_on_the_query_order(kind, r, seed, data):
     shuffled = data.draw(hs.permutations(states))
     a, b = ideal_ufn(params, seed), ideal_ufn(params, seed)
     assert {x: b.query(x) for x in shuffled} == {x: a.query(x) for x in states}
-    assert [f.table_size for f in a.rounds] == [f.table_size for f in b.rounds]
+    # Under bench's memo tables, both orders leave the same tables.
+    a, b = _memoized_ufn(params, seed), _memoized_ufn(params, seed)
+    assert {x: b.query(x) for x in shuffled} == {x: a.query(x) for x in states}
+    assert _table_sizes(a) == _table_sizes(b)
     # A table per round: a round trip of one block shows each round one input.
-    one = ideal_ufn(params, seed)
+    one = _memoized_ufn(params, seed)
     x = B(params.state_bits, states[0])
     assert one.decrypt(one.encrypt(x)) == x
-    assert [f.table_size for f in one.rounds] == [1] * r
+    assert _table_sizes(one) == [1] * r
 
 
 def test_a_fresh_ideal_ufn_decrypts_blocks_in_shuffled_order():

@@ -103,6 +103,7 @@ def test_is_generator_matches_order_oracle():
 
     for g in range(1, p):
         assert is_generator(g, p) == (order(g) == p - 1), g
+    assert not is_generator(0, p) and not is_generator(p, p)
 
 
 def _dlog_oracle(p, g):
@@ -133,7 +134,8 @@ def test_bm_stream_against_dlog_oracle():
     for _ in range(50):
         x = pow(g, x, p)
         expected_bits.append(1 if table[x] <= half else 0)
-    assert bm_generate(BmParams(p, g, x0), 50) == BitString.from_bits(expected_bits)
+    expected = BitString(50, int("".join(map(str, expected_bits)), 2))
+    assert bm_generate(BmParams(p, g, x0), 50) == expected
 
 
 def test_bm_empty_and_deterministic():
@@ -167,9 +169,13 @@ def test_bm_rejects_large_modulus():
     g = 2
     while not is_generator(g, p):
         g += 1
-    params = BmParams(p, g, 1)
-    with pytest.raises(ValueError):
-        BmGenerator(params)
+    with pytest.raises(ValueError, match=f"modulus {p} exceeds {1 << 20}"):
+        BmParams(p, g, 1)
+
+
+def test_bm_refuses_a_negative_bit_count():
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        BmGenerator(BmParams(23, 5, 3)).next_bits(-1)
 
 
 def test_bm_params_validation():
@@ -191,7 +197,7 @@ def test_bbs_sequence_against_squaring_oracle():
         x = x * x % 77
         expected.append(x & 1)
     assert expected[:3] == [0, 1, 1]
-    assert bbs_generate(params, 1000) == BitString.from_bits(expected)
+    assert bbs_generate(params, 1000) == BitString(1000, int("".join(map(str, expected)), 2))
 
 
 def test_bbs_states_are_quadratic_residues():
@@ -217,6 +223,8 @@ def test_bbs_params_validation():
         BbsParams.create(7, 11, 7)  # gcd(7, 77) != 1
     with pytest.raises(ValueError):
         BbsParams(p=7, q=11, n=77, s=2, x0=5)  # x0 inconsistent
+    with pytest.raises(ValueError, match=r"n must equal p\*q"):
+        BbsParams(p=7, q=11, n=79, s=2, x0=4)
     with pytest.raises(ValueError, match="Blum integer"):
         BbsParams.create(7, 7, 2)  # n = p^2
 

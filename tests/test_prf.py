@@ -9,8 +9,8 @@ from hypothesis import strategies as hs
 from feistel_lab import prbg, prf
 from feistel_lab.bits import BitString, Lanes
 from feistel_lab.feistel import UfnKind, UfnParams, ggm_ufn
+from feistel_lab.bench import _memoized_ufn, _table_payload_bits
 from feistel_lab.prf import (
-    CallableOracle,
     GgmFunctionOracle,
     GgmKey,
     IdealFunctionOracle,
@@ -20,7 +20,7 @@ from feistel_lab.prf import (
     split_master_key,
     splitmix_stream,
 )
-from scalar_twins import BitStringGgmOracle, splitmix_scalar, zero_oracle
+from scalar_twins import BitStringGgmOracle, CallableOracle, splitmix_scalar, zero_oracle
 
 
 def test_ideal_oracle_memoizes():
@@ -29,11 +29,21 @@ def test_ideal_oracle_memoizes():
 
 
 def test_ideal_oracle_table_grows_with_distinct_queries():
-    f = IdealFunctionOracle(8, 4, 2)
-    for q, v in enumerate([3, 9, 3, 77, 9, 100]):
+    # bench's memo table on one 8 -> 4 ideal round.
+    perm = _memoized_ufn(UfnParams(UfnKind.SOURCE_HEAVY, 4, 2, 1), 2)
+    f = perm.rounds[0]
+    assert (f.in_bits, f.out_bits) == (8, 4)
+    for v in [3, 9, 3, 77, 9, 100]:
         f.eval_int(v)
-    assert f.table_size == 4
-    assert f.payload_bits == 4 * 4
+    assert f.eval_int.cache_info().currsize == 4
+    assert _table_payload_bits(perm) == 4 * 4
+
+
+@pytest.mark.parametrize("x", [1 << 14, 1 << 16, -1])
+def test_ideal_oracle_refuses_inputs_outside_its_width(x):
+    f = IdealFunctionOracle(14, 8, 6)
+    with pytest.raises(ValueError, match="round input does not fit in 14 bits"):
+        f.eval_int(x)
 
 
 def test_ideal_oracle_output_width():
@@ -57,16 +67,6 @@ def test_ideal_oracle_seed_separation():
     a = IdealFunctionOracle(8, 8, 10)
     b = IdealFunctionOracle(8, 8, 11)
     assert any(a.eval_int(v) != b.eval_int(v) for v in range(100))
-
-
-def test_ideal_oracle_table_cap(monkeypatch):
-    monkeypatch.setattr(prf, "DEFAULT_TABLE_CAP", 4)
-    f = IdealFunctionOracle(8, 4, 4)
-    for v in range(4):
-        f.eval_int(v)
-    f.eval_int(0)  # replay is fine
-    with pytest.raises(RuntimeError):
-        f.eval_int(200)
 
 
 def test_ideal_oracle_per_bit_frequency():

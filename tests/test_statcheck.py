@@ -83,6 +83,8 @@ def test_elimination_agrees_with_cofactor_oracle():
 
 
 def test_gf2_matrix_validation():
+    with pytest.raises(ValueError, match="size must be >= 1"):
+        Gf2Matrix(0, ())
     with pytest.raises(ValueError):
         Gf2Matrix(2, (1,))
     with pytest.raises(ValueError):
@@ -97,6 +99,21 @@ def test_gf2_matrix_round_trip():
     m = gf2_from_lists([[1, 0, 1], [0, 1, 1], [1, 1, 0]])
     assert gf2_to_lists(m) == [[1, 0, 1], [0, 1, 1], [1, 1, 0]]
     assert gf2_entry(m, 0, 0) == 1 and gf2_entry(m, 0, 1) == 0
+
+
+@pytest.mark.parametrize("successes,trials,message", [
+    (0, 0, "trials must be >= 1"),
+    (-1, 5, r"successes must lie in \[0, trials\]"),
+    (6, 5, r"successes must lie in \[0, trials\]"),
+])
+def test_wilson_interval_refuses_impossible_counts(successes, trials, message):
+    with pytest.raises(ValueError, match=message):
+        stats.wilson_interval(successes, trials)
+
+
+def test_chi_square_statistic_needs_an_observation():
+    with pytest.raises(ValueError, match="need at least one observation"):
+        stats.chi_square_statistic([0, 0, 0])
 
 
 def test_watched_rounds_per_structure():
