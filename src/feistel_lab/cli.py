@@ -36,14 +36,14 @@ def ProcessPoolExecutor(*args, **kwargs):  # noqa: N802  perfbench.tracing patch
     return futures.ProcessPoolExecutor(*args, **kwargs)
 
 
-# Attack name -> (target structure, machine factory in distinguisher, attackable rounds
-# at ratio k). The XOR-sum relation of ufn2-even holds at every round count; it targets
-# the count that would otherwise be considered safe.
+# Attack name -> (target structure, machine factory in distinguisher, how many rounds
+# below secure_rounds it attacks by default). The XOR-sum relation of ufn2-even holds at
+# every round count; it targets the count that would otherwise be considered safe.
 _ATTACKS = {
-    "src-k1": (UfnKind.SOURCE_HEAVY, "attack_leading_block", lambda k: k + 1),
-    "tgt-k1": (UfnKind.TARGET_HEAVY, "attack_leading_block", lambda k: k + 1),
-    "ufn2-even": (UfnKind.UFN2, "attack_ufn2_even_k", lambda k: 2 * k + 1),
-    "ufn2-2k": (UfnKind.UFN2, "attack_ufn2_2k", lambda k: 2 * k),
+    "src-k1": (UfnKind.SOURCE_HEAVY, "attack_leading_block", 1),
+    "tgt-k1": (UfnKind.TARGET_HEAVY, "attack_leading_block", 1),
+    "ufn2-even": (UfnKind.UFN2, "attack_ufn2_even_k", 0),
+    "ufn2-2k": (UfnKind.UFN2, "attack_ufn2_2k", 1),
 }
 
 
@@ -147,8 +147,8 @@ def _cmd_game(args: argparse.Namespace) -> int:
     from . import distinguisher
 
     seed = _resolve_seed(args)
-    target_kind, machine_factory, attackable_rounds = _ATTACKS[args.name]
-    rounds = args.rounds if args.rounds is not None else attackable_rounds(args.k)
+    target_kind, machine_factory, below = _ATTACKS[args.name]
+    rounds = args.rounds if args.rounds is not None else secure_rounds(target_kind, args.k) - below
     params = UfnParams(UfnKind(args.kind or target_kind), args.n, args.k, rounds)
     machine = getattr(distinguisher, machine_factory)(args.n, args.k)
     report = distinguisher.estimate_advantage(machine, params, args.trials, seed, args.jobs)

@@ -87,7 +87,7 @@ class IdealPermutationOracle:
 
     def query(self, x: int) -> Lanes:
         if not 0 <= x < 1 << self.width:
-            raise ValueError(f"query {x} does not fit in {self.width} bits")
+            raise ValueError(f"query does not fit in {self.width} bits")
         self.query_count += 1
         if x not in self._replies:
             self._replies[x] = self.distinct(len(self._replies) + 1)[-1]

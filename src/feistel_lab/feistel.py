@@ -140,7 +140,7 @@ class UfnPermutation:
 
     def _state(self, x: int) -> int:
         if not 0 <= x < 1 << self.width:
-            raise ValueError(f"state {x} does not fit in {self.width} bits")
+            raise ValueError(f"state does not fit in {self.width} bits")
         return x
 
     def _through(self, step, rounds, x: int):
@@ -238,5 +238,5 @@ def extend_block_cipher(
             f"k={k} is even: the XOR of all blocks would be invariant, giving a "
             "single-query distinguisher; use odd k"
         )
-    params = UfnParams(UfnKind.UFN2, n, k, 2 * k + 1)
+    params = UfnParams(UfnKind.UFN2, n, k, secure_rounds(UfnKind.UFN2, k))
     return UfnPermutation(params, [round_cipher(i) for i in range(params.r)])

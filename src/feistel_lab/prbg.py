@@ -13,7 +13,7 @@ import math
 import random
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from .bits import BitString
@@ -42,8 +42,7 @@ MILLER_RABIN_ROUNDS = 64
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 PSI_12 = 318665857834031151167461
 
-# Hard-core predicate of the discrete-log stream needs a full log table,
-# so larger moduli are refused.
+# is_generator factors p - 1 by trial division, so larger moduli are refused.
 BM_MAX_MODULUS = 1 << 20
 
 
@@ -255,8 +254,8 @@ class FastBitGenerator(BitGenerator):
 class BmParams:
     """Discrete-log stream parameters: prime p, group generator g, start x0.
 
-    p is at most ``BM_MAX_MODULUS`` (2^20): the hard-core predicate reads a full
-    discrete-log table, one entry per element of the group.
+    p is at most ``BM_MAX_MODULUS`` (2^20): ``is_generator`` factors p - 1 by
+    trial division.
     """
 
     p: int
@@ -266,8 +265,8 @@ class BmParams:
     def __post_init__(self) -> None:
         if self.p > BM_MAX_MODULUS:
             raise ValueError(
-                f"modulus {self.p} exceeds {BM_MAX_MODULUS}: the hard-core "
-                "predicate needs a full discrete-log table"
+                f"modulus {self.p} exceeds {BM_MAX_MODULUS}: is_generator factors "
+                "p - 1 by trial division"
             )
         if not is_probable_prime(self.p):
             raise ValueError(f"p={self.p} is not prime")
@@ -277,39 +276,29 @@ class BmParams:
             raise ValueError(f"x0={self.x0} out of range [0, {self.p})")
 
 
-@functools.lru_cache(maxsize=8)
-def _dlog_table(p: int, g: int) -> dict[int, int]:
-    table: dict[int, int] = {}
-    x = 1
-    for e in range(p - 1):
-        table[x] = e
-        x = x * g % p
-    return table
-
-
 class BmGenerator(BitGenerator):
-    """Discrete-log hard-core bit stream, desk-scale moduli only.
+    """Discrete-log hard-core bit stream (Blum and Micali), desk-scale moduli only.
 
-    State update x <- g^x mod p; emitted bit is 1 iff log_g(x) <= (p-1)/2.
-    The state never leaves {1..p-1} (0 has no discrete log, so the predicate
-    domain is the multiplicative group, not {0..p-1}).
+    State update x <- g^x mod p; the emitted bit is 1 iff log_g(g^x mod p) <=
+    (p-1)/2. That log is x mod (p-1), so each bit is read off the state before
+    its step, and no log table is built.
     """
 
     def __init__(self, params: BmParams) -> None:
         self.params = params
-        self._logs = _dlog_table(params.p, params.g)
         self._x = params.x0
-        self._half = (params.p - 1) // 2
 
     def next_bits(self, count: int) -> BitString:
         if count < 0:
             raise ValueError("count must be >= 0")
         p, g = self.params.p, self.params.g
+        order = p - 1
+        half = order // 2
         value = 0
         x = self._x
         for _ in range(count):
+            value = (value << 1) | (x % order <= half)
             x = pow(g, x, p)
-            value = (value << 1) | (1 if self._logs[x] <= self._half else 0)
         self._x = x
         return BitString(count, value)
 
@@ -321,13 +310,14 @@ def bm_generate(params: BmParams, count: int) -> BitString:
 
 @dataclass(frozen=True)
 class BbsParams:
-    """Quadratic-residue stream parameters: Blum primes p, q and seed s."""
+    """Quadratic-residue stream parameters: Blum primes p, q and seed s. n = p*q and
+    x0 = s^2 mod n follow from them, set once here: the stream reads n at every step."""
 
     p: int
     q: int
-    n: int
     s: int
-    x0: int
+    n: int = field(init=False)
+    x0: int = field(init=False)
 
     def __post_init__(self) -> None:
         for prime in (self.p, self.q):
@@ -335,17 +325,10 @@ class BbsParams:
                 raise ValueError(f"{prime} is not a prime congruent to 3 mod 4")
         if self.p == self.q:
             raise ValueError(f"p and q are both {self.p}: n = p^2 is not a Blum integer")
-        if self.n != self.p * self.q:
-            raise ValueError("n must equal p*q")
+        object.__setattr__(self, "n", self.p * self.q)
         if not 1 <= self.s < self.n or math.gcd(self.s, self.n) != 1:
             raise ValueError("s must lie in [1, n) and be coprime to n")
-        if self.x0 != self.s * self.s % self.n:
-            raise ValueError("x0 must equal s^2 mod n")
-
-    @classmethod
-    def create(cls, p: int, q: int, s: int) -> "BbsParams":
-        n = p * q
-        return cls(p=p, q=q, n=n, s=s, x0=s * s % n)
+        object.__setattr__(self, "x0", self.s * self.s % self.n)
 
 
 class BbsGenerator(BitGenerator):
@@ -410,4 +393,4 @@ def generate_bbs_params(bit_length: int, entropy: object) -> BbsParams:
         s = rng.next_int(2 * bit_length) % (n - 1) + 1
         if math.gcd(s, n) == 1:
             break
-    return BbsParams(p=p, q=q, n=n, s=s, x0=s * s % n)
+    return BbsParams(p, q, s)

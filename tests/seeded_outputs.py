@@ -4,18 +4,20 @@
         --seeds 1 2 3 --allow treewalk:encrypt:fast --out outputs.json
 
 Each tree runs in its own interpreter and runs, through ``cli.main``, every command of
-every ``perfbench`` workload list at each seed, in list order: a ``decrypt`` reads the
+every ``perfbench`` workload list at each seed, and then the ``extra`` list of commands
+that no workload runs (``extra_commands``), in list order: a ``decrypt`` reads the
 output of the ``encrypt`` before it, as in a benchmark cycle. The report keeps the
 SHA-256 of each command's stdout per tree, and the text of one-line outputs. A command
 whose stdout differs between the trees is allowed only if it matches an ``--allow``
-pattern ``WORKLOAD:SUBCOMMAND[:EXPANDER]``; any other difference exits with status 1.
-pytest does not collect this file.
+pattern ``LIST:SUBCOMMAND[:EXPANDER]``, LIST a workload or ``extra``; any other
+difference exits with status 1. pytest does not collect this file.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -24,20 +26,46 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
+
+from perfbench import workloads  # noqa: E402  after the repository root is on the path
+
+# (kind, n, k, rounds) of the ideal-round encrypt and decrypt in the extra list.
+_IDEAL_CIPHERS = (("balanced", 8, 1, 3), ("source-heavy", 4, 3, 5),
+                  ("target-heavy", 4, 3, 5), ("ufn2", 4, 3, 7))
+
+
+def extra_commands(seed: int) -> list[workloads.Command]:
+    """Commands that no workload runs: ``bench --mode mem`` at (n, k) in (4, 2), (7, 1)
+    and (4, 3), workloads 0 and 256, with and without ``--analytic``; an ``--prf ideal``
+    encrypt of each kind and the decrypt of its output; and ``matrix`` at k = 1..6."""
+    stream = workloads._SeedStream("seeded-outputs", seed)
+    cmds = [workloads.Command(("bench", "--mode", "mem", "--n", str(n), "--k", str(k),
+                               "--workload", str(load), "--seed", str(seed), *analytic), 1)
+            for n, k in ((4, 2), (7, 1), (4, 3)) for load in (0, 256)
+            for analytic in ((), ("--analytic",))]
+    for kind, n, k, r in _IDEAL_CIPHERS:
+        width = (k + 1) * n
+        base = ("--kind", kind, "--n", str(n), "--k", str(k), "--rounds", str(r),
+                "--key", stream.hex(16), "--prf", "ideal")
+        block = f"{width}:{stream.hex(width // 4)}"
+        cmds.append(workloads.Command(("encrypt", *base, "--in", block), 1))
+        cmds.append(workloads.Command(("decrypt", *base, "--in", workloads.PREV_OUTPUT), 1))
+    return cmds + [workloads.Command(("matrix", "--k", str(k)), 1) for k in range(1, 7)]
 
 
 def run_lists(seeds: list[int]) -> dict[str, list[dict]]:
-    """``"<workload>:<seed>" ->`` one record per command, in this interpreter's
-    ``feistel_lab``."""
-    sys.path.insert(0, ROOT)
+    """``"<list>:<seed>" ->`` one record per command, in this interpreter's
+    ``feistel_lab``; a list is a workload or ``extra``."""
     from feistel_lab import cli
-    from perfbench import workloads
 
+    lists = {w: functools.partial(workloads.commands, w) for w in workloads.WORKLOADS}
+    lists["extra"] = extra_commands
     out: dict[str, list[dict]] = {}
-    for workload in workloads.WORKLOADS:
+    for name, commands in lists.items():
         for seed in seeds:
             records, prev = [], None
-            for cmd in workloads.commands(workload, seed):
+            for cmd in commands(seed):
                 argv = cmd.resolve(prev and prev.strip())
                 buf = io.StringIO()
                 with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
@@ -48,15 +76,15 @@ def run_lists(seeds: list[int]) -> dict[str, list[dict]]:
                 if prev.count("\n") == 1 and len(prev) <= 80:
                     record["stdout"] = prev.strip()
                 records.append(record)
-            out[f"{workload}:{seed}"] = records
+            out[f"{name}:{seed}"] = records
     return out
 
 
 def _allowed(key: str, argv: str, patterns: list[str]) -> bool:
     words = argv.split()
     for pattern in patterns:
-        workload, sub, *expander = pattern.split(":")
-        if key.split(":")[0] != workload or words[0] != sub:
+        name, sub, *expander = pattern.split(":")
+        if key.split(":")[0] != name or words[0] != sub:
             continue
         if not expander or ("--expander" in words
                             and words[words.index("--expander") + 1] == expander[0]):
@@ -70,7 +98,7 @@ def main() -> int:
                         help="LABEL=SRC: a source tree holding the feistel_lab package")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     parser.add_argument("--allow", action="append", default=[],
-                        help="WORKLOAD:SUBCOMMAND[:EXPANDER] whose stdout may differ")
+                        help="LIST:SUBCOMMAND[:EXPANDER] whose stdout may differ")
     parser.add_argument("--out")
     parser.add_argument("--one", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()

@@ -203,7 +203,7 @@ def test_criterion_8_collision_bounds_grid():
 def test_criterion_9_generator_conformance():
     with _Criterion(9, "quadratic-residue and discrete-log streams match oracles"):
         # Independent modular-squaring oracle, 1000 steps.
-        params = BbsParams.create(7, 11, 2)
+        params = BbsParams(7, 11, 2)
         x = params.x0
         expected = []
         for _ in range(1000):

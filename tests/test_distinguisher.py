@@ -83,6 +83,16 @@ def test_ideal_permutation_injective_and_deterministic():
     assert perm.query_count == 3
 
 
+def test_ideal_permutation_refuses_a_query_outside_its_width():
+    # The refusal names the width alone: a query past Python's int-to-str digit
+    # limit has no decimal text to write.
+    perm = ideal_permutation(8, 1, Lanes.of(range(1, 9)))
+    for x in (1 << 8, -1, 1 << 20000, -(1 << 20000)):
+        with pytest.raises(ValueError, match="query does not fit in 8 bits"):
+            perm.query(x)
+    assert perm.query_count == 0
+
+
 def _exhausted(width, seed, trials):
     perm = ideal_permutation(width, seed, trials)
     replies = [perm.query(v).tolist() for v in range(1 << width)]

@@ -286,9 +286,17 @@ def test_width_mismatch_errors():
         perm.decrypt(B(7, 0))
     for x in (1 << 6, -1):
         for method in (perm.query, perm.trace_states):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="state does not fit in 6 bits"):
                 method(x)
     assert perm.query_count == 0
+    # The refusal names the width alone: a state past Python's int-to-str digit
+    # limit has no decimal text to write.
+    balanced = ideal_ufn(UfnParams(UfnKind.BALANCED, 4, 1, 3), seed=3)
+    for x in (1 << 20000, -(1 << 20000)):
+        for method in (balanced.query, balanced.trace_states):
+            with pytest.raises(ValueError, match="state does not fit in 8 bits"):
+                method(x)
+    assert balanced.query_count == 0
 
 
 def test_ggm_ufn_is_deterministic():

@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 from itertools import permutations
 
 import pytest
@@ -138,6 +139,40 @@ def test_bm_stream_against_dlog_oracle():
     assert bm_generate(BmParams(p, g, x0), 50) == expected
 
 
+def _table_twin_bits(p, g, x0, count):
+    """The discrete-log stream read off a brute-force log table: step x <- g^x mod p,
+    then emit 1 iff the table's log of x is at most (p-1)/2."""
+    table = _dlog_oracle(p, g)
+    x, value = x0, 0
+    for _ in range(count):
+        x = pow(g, x, p)
+        value = value << 1 | (table[x] <= (p - 1) // 2)
+    return BitString(count, value)
+
+
+def test_bm_bits_from_the_state_match_the_log_table_on_every_small_instance():
+    # Every prime p < 64, every generator g and every start x0, 2(p-1) bits each;
+    # and the Fermat prime 65537 at a few starts, both ends of [0, p) included.
+    flags = _sieve_primes(64)
+    cases = [(p, g, x0, 2 * (p - 1)) for p in range(64) if flags[p]
+             for g in range(1, p) if is_generator(g, p) for x0 in range(p)]
+    cases += [(65537, 3, x0, 4096) for x0 in (0, 1, 2, 32768, 65535, 65536)]
+    started = time.perf_counter()
+    for p, g, x0, count in cases:
+        assert bm_generate(BmParams(p, g, x0), count) == _table_twin_bits(p, g, x0, count), (
+            p, g, x0)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 5.0, f"took {elapsed:.1f}s"  # 0.6 s on a 2-core desk machine
+
+
+def test_bm_generator_builds_no_table():
+    # At the largest prime under the cap, a log table would hold about 2^20 entries.
+    started = time.perf_counter()
+    gen = BmGenerator(BmParams(1048573, 2, 5))
+    assert time.perf_counter() - started < 0.05
+    assert set(vars(gen)) == {"params", "_x"}
+
+
 def test_bm_empty_and_deterministic():
     params = BmParams(23, 5, 3)
     assert bm_generate(params, 0) == BitString(0, 0)
@@ -188,7 +223,7 @@ def test_bm_params_validation():
 
 
 def test_bbs_sequence_against_squaring_oracle():
-    params = BbsParams.create(7, 11, 2)
+    params = BbsParams(7, 11, 2)
     assert params.n == 77 and params.x0 == 4
 
     x = 4
@@ -208,29 +243,34 @@ def test_bbs_states_are_quadratic_residues():
         assert x in residues
 
 
+def test_bbs_params_derive_n_and_x0():
+    # n = 77 and x0 = 2^2 are stored fields, not properties: the stream reads n every step.
+    assert vars(BbsParams(7, 11, 2)) == {"p": 7, "q": 11, "s": 2, "n": 77, "x0": 4}
+
+
 def test_bbs_empty_and_deterministic():
-    params = BbsParams.create(7, 11, 2)
+    params = BbsParams(7, 11, 2)
     assert bbs_generate(params, 0) == BitString(0, 0)
     assert bbs_generate(params, 64) == bbs_generate(params, 64)
 
 
 def test_bbs_params_validation():
     with pytest.raises(ValueError):
-        BbsParams.create(5, 11, 2)  # 5 % 4 == 1
+        BbsParams(5, 11, 2)  # 5 % 4 == 1
     with pytest.raises(ValueError):
-        BbsParams.create(7, 9, 2)  # 9 composite
+        BbsParams(7, 9, 2)  # 9 composite
     with pytest.raises(ValueError):
-        BbsParams.create(7, 11, 7)  # gcd(7, 77) != 1
-    with pytest.raises(ValueError):
-        BbsParams(p=7, q=11, n=77, s=2, x0=5)  # x0 inconsistent
-    with pytest.raises(ValueError, match=r"n must equal p\*q"):
-        BbsParams(p=7, q=11, n=79, s=2, x0=4)
+        BbsParams(7, 11, 7)  # gcd(7, 77) != 1
+    # n and x0 follow from p, q and s, so neither can be passed.
+    for derived in ({"n": 77}, {"x0": 4}):
+        with pytest.raises(TypeError):
+            BbsParams(p=7, q=11, s=2, **derived)
     with pytest.raises(ValueError, match="Blum integer"):
-        BbsParams.create(7, 7, 2)  # n = p^2
+        BbsParams(7, 7, 2)  # n = p^2
 
 
 def test_bbs_reseed_is_deterministic():
-    params = BbsParams.create(7, 11, 2)
+    params = BbsParams(7, 11, 2)
     a = BbsGenerator(params)
     b = BbsGenerator(params)
     a.reseed(1234)
@@ -263,7 +303,7 @@ def test_generate_bbs_params_rejects_one_prime_lengths(bit_length):
     ("golden", 3559119023, 4017295027, 364200965516369426),
 ])
 def test_generate_bbs_params_golden(entropy, p, q, s):
-    assert generate_bbs_params(32, entropy) == BbsParams.create(p, q, s)
+    assert generate_bbs_params(32, entropy) == BbsParams(p, q, s)
 
 
 def test_generate_bbs_params_deterministic():
@@ -455,7 +495,7 @@ def test_bm_generator_reseed_changes_stream():
     assert isinstance(first, BitString)
 
 
-_TEXT_FIELDS = {BmParams: ("p", "g", "x0"), BbsParams: ("p", "q", "n", "s", "x0")}
+_TEXT_FIELDS = {BmParams: ("p", "g", "x0"), BbsParams: ("p", "q", "s")}
 
 
 def _params_to_text(params):
@@ -482,7 +522,7 @@ def _params_from_text(cls, text):
 def test_params_text_round_trip():
     bm = BmParams(23, 5, 3)
     assert _params_from_text(BmParams, _params_to_text(bm)) == bm
-    bbs = BbsParams.create(7, 11, 2)
+    bbs = BbsParams(7, 11, 2)
     assert _params_from_text(BbsParams, _params_to_text(bbs)) == bbs
 
 
@@ -494,7 +534,7 @@ def test_params_text_rejects_malformed():
 
 
 def test_negative_counts_rejected():
-    params = BbsParams.create(7, 11, 2)
+    params = BbsParams(7, 11, 2)
     with pytest.raises(ValueError):
         BbsGenerator(params).next_bits(-1)
     with pytest.raises(ValueError):
