@@ -130,7 +130,6 @@ class StructureReport:
     # memoized mode
     analytic_table_bits: int | None = None
     coarse_table_bits: int | None = None
-    coarse_matches_exact: bool | None = None
     measured_table_bits: int | None = None
     workload_table_bits: int | None = None
     exhausted: bool = False
@@ -211,7 +210,8 @@ def _bench_ggm(
     params: UfnParams, cfg: BenchConfig, ell: int
 ) -> tuple[int | None, float]:
     """Returns (measured bits per encryption or None, seconds per encryption)."""
-    master = state_stream(0, ell, derive_seed(cfg.seed, "master", params.kind.value))(0)
+    salt = derive_seed(cfg.seed, "master", params.kind.value)
+    master = BitString(ell, state_stream(0, ell, salt)(0))
     perm = ggm_ufn(params, master, mode="fast")
     inputs = _workload_inputs(params, cfg.workload)
     measured = None
@@ -275,7 +275,6 @@ def run_bench(cfg: BenchConfig) -> BenchReport:
                     **shape,
                     analytic_table_bits=tables[i],
                     coarse_table_bits=coarse[i],
-                    coarse_matches_exact=(coarse[i] == tables[i]),
                     measured_table_bits=measured,
                     workload_table_bits=workload_bits,
                     exhausted=measured is not None,

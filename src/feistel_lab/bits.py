@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 __all__ = ["BitString", "Lanes", "LANE_BATCH", "lane_batches", "usable_cpus", "run_chunks",
-           "check_lane_width", "split_blocks", "join_blocks"]
+           "check_lane_width", "split_blocks"]
 
 _M64 = (1 << 64) - 1
 
@@ -32,7 +32,7 @@ class BitString:
         if self.width < 0:
             raise ValueError("width must be >= 0")
         if not 0 <= self.value < (1 << self.width):
-            raise ValueError(f"value {self.value} does not fit in {self.width} bits")
+            raise ValueError(f"value does not fit in {self.width} bits")
 
     @classmethod
     def parse(cls, text: str) -> "BitString":
@@ -244,10 +244,3 @@ def split_blocks(value, n: int, count: int) -> tuple:
     mask = (1 << n) - 1
     return tuple((value >> ((count - 1 - i) * n)) & mask for i in range(count))
 
-
-def join_blocks(blocks, n: int):
-    """Inverse of ``split_blocks``: concatenate n-bit blocks, block 0 leftmost."""
-    value = 0
-    for b in blocks:
-        value = (value << n) | b
-    return value

@@ -17,7 +17,7 @@ from itertools import islice
 from operator import xor
 from typing import Protocol
 
-from .bits import Lanes, check_lane_width, join_blocks, lane_batches, run_chunks, split_blocks
+from .bits import Lanes, check_lane_width, lane_batches, run_chunks
 from .feistel import UfnKind, UfnParams, UfnPermutation, ideal_ufn, splitmix_round_oracles
 from .prbg import derive_seed, state_stream
 from .prf import splitmix, splitmix_stream
@@ -183,8 +183,8 @@ def calibrate_w_index(n: int, k: int, probes: int = 64, seed: object = "w-cal") 
     candidates = set(range(k + 1))
     for j in range(probes):
         perm = ideal_ufn(params, derive_seed(seed, n, k, "perm", j))
-        *blocks, delta = split_blocks(pairs(j).value, n, k + 2)
-        x_p = join_blocks(blocks, n)
+        v = pairs(j)
+        x_p, delta = v >> n, v & (1 << n) - 1
         x_q = x_p ^ (delta or 1) << k * n
         # The pair differs only in block k, so blocks 1..k of x_p ^ x_q XOR to that delta.
         base = _block_xor_sum(x_p ^ x_q ^ perm.query(x_p) ^ perm.query(x_q), n, 1, k)

@@ -61,15 +61,15 @@ def _label(text: str) -> str:
     return text
 
 
-def _bits_head(width: int, what: str = "key") -> str:
+def _bits_head(width: int) -> str:
     """The text of a ``width``-bit string up to its value. The value follows in
     decimal, so a width with values past Python's int-to-str digit limit
     (``sys.get_int_max_str_digits()``, 0 for none) is refused here, before any
-    of its text is written; the refusal names the string as ``what``."""
+    of its text is written."""
     digits = sys.get_int_max_str_digits()
     if digits and width > _widest_decimal(digits):
-        raise ValueError(f"a {width}-bit {what} is too wide to hash as decimal text; "
-                         f"the widest {what} is {_widest_decimal(digits)} bits")
+        raise ValueError(f"a {width}-bit key is too wide to hash as decimal text; "
+                         f"the widest key is {_widest_decimal(digits)} bits")
     return f"b{width}."
 
 
@@ -111,18 +111,20 @@ def derive_seed(*parts: object) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _state_head(width: int, salt: int, what: str = "key") -> bytes:
+def _state_head(width: int, salt: int) -> bytes:
     """``<salt>\x1fb<width>.``, the text ``derive_seed(salt, BitString(width, value))``
     hashes up to ``value``. The separator and the dot end the digits, so no head begins another."""
     if type(salt) is not int:
         raise TypeError(f"a stream salt is an int, not {type(salt).__name__}")
-    return f"{salt}\x1f{_bits_head(width, what)}".encode()
+    return f"{salt}\x1fb{width}.".encode()
 
 
 def state_seeder(width: int, salt: int) -> Callable[[int], int]:
     """``value -> derive_seed(salt, BitString(width, value))`` for ``value`` in
     [0, 2^width), with the text before the value hashed once: a tree walk
-    derives one seed per step from its state."""
+    derives one seed per step from its state. The value is written in decimal, so a
+    width ``derive_seed`` could not write is refused."""
+    _bits_head(width)
     head = hashlib.sha256(_state_head(width, salt))
 
     def seed(value: int) -> int:
@@ -133,24 +135,23 @@ def state_seeder(width: int, salt: int) -> Callable[[int], int]:
     return seed
 
 
-def state_stream(width: int, out_bits: int, salt: int, *,
-                 what: str = "key") -> Callable[[int], BitString]:
-    """``value ->`` the leading ``out_bits`` bits (big-endian) of SHAKE-256 (NIST
-    FIPS 202) over the text ``derive_seed(salt, BitString(width, value))``
+def state_stream(width: int, out_bits: int, salt: int) -> Callable[[int], int]:
+    """``value ->`` the int of the leading ``out_bits`` bits (big-endian) of SHAKE-256
+    (NIST FIPS 202) over the text ``derive_seed(salt, BitString(width, value))``
     hashes up to ``value``, absorbed once, followed by ``value`` as
     ``ceil(width / 8)`` big-endian bytes, which cost time linear in ``width``: one
     digest per step, no state between steps. The head fixes the salt, the width and so
-    the byte count, so distinct salts, widths and values give distinct messages. A
-    width ``derive_seed`` could not write is refused, naming the state ``what``."""
-    head = hashlib.shake_256(_state_head(width, salt, what))
+    the byte count, so distinct salts, widths and values give distinct messages. No
+    width is refused: the value is written as bytes, not decimal text."""
+    head = hashlib.shake_256(_state_head(width, salt))
     value_bytes = -(-width // 8)
     size = -(-out_bits // 8)
     spare = 8 * size - out_bits
 
-    def stream(value: int) -> BitString:
+    def stream(value: int) -> int:
         h = head.copy()
         h.update(value.to_bytes(value_bytes, "big"))
-        return BitString(out_bits, int.from_bytes(h.digest(size), "big") >> spare)
+        return int.from_bytes(h.digest(size), "big") >> spare
 
     return stream
 

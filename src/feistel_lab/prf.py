@@ -34,7 +34,6 @@ __all__ = [
     "splitmix_stream",
     "SplitMixRound",
     "GgmKey",
-    "ggm_walk_states",
     "ggm_eval",
     "split_master_key",
     "GgmFunctionOracle",
@@ -57,17 +56,18 @@ class FunctionOracle:
 class IdealFunctionOracle(FunctionOracle):
     """Ideal random function: the value at x is ``prbg.state_stream(in_bits, out_bits,
     key)`` at x, so it depends on ``key`` and x alone, never on the order of queries.
-    It keeps no state between queries; ``bench`` caches it to measure a memo table.
+    The stream writes x as bytes, so any input width is taken. It keeps no state
+    between queries; ``bench`` caches it to measure a memo table.
     """
 
     def __init__(self, in_bits: int, out_bits: int, key: int) -> None:
         super().__init__(in_bits, out_bits)
-        self._draw = state_stream(in_bits, out_bits, key, what="round input")
+        self._draw = state_stream(in_bits, out_bits, key)
 
     def eval_int(self, x: int) -> int:
         if not 0 <= x < 1 << self.in_bits:
             raise ValueError(f"round input does not fit in {self.in_bits} bits")
-        return self._draw(x).value
+        return self._draw(x)
 
 
 # SplitMix64 (Steele, Lea and Flood, OOPSLA 2014): the golden-gamma counter
@@ -116,43 +116,31 @@ class SplitMixRound(FunctionOracle):
 class GgmKey:
     """Key with its doubling expander G and output finalizer G'.
 
-    The walk states are ints of ``key.width`` bits. ``expander`` maps a state
-    to a ``BitString`` of twice that width; its left half is the 0-branch and
-    its right half the 1-branch. ``finalizer`` maps the final state to the
-    output ``BitString``. Both must be deterministic.
+    The walk states are ints of ``key.width`` bits. ``expander`` maps a state to
+    an int below 2^(2 * key.width); its high half is the 0-branch and its low half
+    the 1-branch. ``finalizer`` maps the final state to the result. Both must be
+    deterministic.
     """
 
     key: BitString
-    expander: Callable[[int], BitString]
-    finalizer: Callable[[int], BitString]
+    expander: Callable[[int], int]
+    finalizer: Callable[[int], int]
 
 
-def ggm_walk_states(key: GgmKey, x: BitString) -> list[int]:
-    """States of the tree walk over the bits of ``x``, initial state first."""
+def ggm_eval(key: GgmKey, x: BitString) -> int:
+    """Walk the tree along the bits of ``x`` (left to right) from the key's value,
+    and return the finalizer of the last state. An empty ``x`` performs no expander
+    steps: the result is the finalized key itself. An expander output of 2w bits or
+    more, for a w-bit key, raises ``ValueError``."""
     width = key.key.width
-    doubled_width = 2 * width
-    mask = (1 << width) - 1
-    expander, path = key.expander, x.value
-    state = key.key.value
-    states = [state]
+    doubled_width, mask = 2 * width, (1 << width) - 1
+    expander, path, state = key.expander, x.value, key.key.value
     for shift in range(x.width - 1, -1, -1):
         doubled = expander(state)
-        if doubled.width != doubled_width:
-            raise ValueError(
-                f"expander produced {doubled.width} bits; expected {doubled_width}"
-            )
-        state = doubled.value & mask if path >> shift & 1 else doubled.value >> width
-        states.append(state)
-    return states
-
-
-def ggm_eval(key: GgmKey, x: BitString) -> BitString:
-    """Walk the tree along the bits of ``x`` (left to right) and finalize.
-
-    An empty ``x`` performs no expander steps: the result is the finalized
-    key itself.
-    """
-    return key.finalizer(ggm_walk_states(key, x)[-1])
+        if doubled >> doubled_width:
+            raise ValueError(f"expander output does not fit in {doubled_width} bits")
+        state = doubled & mask if path >> shift & 1 else doubled >> width
+    return key.finalizer(state)
 
 
 def split_master_key(master: BitString, rounds: int) -> list[BitString]:
@@ -171,33 +159,30 @@ def split_master_key(master: BitString, rounds: int) -> list[BitString]:
 
 
 @functools.lru_cache(maxsize=256)
-def _blum_params(salt: int, prime_bits: int) -> BbsParams:
-    """The Blum moduli of one stream. They hang on the salt alone, which the
-    round index fixes, so they are public and built once per process."""
-    return generate_bbs_params(prime_bits, derive_seed(salt, "modulus"))
+def _blum_params(salt: int) -> BbsParams:
+    """The Blum moduli of one stream, of 32-bit primes. They hang on the salt alone,
+    which the round index fixes, so they are public and built once per process."""
+    return generate_bbs_params(32, derive_seed(salt, "modulus"))
 
 
-def _bbs_stream(out_bits: int, salt: int, width: int) -> Callable[[int], BitString]:
+def _bbs_stream(width: int, out_bits: int, salt: int) -> Callable[[int], int]:
     """``width``-bit state -> the first ``out_bits`` bits of one quadratic-residue
     generator reseeded with ``derive_seed(salt, BitString(width, state))``."""
-    gen = BbsGenerator(_blum_params(salt, 32))
+    gen = BbsGenerator(_blum_params(salt))
     seed_of = state_seeder(width, salt)
 
-    def stream(state: int) -> BitString:
+    def stream(state: int) -> int:
         gen.reseed(seed_of(state))
-        return gen.next_bits(out_bits)
+        return gen.next_bits(out_bits).value
 
     return stream
 
 
-# The stream of one expander or finalizer, by mode, from its output width, its
-# salt and the state width: ``state -> BitString`` of ``out_bits`` bits. A
-# ``fast`` step is one SHAKE-256 digest of the salt and state; a ``bbs`` step
-# reseeds the stream's one generator.
-_STREAM_GENERATORS = {
-    "fast": lambda out_bits, salt, width: state_stream(width, out_bits, salt),
-    "bbs": _bbs_stream,
-}
+# The stream of one expander or finalizer, by mode, from the state width, its output
+# width and its salt: ``state -> int`` of ``out_bits`` bits. A ``fast`` step is one
+# SHAKE-256 digest of the salt and state; a ``bbs`` step reseeds the stream's one
+# generator.
+_STREAM_GENERATORS = {"fast": state_stream, "bbs": _bbs_stream}
 
 
 class GgmFunctionOracle(FunctionOracle):
@@ -226,20 +211,19 @@ class GgmFunctionOracle(FunctionOracle):
             raise ValueError(f"unknown mode {mode!r}; expected one of {sorted(_STREAM_GENERATORS)}")
         new_stream = _STREAM_GENERATORS[mode]
         doubled_width = 2 * key.width
-        expand_raw = new_stream(doubled_width, derive_seed("ggm-expand", salt), key.width)
-        final_raw = new_stream(out_bits, derive_seed("ggm-final", salt), key.width)
+        expand_raw = new_stream(key.width, doubled_width, derive_seed("ggm-expand", salt))
+        final_raw = new_stream(key.width, out_bits, derive_seed("ggm-final", salt))
         self.bits_generated = 0
 
-        def expander(state: int) -> BitString:
+        def expander(state: int) -> int:
             self.bits_generated += doubled_width
             return expand_raw(state)
 
-        def finalizer(state: int) -> BitString:
+        def finalizer(state: int) -> int:
             self.bits_generated += out_bits
             return final_raw(state)
 
         self.key = GgmKey(key, expander, finalizer)
 
     def eval_int(self, x: int) -> int:
-        return ggm_eval(self.key, BitString(self.in_bits, x)).value
-
+        return ggm_eval(self.key, BitString(self.in_bits, x))

@@ -18,7 +18,11 @@ pytest does not collect this file.
 Items: one round ``feistel._forward`` per kind on an int, on 256-lane ``bits.Lanes``
 and on a 2,000-element numpy ``uint64`` array; one ``encrypt`` per kind at its
 secure round count; ``prbg.derive_seed``; one ``prbg.state_stream`` expander step
-on a state of 128, 1,280 and 14,284 bits (the widest round key); one SplitMix64 pass
+on a state of 128, 1,280 and 14,284 bits; ``ggm.<mode>.key<bits>``, one
+``prf.GgmFunctionOracle.eval_int`` at a ``treewalk`` shape (``fast`` and ``bbs`` at a
+16-bit key with 16-bit input and output, as in balanced n=16, and ``fast`` at the
+1,280-bit balanced round key of ``bench --mode ggm --n 4 --k 2`` with 6-bit input and
+output); one SplitMix64 pass
 at 1 and 256 lanes; one ``prf.SplitMixRound`` evaluation at out_bits 4 and 16, and a
 count of the zero lanes by ``Lanes.zeros`` (on a tree that has it) and by
 ``tolist().count(0)``, each at 256 and 512 lanes; the fork-to-join time of
@@ -100,7 +104,7 @@ def items() -> dict[str, tuple]:
     from feistel_lab.bits import BitString, Lanes, split_blocks
     from feistel_lab.feistel import UfnKind, UfnParams, ideal_ufn
     from feistel_lab.prbg import derive_seed, state_stream
-    from feistel_lab.prf import SplitMixRound, splitmix
+    from feistel_lab.prf import GgmFunctionOracle, SplitMixRound, splitmix
 
     blocks = hasattr(UfnParams, "block_count")
     out: dict[str, tuple] = {}
@@ -137,6 +141,12 @@ def items() -> dict[str, tuple]:
         step = state_stream(width, 2 * width, derive_seed("ggm-expand", 0))
         state = (1 << width) // 3
         out[f"state_stream.step{width}"] = (lambda step=step, state=state: step(state), number)
+    for mode, key_bits, io_bits, number in (("fast", 16, 16, 2000), ("bbs", 16, 16, 200),
+                                            ("fast", 1280, 6, 2000)):
+        f = GgmFunctionOracle(io_bits, io_bits, BitString(key_bits, (1 << key_bits) // 3),
+                              mode=mode, salt=derive_seed("ggm-round", 0))
+        x = (1 << io_bits) // 5
+        out[f"ggm.{mode}.key{key_bits}"] = (lambda f=f, x=x: f.eval_int(x), number)
     for lanes in (1, 256):
         keys = Lanes.of(range(1, lanes + 1))
         out[f"splitmix.lanes{lanes}"] = (lambda keys=keys: splitmix(12345, keys), 2000)

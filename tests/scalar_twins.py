@@ -1,12 +1,13 @@
 """Reference twins of the fast paths: the rounds per kind on block tuples, the lane
 engines with the same counter keying, one int at a time, the tree walk on ``BitString``
 states with each step's stream built from scratch, ``statcheck.Gf2Matrix`` as
-nested lists, and the attack machines on the seeded queries they once drew; and
-``CallableOracle``, a round function from a plain int -> int function."""
+nested lists, and the attack machines on the seeded queries they once drew;
+``join_blocks``, the inverse of ``bits.split_blocks``; and ``CallableOracle``, a round
+function from a plain int -> int function."""
 
 import hashlib
 
-from feistel_lab.bits import BitString, join_blocks
+from feistel_lab.bits import BitString
 from feistel_lab.distinguisher import _BlockXorMachine
 from feistel_lab.feistel import UfnKind, UfnPermutation
 from feistel_lab.prbg import BbsGenerator, FastBitGenerator, derive_seed, generate_bbs_params
@@ -14,6 +15,14 @@ from feistel_lab.prf import FunctionOracle
 from feistel_lab.statcheck import Gf2Matrix
 
 _M64 = (1 << 64) - 1
+
+
+def join_blocks(blocks, n):
+    """Inverse of ``bits.split_blocks``: concatenate n-bit blocks, block 0 leftmost."""
+    value = 0
+    for b in blocks:
+        value = (value << n) | b
+    return value
 
 
 class CallableOracle(FunctionOracle):

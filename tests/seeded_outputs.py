@@ -38,7 +38,10 @@ _IDEAL_CIPHERS = (("balanced", 8, 1, 3), ("source-heavy", 4, 3, 5),
 def extra_commands(seed: int) -> list[workloads.Command]:
     """Commands that no workload runs: ``bench --mode mem`` at (n, k) in (4, 2), (7, 1)
     and (4, 3), workloads 0 and 256, with and without ``--analytic``; an ``--prf ideal``
-    encrypt of each kind and the decrypt of its output; and ``matrix`` at k = 1..6."""
+    encrypt of each kind and the decrypt of its output; a tree-walk encrypt under each
+    expander at 64-bit round keys (balanced n=8, k=1, three rounds), wider than the
+    ``treewalk`` workload's 16 bits, and the decrypt of its output; and ``matrix`` at
+    k = 1..6."""
     stream = workloads._SeedStream("seeded-outputs", seed)
     cmds = [workloads.Command(("bench", "--mode", "mem", "--n", str(n), "--k", str(k),
                                "--workload", str(load), "--seed", str(seed), *analytic), 1)
@@ -50,6 +53,11 @@ def extra_commands(seed: int) -> list[workloads.Command]:
                 "--key", stream.hex(16), "--prf", "ideal")
         block = f"{width}:{stream.hex(width // 4)}"
         cmds.append(workloads.Command(("encrypt", *base, "--in", block), 1))
+        cmds.append(workloads.Command(("decrypt", *base, "--in", workloads.PREV_OUTPUT), 1))
+    for expander in ("fast", "bbs"):
+        base = ("--kind", "balanced", "--n", "8", "--k", "1", "--rounds", "3",
+                "--key", stream.hex(48), "--expander", expander)
+        cmds.append(workloads.Command(("encrypt", *base, "--in", f"16:{stream.hex(4)}"), 1))
         cmds.append(workloads.Command(("decrypt", *base, "--in", workloads.PREV_OUTPUT), 1))
     return cmds + [workloads.Command(("matrix", "--k", str(k)), 1) for k in range(1, 7)]
 

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from feistel_lab import feistel
-from feistel_lab.bits import BitString, Lanes, join_blocks, split_blocks
+from feistel_lab.bits import BitString, Lanes, split_blocks
 from feistel_lab.feistel import (
     UfnKind,
     UfnParams,
@@ -17,8 +17,8 @@ from feistel_lab.feistel import (
 )
 from feistel_lab.bench import _memoized_ufn
 from feistel_lab.prf import IdealFunctionOracle, SplitMixRound
-from scalar_twins import (CallableOracle, forward_blocks, inverse_blocks, splitmix_scalar,
-                          zero_oracle)
+from scalar_twins import (CallableOracle, forward_blocks, inverse_blocks, join_blocks,
+                          splitmix_scalar, zero_oracle)
 
 B = BitString
 

@@ -337,7 +337,9 @@ def test_fast_generator_ones_frequency():
 
 def test_bit_string_seeds_refuse_widths_past_the_digit_limit():
     """A width whose values could need more decimal digits than
-    ``sys.get_int_max_str_digits()`` allows is refused, whatever its value; 0 lifts it."""
+    ``sys.get_int_max_str_digits()`` allows is refused, whatever its value, where the
+    value is written in decimal; 0 lifts it. ``state_stream`` writes it as bytes and
+    takes any width."""
     limit = sys.get_int_max_str_digits()
     try:
         for digits, widest in ((4300, 14284), (640, 2126)):
@@ -348,10 +350,9 @@ def test_bit_string_seeds_refuse_widths_past_the_digit_limit():
                     derive_seed(BitString(widest + 1, value))
                 with pytest.raises(ValueError, match=f"widest key is {widest} bits"):
                     state_seeder(widest + 1, 7)
-                with pytest.raises(ValueError, match=f"widest key is {widest} bits"):
-                    state_stream(widest + 1, 8, 7)
-                with pytest.raises(ValueError, match=f"widest round input is {widest} bits"):
-                    state_stream(widest + 1, 8, 7, what="round input")
+                head = f"7\x1fb{widest + 1}.".encode()
+                assert state_stream(widest + 1, 8, 7)(value) == shake_leading_bits(
+                    head + state_bytes(widest + 1, value), 8)
         sys.set_int_max_str_digits(0)
         assert derive_seed(BitString(20000, (1 << 20000) - 1)) == derive_seed(
             BitString(20000, (1 << 20000) - 1))
@@ -443,14 +444,14 @@ def test_state_seeder_is_derive_seed_of_the_state(salt, width_value):
 @example(5, (8, 0x80), 16)
 @example(5, (9, 0x1FE), 18)
 @example(derive_seed("ggm-expand", 0), (14284, (1 << 14284) // 3), 2 * 14284)
+@example(derive_seed("ggm-expand", 0), (14285, (1 << 14285) - 1), 2 * 14285)
 def test_state_stream_is_the_leading_shake_bits_of_the_state_bytes(salt, width_value, out_bits):
     # The head is the text derive_seed writes up to the value; the value follows
     # as the ceil(width / 8) bytes that hold it, most significant first.
     width, value = width_value
     head = f"{salt}\x1fb{width}.".encode()
     got = state_stream(width, out_bits, salt)(value)
-    assert got == BitString(out_bits, shake_leading_bits(head + state_bytes(width, value),
-                                                         out_bits))
+    assert got == shake_leading_bits(head + state_bytes(width, value), out_bits)
 
 
 @given(hs.lists(hs.tuples(_INTS, hs.integers(0, 14284)), min_size=2, max_size=8,

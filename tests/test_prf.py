@@ -16,7 +16,6 @@ from feistel_lab.prf import (
     IdealFunctionOracle,
     SplitMixRound,
     ggm_eval,
-    ggm_walk_states,
     split_master_key,
     splitmix_stream,
 )
@@ -60,7 +59,7 @@ def test_ideal_oracle_entry_is_the_state_stream_of_its_key_at_the_input():
     backward = [g.eval_int(v) for v in reversed(range(0, 4096, 37))]
     assert forward == backward[::-1]
     stream = prbg.state_stream(12, 20, 77)
-    assert forward == [stream(v).value for v in range(0, 4096, 37)]
+    assert forward == [stream(v) for v in range(0, 4096, 37)]
 
 
 def test_ideal_oracle_seed_separation():
@@ -79,28 +78,25 @@ def test_ideal_oracle_per_bit_frequency():
 
 def _complement_expander(width):
     mask = (1 << width) - 1
-    return lambda s: BitString(2 * width, s << width | s ^ mask)
+    return lambda s: s << width | s ^ mask
 
 
 def _stub_key(key_bits):
     # G(x) = x || complement(x), G' = identity.
-    return GgmKey(
-        key=key_bits,
-        expander=_complement_expander(key_bits.width),
-        finalizer=lambda s: BitString(key_bits.width, s),
-    )
+    return GgmKey(key=key_bits, expander=_complement_expander(key_bits.width),
+                  finalizer=lambda s: s)
 
 
 def test_ggm_stub_hand_trace():
     # key=01, x=10: 1-branch of G(01)=01||10 gives 10, then 0-branch of
     # G(10)=10||01 gives 10; identity finalizer keeps 10.
     key = _stub_key(BitString(2, 0b01))
-    assert ggm_eval(key, BitString(2, 0b10)) == BitString(2, 0b10)
+    assert ggm_eval(key, BitString(2, 0b10)) == 0b10
 
 
 def test_ggm_empty_input_finalizes_key():
     key = _stub_key(BitString(2, 0b01))
-    assert ggm_eval(key, BitString(0, 0)) == BitString(2, 0b01)
+    assert ggm_eval(key, BitString(0, 0)) == 0b01
 
 
 def test_ggm_deterministic():
@@ -109,28 +105,27 @@ def test_ggm_deterministic():
 
 
 def test_ggm_prefix_property():
-    # Inputs sharing a j-bit prefix walk through identical first j+1 states.
-    key = GgmKey(
-        key=BitString(8, 0x3C),
-        expander=_complement_expander(8),
-        finalizer=lambda s: BitString(8, s),
-    )
-    x = BitString(6, 0b101100)
-    y = BitString(6, 0b101011)  # shares the 3-bit prefix 101
-    sx = ggm_walk_states(key, x)
-    sy = ggm_walk_states(key, y)
+    # Inputs sharing a j-bit prefix walk through identical first j+1 states: with an
+    # identity finalizer, the walk over each prefix of x ends in the state after it.
+    key = _stub_key(BitString(8, 0x3C))
+
+    def states(x):
+        return [ggm_eval(key, BitString(j, x.value >> x.width - j)) for j in range(x.width + 1)]
+
+    sx = states(BitString(6, 0b101100))
+    sy = states(BitString(6, 0b101011))  # shares the 3-bit prefix 101
     assert sx[:4] == sy[:4]
     assert sx[4] != sy[4]
 
 
 def test_ggm_expander_must_double():
-    bad = GgmKey(
-        key=BitString(4, 0b0011),
-        expander=lambda s: BitString(4, s),
-        finalizer=lambda s: BitString(4, s),
-    )
-    with pytest.raises(ValueError):
-        ggm_eval(bad, BitString(2, 0b01))
+    # A 4-bit key takes expander outputs in [0, 2^8); 2^8 and -1 are refused.
+    for doubled in (1 << 8, -1):
+        bad = GgmKey(key=BitString(4, 0b0011), expander=lambda s, d=doubled: d,
+                     finalizer=lambda s: s)
+        with pytest.raises(ValueError, match="expander output does not fit in 8 bits"):
+            ggm_eval(bad, BitString(2, 0b01))
+        assert ggm_eval(bad, BitString(0, 0)) == 0b0011
 
 
 def test_ggm_modes_differ_but_replay():
@@ -165,6 +160,12 @@ _TWIN_SALTS = (0, 1, prbg.derive_seed("ggm-round", 3), "twin", (2, "x"))
 @example(mode="bbs", in_bits=24, out_bits=24, key=BitString(32, 0xDEADBEEF), salt=1, data=None)
 @example(mode="fast", in_bits=1, out_bits=1, key=BitString(1, 1), salt=0, data=None)
 @example(mode="bbs", in_bits=1, out_bits=1, key=BitString(1, 0), salt=0, data=None)
+# The balanced round key of bench --mode ggm --n 4 --k 2 (3,840 bits over 3 rounds), and
+# a round key one bit past what decimal text can write at Python's default digit limit.
+@example(mode="fast", in_bits=6, out_bits=6, key=BitString(1280, (1 << 1280) // 3), salt=2,
+         data=None)
+@example(mode="fast", in_bits=3, out_bits=8, key=BitString(14285, (1 << 14285) - 1), salt=1,
+         data=None)
 def test_ggm_oracle_matches_the_bitstring_twin_bit_for_bit(mode, in_bits, out_bits, key, salt,
                                                            data):
     top = (1 << in_bits) - 1
@@ -189,7 +190,7 @@ def test_fast_stream_bits_are_balanced_over_every_state():
     states = range(1 << width)
     slack = 4.5 * math.sqrt(len(states) / 4)
     for stream, bits in ((oracle.key.expander, 2 * width), (oracle.key.finalizer, final_bits)):
-        values = [stream(s).value for s in states]
+        values = [stream(s) for s in states]
         for pos in range(bits):
             ones = sum(v >> pos & 1 for v in values)
             assert abs(ones - len(states) / 2) <= slack, (bits, pos, ones)
@@ -211,7 +212,7 @@ def test_bbs_moduli_are_built_once_per_round(monkeypatch):
     assert len(calls) == 2 * params.r
     assert a.encrypt(BitString(12, 0xABC)) != b.encrypt(BitString(12, 0xABC))
     salt = prbg.derive_seed("ggm-expand", prbg.derive_seed("ggm-round", 0))
-    assert prf._blum_params(salt, 32) == real(32, prbg.derive_seed(salt, "modulus"))
+    assert prf._blum_params(salt) == real(32, prbg.derive_seed(salt, "modulus"))
 
 
 def test_ggm_rejects_unknown_mode():
