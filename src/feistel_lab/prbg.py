@@ -12,7 +12,6 @@ import hashlib
 import math
 import random
 import re
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
@@ -20,7 +19,6 @@ from .bits import BitString
 
 __all__ = [
     "derive_seed",
-    "state_seeder",
     "state_stream",
     "is_probable_prime",
     "is_generator",
@@ -48,7 +46,7 @@ BM_MAX_MODULUS = 1 << 20
 
 # Labels that could be read as another part's text: empty, an int, a
 # bit string, a tuple, or anything holding the part separator.
-_RESERVED_LABEL = re.compile(r"|-?[0-9]+|b[0-9]+\.[0-9]+|\(.*\)|.*\x1f.*", re.DOTALL)
+_RESERVED_LABEL = re.compile(r"|-?[0-9]+|b[0-9]+\.[0-9a-f]+|\(.*\)|.*\x1f.*", re.DOTALL)
 
 
 @functools.lru_cache(maxsize=256)
@@ -61,27 +59,9 @@ def _label(text: str) -> str:
     return text
 
 
-def _bits_head(width: int) -> str:
-    """The text of a ``width``-bit string up to its value. The value follows in
-    decimal, so a width with values past Python's int-to-str digit limit
-    (``sys.get_int_max_str_digits()``, 0 for none) is refused here, before any
-    of its text is written."""
-    digits = sys.get_int_max_str_digits()
-    if digits and width > _widest_decimal(digits):
-        raise ValueError(f"a {width}-bit key is too wide to hash as decimal text; "
-                         f"the widest key is {_widest_decimal(digits)} bits")
-    return f"b{width}."
-
-
-@functools.cache
-def _widest_decimal(digits: int) -> int:
-    """The widest bit string whose values all have at most ``digits`` decimal digits."""
-    return (10 ** digits).bit_length() - 1
-
-
 def _canonical(part: object) -> str:
     if isinstance(part, BitString):
-        return _bits_head(part.width) + str(part.value)
+        return f"b{part.width}.{part.value:x}"
     kind = type(part)
     if kind is int:
         return str(part)
@@ -102,9 +82,10 @@ def derive_seed(*parts: object) -> int:
     Used to give every trial, round, and oracle its own independent stream
     while keeping whole experiments reproducible from one master seed.
     Distinct part sequences give distinct hash inputs: an int is its decimal
-    text, a bit string ``b<width>.<value>``, a tuple its repr, and a label
-    (str) is itself, so labels that could be read as one of the others, or
-    that contain the separator, are refused.
+    text, a bit string ``b<width>.<value in lowercase hex>``, written in time
+    linear in the width and for any width, a tuple its repr, and a label (str)
+    is itself, so labels that could be read as one of the others, or that
+    contain the separator, are refused.
     """
     text = "\x1f".join([_canonical(p) for p in parts])
     digest = hashlib.sha256(text.encode()).digest()
@@ -119,30 +100,13 @@ def _state_head(width: int, salt: int) -> bytes:
     return f"{salt}\x1fb{width}.".encode()
 
 
-def state_seeder(width: int, salt: int) -> Callable[[int], int]:
-    """``value -> derive_seed(salt, BitString(width, value))`` for ``value`` in
-    [0, 2^width), with the text before the value hashed once: a tree walk
-    derives one seed per step from its state. The value is written in decimal, so a
-    width ``derive_seed`` could not write is refused."""
-    _bits_head(width)
-    head = hashlib.sha256(_state_head(width, salt))
-
-    def seed(value: int) -> int:
-        h = head.copy()
-        h.update(str(value).encode())
-        return int.from_bytes(h.digest()[:8], "big")
-
-    return seed
-
-
 def state_stream(width: int, out_bits: int, salt: int) -> Callable[[int], int]:
     """``value ->`` the int of the leading ``out_bits`` bits (big-endian) of SHAKE-256
     (NIST FIPS 202) over the text ``derive_seed(salt, BitString(width, value))``
     hashes up to ``value``, absorbed once, followed by ``value`` as
     ``ceil(width / 8)`` big-endian bytes, which cost time linear in ``width``: one
     digest per step, no state between steps. The head fixes the salt, the width and so
-    the byte count, so distinct salts, widths and values give distinct messages. No
-    width is refused: the value is written as bytes, not decimal text."""
+    the byte count, so distinct salts, widths and values give distinct messages."""
     head = hashlib.shake_256(_state_head(width, salt))
     value_bytes = -(-width // 8)
     size = -(-out_bits // 8)
@@ -351,9 +315,11 @@ class BbsGenerator(BitGenerator):
         self._x = x
         return BitString(count, value)
 
-    def reseed(self, seed: object) -> None:
+    def reseed(self, seed: int) -> None:
+        """Restart at x = s^2 mod n, s = seed mod (n - 1) + 1 stepped up (from n - 1
+        back to 1) to the first value coprime to n."""
         n = self.params.n
-        s = derive_seed("bbs-reseed", seed) % (n - 1) + 1
+        s = seed % (n - 1) + 1
         while math.gcd(s, n) != 1:
             s = s + 1 if s < n - 1 else 1
         self._x = s * s % n

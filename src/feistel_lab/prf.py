@@ -23,7 +23,6 @@ from .prbg import (
     BbsParams,
     derive_seed,
     generate_bbs_params,
-    state_seeder,
     state_stream,
 )
 
@@ -167,9 +166,10 @@ def _blum_params(salt: int) -> BbsParams:
 
 def _bbs_stream(width: int, out_bits: int, salt: int) -> Callable[[int], int]:
     """``width``-bit state -> the first ``out_bits`` bits of one quadratic-residue
-    generator reseeded with ``derive_seed(salt, BitString(width, state))``."""
+    generator reseeded with ``state_stream(width, 128, salt)`` at the state: 128 bits
+    against the 64-bit modulus leave the reduction mod n - 1 a negligible bias."""
     gen = BbsGenerator(_blum_params(salt))
-    seed_of = state_seeder(width, salt)
+    seed_of = state_stream(width, 128, salt)
 
     def stream(state: int) -> int:
         gen.reseed(seed_of(state))
@@ -181,7 +181,7 @@ def _bbs_stream(width: int, out_bits: int, salt: int) -> Callable[[int], int]:
 # The stream of one expander or finalizer, by mode, from the state width, its output
 # width and its salt: ``state -> int`` of ``out_bits`` bits. A ``fast`` step is one
 # SHAKE-256 digest of the salt and state; a ``bbs`` step reseeds the stream's one
-# generator.
+# generator from such a digest.
 _STREAM_GENERATORS = {"fast": state_stream, "bbs": _bbs_stream}
 
 
@@ -190,8 +190,9 @@ class GgmFunctionOracle(FunctionOracle):
 
     ``mode`` selects the underlying stream for the expander and finalizer:
     ``fast`` (SHAKE-256 of the salt and walk state, default for bulk
-    experiments) or ``bbs`` (quadratic-residue stream reseeded from the walk
-    state, desk scale). Evaluation mutates the bit counter, and under ``bbs``
+    experiments) or ``bbs`` (quadratic-residue stream reseeded from a 128-bit
+    SHAKE-256 digest of the salt and walk state, desk scale); either takes a key
+    of any width. Evaluation mutates the bit counter, and under ``bbs``
     the generator of each stream, which every step reseeds; give each worker
     its own instance.
     """

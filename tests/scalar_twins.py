@@ -6,11 +6,13 @@ nested lists, and the attack machines on the seeded queries they once drew;
 function from a plain int -> int function."""
 
 import hashlib
+import math
 
 from feistel_lab.bits import BitString
 from feistel_lab.distinguisher import _BlockXorMachine
 from feistel_lab.feistel import UfnKind, UfnPermutation
-from feistel_lab.prbg import BbsGenerator, FastBitGenerator, derive_seed, generate_bbs_params
+from feistel_lab.prbg import (BbsParams, FastBitGenerator, bbs_generate, derive_seed,
+                              generate_bbs_params)
 from feistel_lab.prf import FunctionOracle
 from feistel_lab.statcheck import Gf2Matrix
 
@@ -190,20 +192,25 @@ def _fresh_fast_stream(out_bits, salt):
 
 def _fresh_bbs_stream(out_bits, salt):
     params = generate_bbs_params(32, derive_seed(salt, "modulus"))
+    n = params.n
 
     def stream(state):
-        gen = BbsGenerator(params)
-        gen.reseed(derive_seed(salt, state))
-        return gen.next_bits(out_bits)
+        digest = hashlib.shake_256(
+            f"{salt}\x1fb{state.width}.".encode() + state_bytes(state.width, state.value))
+        s = int.from_bytes(digest.digest(16), "big") % (n - 1) + 1
+        while math.gcd(s, n) != 1:
+            s = s + 1 if s < n - 1 else 1
+        return bbs_generate(BbsParams(params.p, params.q, s), out_bits)
 
     return stream
 
 
 class BitStringGgmOracle:
     """Reference ``prf.GgmFunctionOracle``: the walk holds ``BitString`` states,
-    each step hashes its full message from scratch (``fast``) or seeds a fresh generator
-    from ``derive_seed(salt, state)`` (``bbs``) and splits the output, and every
-    oracle draws its own Blum moduli."""
+    each step hashes its full message from scratch (``fast``) or starts a fresh
+    generator at s = d mod (n - 1) + 1, raised to the first value coprime to n, d the
+    first 128 bits of that hash (``bbs``), and splits the output, and every oracle
+    draws its own Blum moduli."""
 
     def __init__(self, in_bits, out_bits, key, mode="fast", salt=0):
         make_stream = {"fast": _fresh_fast_stream, "bbs": _fresh_bbs_stream}[mode]

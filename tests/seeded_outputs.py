@@ -9,8 +9,9 @@ that no workload runs (``extra_commands``), in list order: a ``decrypt`` reads t
 output of the ``encrypt`` before it, as in a benchmark cycle. The report keeps the
 SHA-256 of each command's stdout per tree, and the text of one-line outputs. A command
 whose stdout differs between the trees is allowed only if it matches an ``--allow``
-pattern ``LIST:SUBCOMMAND[:EXPANDER]``, LIST a workload or ``extra``; any other
-difference exits with status 1. pytest does not collect this file.
+pattern ``LIST:SUBCOMMAND[:MODE]``, LIST a workload or ``extra`` and MODE the value of
+the command's ``--expander`` or ``--prf``; any other difference exits with status 1.
+pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -89,13 +90,15 @@ def run_lists(seeds: list[int]) -> dict[str, list[dict]]:
 
 
 def _allowed(key: str, argv: str, patterns: list[str]) -> bool:
+    """True iff a pattern ``LIST:SUBCOMMAND[:MODE]`` names the list of ``key``, the
+    subcommand of ``argv`` and, if given, the value of its ``--expander`` or ``--prf``."""
     words = argv.split()
     for pattern in patterns:
-        name, sub, *expander = pattern.split(":")
+        name, sub, *mode = pattern.split(":")
         if key.split(":")[0] != name or words[0] != sub:
             continue
-        if not expander or ("--expander" in words
-                            and words[words.index("--expander") + 1] == expander[0]):
+        if not mode or any(flag in words and words[words.index(flag) + 1] == mode[0]
+                           for flag in ("--expander", "--prf")):
             return True
     return False
 
@@ -106,7 +109,8 @@ def main() -> int:
                         help="LABEL=SRC: a source tree holding the feistel_lab package")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     parser.add_argument("--allow", action="append", default=[],
-                        help="LIST:SUBCOMMAND[:EXPANDER] whose stdout may differ")
+                        help="LIST:SUBCOMMAND[:MODE] whose stdout may differ, MODE an "
+                        "--expander or --prf value")
     parser.add_argument("--out")
     parser.add_argument("--one", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()

@@ -161,10 +161,12 @@ _TWIN_SALTS = (0, 1, prbg.derive_seed("ggm-round", 3), "twin", (2, "x"))
 @example(mode="fast", in_bits=1, out_bits=1, key=BitString(1, 1), salt=0, data=None)
 @example(mode="bbs", in_bits=1, out_bits=1, key=BitString(1, 0), salt=0, data=None)
 # The balanced round key of bench --mode ggm --n 4 --k 2 (3,840 bits over 3 rounds), and
-# a round key one bit past what decimal text can write at Python's default digit limit.
+# round keys one bit past what decimal text can write at Python's default digit limit.
 @example(mode="fast", in_bits=6, out_bits=6, key=BitString(1280, (1 << 1280) // 3), salt=2,
          data=None)
 @example(mode="fast", in_bits=3, out_bits=8, key=BitString(14285, (1 << 14285) - 1), salt=1,
+         data=None)
+@example(mode="bbs", in_bits=2, out_bits=8, key=BitString(14285, (1 << 14285) // 3), salt=1,
          data=None)
 def test_ggm_oracle_matches_the_bitstring_twin_bit_for_bit(mode, in_bits, out_bits, key, salt,
                                                            data):
@@ -213,6 +215,25 @@ def test_bbs_moduli_are_built_once_per_round(monkeypatch):
     assert a.encrypt(BitString(12, 0xABC)) != b.encrypt(BitString(12, 0xABC))
     salt = prbg.derive_seed("ggm-expand", prbg.derive_seed("ggm-round", 0))
     assert prf._blum_params(salt) == real(32, prbg.derive_seed(salt, "modulus"))
+
+
+# The Blum moduli (p, q, s) of the expander and finalizer streams of rounds 0..4, the
+# rounds of the bbs golden in test_cli.py, as the code before the bbs stream seeded
+# from state_stream drew them: the golden's prime-search verdicts stay pinned.
+_GOLDEN_BLUM_PARAMS = (
+    ((3667108259, 3366563191, 3146680844699926173), (2476389583, 3439619147, 868256970159732649)),
+    ((2989951879, 3384563531, 34314046127535298), (3413024059, 4111313363, 1898624536105376498)),
+    ((4038419491, 4157540071, 6255085714305928512), (4054895687, 2729875871, 924857028511699700)),
+    ((3658839007, 2846088731, 6739049820579095653), (2386539691, 2292391331, 426064065218074853)),
+    ((2699719427, 3422828719, 2201169771723094906), (3769066943, 3924373127, 4920043135316746441)),
+)
+
+
+def test_blum_params_of_the_golden_rounds_are_pinned():
+    for i, pinned in enumerate(_GOLDEN_BLUM_PARAMS):
+        salt = prbg.derive_seed("ggm-round", i)
+        for label, pqs in zip(("ggm-expand", "ggm-final"), pinned):
+            assert prf._blum_params(prbg.derive_seed(label, salt)) == prbg.BbsParams(*pqs)
 
 
 def test_ggm_rejects_unknown_mode():
