@@ -137,8 +137,9 @@ class Lanes:
 
 # Trials per batch of the lane engines. A step's Python cost is per batch: over the games
 # points 512 lanes (8-KB ints) ran 1.19x faster than 256, every point faster. 1,024 ran 1.25x
-# but left 12-bit points no faster, as one lane's repeat sends its batch down the per-lane
-# path of IdealPermutationOracle.distinct, and a uniform badprob batch holds twice as much.
+# but left 12-bit points no faster, as one lane's repeat then sent its whole batch through a
+# dict per lane in IdealPermutationOracle.distinct (which now redraws that lane alone; 1,024
+# is not re-measured since), and a uniform badprob batch holds twice as much.
 LANE_BATCH = 512
 
 

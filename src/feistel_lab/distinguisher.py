@@ -13,15 +13,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import islice
+from itertools import compress
 from operator import xor
 from typing import Protocol
 
 from .bits import Lanes, check_lane_width, lane_batches, run_chunks
-from .feistel import UfnKind, UfnParams, UfnPermutation, ideal_ufn, splitmix_round_oracles
+from .feistel import (UfnKind, UfnParams, UfnPermutation, ideal_ufn, last_input_memo,
+                      splitmix_round_oracles)
 from .prbg import derive_seed, state_stream
-from .prf import splitmix, splitmix_stream
+from .prf import _GAMMA, _mix, splitmix
 from .stats import wilson_halfwidth
+
+_M64 = (1 << 64) - 1
 
 __all__ = [
     "PermutationOracle",
@@ -53,10 +56,15 @@ class IdealPermutationOracle:
 
     Lane t's i-th fresh query gets its i-th distinct candidate c_j = z(z(key, t+1), j+1)
     >> (64 - width), sampling without replacement; a repeated query replays its answer.
-    A lane pass draws c_j for every lane and every lane keeps it, so a lane's answers do
-    not depend on its batch. Answer j is pass j until some c_j ^ ((t+1) << 55) mod 2^64 repeats.
-    The 9-bit tag tells apart the 512 = ``bits.LANE_BATCH`` lanes of a batch; two lanes that
-    shared a tag and a c_j would send the batch down the per-lane path: exact, but slower.
+    Answer i of every lane is one packed ``Lanes`` column, drawn once and kept: every
+    lane draws its next candidate in one pass, and the lanes whose candidate repeats one
+    of their answers are redrawn alone and patched into the column. Answer 1 finds its
+    repeats by one XOR with answer 0. From answer 2 on, a set holds c ^ ((t+1) << width)
+    mod 2^64 for every answer; it takes each column in one pass until a lane repeats,
+    and from then on tests each column before taking it. The tag tells apart the lanes
+    of a batch unless two share t+1 mod 2^(64 - width), which 512 = ``bits.LANE_BATCH``
+    consecutive trials cannot below 56 bits; where two do, a set hit is checked against
+    the lane's own answers. So a lane's answers do not depend on its batch.
     """
 
     def __init__(self, width: int, key: int, trials: Lanes) -> None:
@@ -64,26 +72,87 @@ class IdealPermutationOracle:
             raise ValueError("width must be >= 1")
         check_lane_width(width)
         self.width = width
-        self._stream = splitmix_stream(splitmix(key, trials), 64 - width)
-        self._tags = trials << 55  # t+1 mod 512 in the top 9 bits: distinct in a batch
-        self._tagged: set[int] = set()  # c_j ^ tag; a lane's repeat repeats it too
-        self._passes: list[Lanes] = []
+        self._shift = 64 - width
+        self._state = splitmix(key, trials)  # lane t: z(key, t+1) + j * gamma, j drawn
+        # Right above the candidate, the tag spreads the set's hash slots (the low bits)
+        # at small widths, where 2^width candidates alone would crowd 2^width slots.
+        self._tags = trials << width
+        self._tagged: set[int] | None = None  # c ^ tag of every answer, from answer 2 on
+        self._met_twice = False  # the set has met a value twice: test before adding
+        self._tags_exact = False  # each lane has its own tag: a set hit is a repeat
+        self._answers: list[Lanes] = []
         self._replies: dict[int, Lanes] = {}
         self.query_count = 0
 
     def distinct(self, m: int) -> list[Lanes]:
         """The answers to m fresh queries: each lane's first m distinct candidates."""
-        while len(self._passes) < m and len(self._tagged) == len(self._passes) * self._tags.count:
-            self._passes.append(next(self._stream))
-            self._tagged.update((self._passes[-1] ^ self._tags).tolist())
-        if len(self._tagged) == len(self._passes) * self._tags.count:  # no lane repeated
-            return self._passes[:m]
-        seen = [dict.fromkeys(lane) for lane in zip(*(p.tolist() for p in self._passes))]
-        while min(map(len, seen)) < m:
-            self._passes.append(next(self._stream))
-            for values, c in zip(seen, self._passes[-1].tolist()):
-                values[c] = None
-        return [Lanes.of(column) for column in islice(zip(*seen), m)]
+        answers = self._answers
+        while len(answers) < m:
+            self._state = self._state + _GAMMA
+            column = _mix(self._state, self._shift)
+            if len(answers) == 1:  # a pair: one XOR finds the lanes that drew answer 0 again
+                if (column ^ answers[0]).zeros():
+                    pairs = enumerate(zip(answers[0].tolist(), column.tolist()))
+                    column = self._redraw([t for t, (a, c) in pairs if a == c], column)
+            elif answers:
+                values = (column ^ self._tags).tolist()
+                tagged = self._tagged
+                if tagged is None:
+                    tagged = self._tagged = self._tag_set()
+                if not self._met_twice:  # one pass: the set grows by every value but a repeat
+                    size = len(tagged)
+                    tagged.update(values)
+                    if len(tagged) - size == len(values):
+                        answers.append(column)
+                        continue
+                    self._met_twice = True
+                    tagged = self._tagged = self._tag_set()  # again, without this column
+                    self._tag_list = tags = self._tags.tolist()
+                    self._tags_exact = len(set(tags)) == len(tags)
+                hits = tagged.intersection(values)
+                tagged.update(values)
+                if hits:
+                    lanes = compress(range(len(values)), map(hits.__contains__, values))
+                    column = self._redraw(list(lanes), column)
+            answers.append(column)
+        return answers[:m]
+
+    def _tag_set(self) -> set[int]:
+        """The set of c ^ tag over every lane and answer so far."""
+        tagged = set()
+        for answer in self._answers:
+            tagged.update((answer ^ self._tags).tolist())
+        return tagged
+
+    def _is_answer(self, t: int, c: int) -> bool:
+        """Whether ``c`` is one of lane t's answers so far."""
+        if self._tags_exact:
+            return c ^ self._tag_list[t] in self._tagged
+        return any(c == a.value >> 128 * t & _M64 for a in self._answers)
+
+    def _redraw(self, lanes: list[int], column: Lanes) -> Lanes:
+        """``column`` with the candidate of each of ``lanes`` that is one of its lane's answers
+        replaced by the lane's next candidate that is none. Those lanes draw together, alone
+        of their batch, and each one's state advances past every candidate it draws."""
+        here = self._state
+        start = {t: here.value >> 128 * t & _M64 for t in lanes}
+        old = {t: column.value >> 128 * t & _M64 for t in lanes}
+        state, drawn = dict(start), dict(old)
+        todo = [t for t in lanes if self._is_answer(t, old[t])]
+        while todo:
+            for t in todo:
+                state[t] = state[t] + _GAMMA & _M64
+            fresh = _mix(Lanes.of([state[t] for t in todo]), self._shift).tolist()
+            drawn.update(zip(todo, fresh))
+            todo = [t for t in todo if self._is_answer(t, drawn[t])]
+        moved = patch = 0
+        for t in lanes:
+            moved |= (start[t] ^ state[t]) << 128 * t
+            patch |= (old[t] ^ drawn[t]) << 128 * t
+            if self._tagged is not None:
+                self._tagged.add(drawn[t] ^ self._tag_list[t])
+        self._state = Lanes(here.value ^ moved, here.count, here.spreads)
+        return Lanes(column.value ^ patch, column.count, column.spreads)
 
     def query(self, x: int) -> Lanes:
         if not 0 <= x < 1 << self.width:
@@ -267,7 +336,8 @@ def advantage_counts(
     """Accept counts over trials [start, start+count) against the structure ``params``
     (side a) and a uniform permutation of its state (side b), a ``bits.lane_batches``
     batch at a time. Side a runs ``feistel.splitmix_round_oracles`` from
-    S = ``derive_seed("game-keys", seed)``, side b is ``ideal_permutation``: both are
+    S = ``derive_seed("game-keys", seed)`` behind ``feistel.last_input_memo``, so a round
+    input that the queries share is evaluated once; side b is ``ideal_permutation``: both are
     keyed from the absolute trial index, so chunking does not change results. A state
     wider than 64 bits raises ValueError, and a machine that queries either side more
     often than its budget in a batch raises RuntimeError."""
@@ -277,7 +347,8 @@ def advantage_counts(
     ones_a = 0
     ones_b = 0
     for trials in lane_batches(start, count):
-        oracle_a = UfnPermutation(params, splitmix_round_oracles(params, master, trials))
+        rounds = last_input_memo(splitmix_round_oracles(params, master, trials))
+        oracle_a = UfnPermutation(params, rounds)
         ones_a += machine.run(oracle_a)
         oracle_b = ideal_permutation(params.state_bits, seed, trials)
         ones_b += machine.run(oracle_b)

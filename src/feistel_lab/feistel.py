@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 from .bits import BitString, split_blocks
@@ -36,6 +38,7 @@ __all__ = [
     "secure_rounds",
     "UfnPermutation",
     "splitmix_round_oracles",
+    "last_input_memo",
     "ggm_round_oracles",
     "ideal_ufn",
     "ggm_ufn",
@@ -189,6 +192,23 @@ def splitmix_round_oracles(params: UfnParams, master: int, trials) -> list[Split
     keys = splitmix_stream(splitmix(master, trials))
     in_bits, out_bits = params.round_in_bits, params.round_out_bits
     return [SplitMixRound(in_bits, out_bits, next(keys)) for _ in range(params.r)]
+
+
+def _memo_eval(evaluate, last: list, x):
+    """``evaluate(x)``, or ``last[1]`` if ``x`` has the class and value of ``last[0]``."""
+    if x.__class__ is not last[0].__class__ or x != last[0]:
+        last[:] = x, evaluate(x)
+    return last[1]
+
+
+def last_input_memo(rounds: Sequence[FunctionOracle]) -> list[SimpleNamespace]:
+    """The rounds of a batch, each behind a one-entry memo of its last input (an int or a
+    ``bits.Lanes``): a round whose queries share an input evaluates it once. The memo
+    wraps the round and is not set on it, which would form a reference cycle that only
+    the cyclic garbage collector frees."""
+    return [SimpleNamespace(in_bits=f.in_bits, out_bits=f.out_bits,
+                            eval_int=partial(_memo_eval, f.eval_int, [None, None]))
+            for f in rounds]
 
 
 def ggm_round_oracles(

@@ -67,11 +67,9 @@ def _canonical(part: object) -> str:
         return str(part)
     if kind is str:
         return _label(part)
-    if kind is tuple:
-        for item in part:
-            if type(item) is not str:  # the repr quotes strs
-                _canonical(item)
-        return str(part)
+    if kind is tuple:  # its repr, but with each bit string in the form above
+        items = [repr(item) if type(item) is str else _canonical(item) for item in part]
+        return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
     raise TypeError(f"seed parts are ints, strs, bit strings and tuples, not {kind.__name__}")
 
 
@@ -83,9 +81,9 @@ def derive_seed(*parts: object) -> int:
     while keeping whole experiments reproducible from one master seed.
     Distinct part sequences give distinct hash inputs: an int is its decimal
     text, a bit string ``b<width>.<value in lowercase hex>``, written in time
-    linear in the width and for any width, a tuple its repr, and a label (str)
-    is itself, so labels that could be read as one of the others, or that
-    contain the separator, are refused.
+    linear in the width and for any width, a tuple its repr with each bit string
+    in that form, and a label (str) is itself, so labels that could be read as one
+    of the others, or that contain the separator, are refused.
     """
     text = "\x1f".join([_canonical(p) for p in parts])
     digest = hashlib.sha256(text.encode()).digest()

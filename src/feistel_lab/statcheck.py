@@ -13,12 +13,12 @@ Three families of checks:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
-from types import SimpleNamespace
+from functools import cached_property
 
 from .bits import Lanes, check_lane_width, lane_batches, run_chunks
 from .distinguisher import IdealPermutationOracle
-from .feistel import UfnKind, UfnParams, _forward, secure_rounds, splitmix_round_oracles
+from .feistel import (UfnKind, UfnParams, _forward, last_input_memo, secure_rounds,
+                      splitmix_round_oracles)
 from .prbg import derive_seed
 from .stats import chi_square_critical, chi_square_statistic, wilson_halfwidth
 
@@ -128,22 +128,15 @@ def _uniform_queries(spec: BadEventSpec, seed: int, trials: Lanes) -> list[Lanes
     return IdealPermutationOracle(spec.params.state_bits, key, trials).distinct(spec.m)
 
 
-def _last_input_memo(evaluate, last: list, x):
-    """``evaluate(x)``, or ``last[1]`` if ``x`` has the class and value of ``last[0]``."""
-    if x.__class__ is not last[0].__class__ or x != last[0]:
-        last[:] = x, evaluate(x)
-    return last[1]
-
-
 def bad_event_counts(spec: BadEventSpec, seed: int, start: int, count: int) -> int:
     """Trials in [start, start+count) whose watched rounds saw a collision.
 
     Each batch of ``bits.lane_batches`` goes through ``feistel._forward`` a round at a
     time up to the last watched round, its rounds keyed by ``feistel.splitmix_round_oracles``
-    from S = ``derive_seed("bad-event-keys", seed)``; a round input that consecutive queries
-    share is evaluated once per batch. A trial hits when two of its m queries agree at a
-    watched round on the watched value x & (2^p1 - 1): the low p1 = ``round_in_bits`` bits
-    of the state, the next round's function input.
+    from S = ``derive_seed("bad-event-keys", seed)`` behind ``feistel.last_input_memo``, so
+    a round input that consecutive queries share is evaluated once per batch. A trial hits
+    when two of its m queries agree at a watched round on the watched value x & (2^p1 - 1):
+    the low p1 = ``round_in_bits`` bits of the state, the next round's function input.
     """
     params = spec.params
     mask = (1 << params.round_in_bits) - 1
@@ -153,10 +146,7 @@ def bad_event_counts(spec: BadEventSpec, seed: int, start: int, count: int) -> i
     for trials in lane_batches(start, count):
         lanes = trials.count
         seen = {rd: bytearray() for rd in spec.rounds_watched}
-        # One-entry memos wrap the rounds up to the last watched one. Set on its round, a
-        # memo would form a reference cycle, which only the cyclic garbage collector frees.
-        rounds = [SimpleNamespace(eval_int=partial(_last_input_memo, f.eval_int, [None, None]))
-                  for f in splitmix_round_oracles(params, master, trials)[: max(seen)]]
+        rounds = last_input_memo(splitmix_round_oracles(params, master, trials)[: max(seen)])
         reused = None
         for x in fixed or _uniform_queries(spec, seed, trials):
             for rd, f in enumerate(rounds, 1):

@@ -30,13 +30,16 @@ count of the zero lanes by ``Lanes.zeros`` (on a tree that has it) and by
 with a no-op worker (two trials, the usable CPU count pinned at 2), a cost that no span
 of the benchmark tracer covers; ``game.<attack>.r<rounds>`` (L2), one
 ``distinguisher.advantage_counts`` batch of the tree's own ``bits.LANE_BATCH`` trials at
-each point of the benchmark's ``games`` workload, reported per trial;
-``badprob.<kind>.k<k>.<shaping>`` (L2), one ``statcheck.bad_event_counts`` call of 200
-trials (one ``--jobs 2`` chunk) at each point of the ``collisions`` workload, reported
-per trial; and
-``start.<subcommand>`` (L3), the spawn-to-exit time of a fresh interpreter on the
-tree's ``src`` running one benchmark workload's one-trial set-up command, which the
-benchmark's ``setup_s`` times up to the first output line. A tree whose rounds take
+each point of the benchmark's ``games`` workload, reported per trial; ``game.pair.w12``,
+one two-query ``advantage_counts`` batch (``src-k1``, n=4, k=2, r=4) at seed 1, per
+trial; ``badprob.<kind>.k<k>.<shaping>`` (L2), one ``statcheck.bad_event_counts`` call
+of 200 trials (one ``--jobs 2`` chunk) at each point of the ``collisions`` workload,
+reported per trial; ``start.<subcommand>`` (L3), the spawn-to-exit time of a fresh
+interpreter on the tree's ``src`` running one benchmark workload's one-trial set-up
+command, which the benchmark's ``setup_s`` times up to the first output line; and
+``ideal.query256.w12``, 256 fresh queries of one ``bits.LANE_BATCH``-lane
+``distinguisher.IdealPermutationOracle`` at a 12-bit state, each drawing one more
+answer (``distinct``) while every lane repeats candidates. A tree whose rounds take
 block tuples (``UfnParams.block_count`` exists) gets its round input as a block tuple,
 so its round numbers leave out the split at entry and the join at exit.
 
@@ -178,6 +181,11 @@ def items() -> dict[str, tuple]:
                                    UfnParams(UfnKind(kind), n, k, rounds), cmd.expect["seed"])
         out[f"game.{name}.r{rounds}"] = (functools.partial(trials, 0, bits.LANE_BATCH), 20,
                                          bits.LANE_BATCH)
+    # One two-query game batch at a 12-bit state.
+    params = UfnParams(UfnKind.SOURCE_HEAVY, 4, 2, 4)
+    out["game.pair.w12"] = (functools.partial(distinguisher.advantage_counts,
+                                              distinguisher.attack_leading_block(4, 2), params,
+                                              1, 0, bits.LANE_BATCH), 20, bits.LANE_BATCH)
     for cmd in workloads.commands("collisions", 1):
         kind, k, shaping = (cmd.argv[cmd.argv.index(flag) + 1]
                             for flag in ("--kind", "--k", "--shaping"))
@@ -188,6 +196,16 @@ def items() -> dict[str, tuple]:
     for workload in START_WORKLOADS:
         argv = workloads.setup_argv(workloads.commands(workload, 1)[0])
         out[f"start.{argv[0]}"] = (lambda argv=argv: _start(argv), 1)
+
+    # Item 14's gate: 256 fresh queries of one ideal-permutation batch at a 12-bit state,
+    # where every lane repeats candidates. Timed last: where it takes seconds, the heap it
+    # leaves would slow the items after it in the same interpreter.
+    def query256(trials=Lanes.of(range(1, bits.LANE_BATCH + 1))):
+        perm = distinguisher.IdealPermutationOracle(12, 99, trials)
+        for x in range(256):
+            perm.query(x)
+
+    out["ideal.query256.w12"] = (query256, 1)
     return out
 
 

@@ -127,19 +127,20 @@ class ScalarIdealPermutation:
         self._key = key
         self._j = 0
         self._replies = {}
+        self._used = set()
 
     def query(self, x):
         if not 0 <= x < 1 << self.width:
             raise ValueError(f"query {x} does not fit in {self.width} bits")
         self.query_count += 1
         if x not in self._replies:
-            used = set(self._replies.values())
             while True:
                 self._j += 1
                 c = splitmix_scalar(self._key, self._j) >> (64 - self.width)
-                if c not in used:
+                if c not in self._used:
                     break
             self._replies[x] = c
+            self._used.add(c)
         return self._replies[x]
 
 

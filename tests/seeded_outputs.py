@@ -41,8 +41,10 @@ def extra_commands(seed: int) -> list[workloads.Command]:
     and (4, 3), workloads 0 and 256, with and without ``--analytic``; an ``--prf ideal``
     encrypt of each kind and the decrypt of its output; a tree-walk encrypt under each
     expander at 64-bit round keys (balanced n=8, k=1, three rounds), wider than the
-    ``treewalk`` workload's 16 bits, and the decrypt of its output; and ``matrix`` at
-    k = 1..6."""
+    ``treewalk`` workload's 16 bits, and the decrypt of its output; ``matrix`` at
+    k = 1..6; and two runs of the ideal permutation's repeat paths at 12-bit states: a
+    uniform ``badprob`` at m = 64, where about 39 % of the lanes draw a candidate twice,
+    and a two-query ``advantage`` of 8,192 trials."""
     stream = workloads._SeedStream("seeded-outputs", seed)
     cmds = [workloads.Command(("bench", "--mode", "mem", "--n", str(n), "--k", str(k),
                                "--workload", str(load), "--seed", str(seed), *analytic), 1)
@@ -60,7 +62,14 @@ def extra_commands(seed: int) -> list[workloads.Command]:
                 "--key", stream.hex(48), "--expander", expander)
         cmds.append(workloads.Command(("encrypt", *base, "--in", f"16:{stream.hex(4)}"), 1))
         cmds.append(workloads.Command(("decrypt", *base, "--in", workloads.PREV_OUTPUT), 1))
-    return cmds + [workloads.Command(("matrix", "--k", str(k)), 1) for k in range(1, 7)]
+    cmds += [workloads.Command(("matrix", "--k", str(k)), 1) for k in range(1, 7)]
+    cmds.append(workloads.Command(("badprob", "--kind", "target-heavy", "--n", "4", "--k", "2",
+                                   "--m", "64", "--shaping", "uniform", "--trials", "1024",
+                                   "--seed", str(seed)), 1024))
+    cmds.append(workloads.Command(("advantage", "--name", "src-k1", "--kind", "source-heavy",
+                                   "--n", "4", "--k", "2", "--rounds", "4", "--trials", "8192",
+                                   "--seed", str(seed)), 8192))
+    return cmds
 
 
 def run_lists(seeds: list[int]) -> dict[str, list[dict]]:

@@ -1,5 +1,7 @@
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from feistel_lab import bits
@@ -126,9 +128,9 @@ def test_ideal_permutation_lanes_match_the_scalar_twin():
     (3, 512, 1),  # lanes 256 apart draw equal candidates: an 8-bit tag would read a repeat
 ])
 def test_distinct_returns_the_passes_until_a_lane_repeats(width, lanes, fresh):
-    # While no lane has drawn a candidate twice, answer j is pass j itself, so asking
-    # again hands back the same Lanes; from a lane's first repeat on, the answers are
-    # packed per lane, and they stay equal to the scalar twin throughout.
+    # While a lane has drawn no candidate twice, its answer j is its pass j; from its
+    # first repeat on, its answers lag its passes. Each answer column is drawn once:
+    # asking again hands back the same Lanes, and the answers equal the scalar twin.
     key = derive_seed("ideal-perm", width)
     trials = Lanes.of(range(1, lanes + 1))
     trial_keys = [splitmix_scalar(key, t + 1) for t in range(lanes)]
@@ -137,12 +139,16 @@ def test_distinct_returns_the_passes_until_a_lane_repeats(width, lanes, fresh):
     twins = [ScalarIdealPermutation(width, k) for k in trial_keys]
     expected = list(zip(*([twin.query(x) for x in range(fresh)] for twin in twins)))
     perm = IdealPermutationOracle(width, key, trials)
-    passes_returned = []
+    passes_returned, earlier = [], []
     for m in range(1, fresh + 1):
         answers = perm.distinct(m)
         assert [tuple(a.tolist()) for a in answers] == expected[:m]
-        passes_returned.append(perm.distinct(m)[-1] is answers[-1])
-        assert passes_returned[-1] == all(len(set(lane[:m])) == m for lane in draws)
+        assert all(a is b for a, b in zip(answers, earlier)) and len(answers) == m
+        assert perm.distinct(m)[-1] is answers[-1]
+        earlier = answers
+        on_pass = [a == lane[m - 1] for a, lane in zip(answers[-1].tolist(), draws)]
+        assert on_pass == [len(set(lane[:m])) == m for lane in draws]
+        passes_returned.append(all(on_pass))
     if width < 64 and fresh > 1:  # a lane's one fresh query cannot repeat
         assert not passes_returned[-1] and any(len(set(lane)) == fresh for lane in draws)
     else:
@@ -151,6 +157,36 @@ def test_distinct_returns_the_passes_until_a_lane_repeats(width, lanes, fresh):
     perm = IdealPermutationOracle(width, key, trials)
     twins = [ScalarIdealPermutation(width, k) for k in trial_keys]
     for x in [fresh - 1, 0, fresh - 1, *range(fresh), 0]:
+        assert perm.query(x).tolist() == [twin.query(x) for twin in twins]
+
+
+_TRIALS = hs.one_of(
+    hs.tuples(hs.integers(0, 1 << 40), hs.integers(1, bits.LANE_BATCH)).map(
+        lambda start_count: list(range(start_count[0] + 1, sum(start_count) + 1))),
+    # Any trial counters: lanes that share a tag, or repeat another lane outright.
+    hs.lists(hs.integers(1, (1 << 64) - 1) | hs.integers(1, 8), min_size=1, max_size=64),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(hs.integers(4, 16).flatmap(lambda w: hs.tuples(
+           hs.just(w), hs.integers(1, min(1 << w, 300)), hs.randoms(use_true_random=False))),
+       _TRIALS, hs.integers(0, (1 << 64) - 1))
+@example((12, 256, random.Random(0)), list(range(1, 513)), 7)  # a saturated set's shape
+@example((4, 16, random.Random(1)), list(range(1, 513)), 3)  # every lane's whole codebook
+@example((8, 40, random.Random(2)), [5, 5 + (1 << 56), 6, 5], 9)  # lanes that share a tag
+def test_distinct_and_query_answer_as_the_scalar_twin(width_m_random, trials, key):
+    width, m, rng = width_m_random
+    twins = [ScalarIdealPermutation(width, splitmix_scalar(key, t)) for t in trials]
+    expected = list(zip(*([twin.query(x) for x in range(m)] for twin in twins)))
+    perm = IdealPermutationOracle(width, key, Lanes.of(trials))
+    assert [tuple(a.tolist()) for a in perm.distinct(m)] == expected
+    # Fresh queries in another order, with replays, against fresh twins.
+    order = rng.sample(range(1 << width), m)
+    order += rng.choices(order, k=min(m, 8))
+    twins = [ScalarIdealPermutation(width, splitmix_scalar(key, t)) for t in trials]
+    perm = IdealPermutationOracle(width, key, Lanes.of(trials))
+    for x in order:
         assert perm.query(x).tolist() == [twin.query(x) for twin in twins]
 
 
@@ -535,3 +571,23 @@ def test_accept_rates_agree_with_the_memo_table_engine(name, n, k, r):
     for got, want in zip(lanes, reference):
         tolerance = 3 * (wilson_halfwidth(got, trials) + wilson_halfwidth(want, trials))
         assert abs(got - want) / trials <= tolerance, (lanes, reference)
+
+
+def test_a_batch_of_each_lane_engine_leaves_nothing_for_the_cyclic_collector():
+    # The round memo and the sampler form no reference cycle: with the collector off
+    # during one game batch and one uniform collision batch at 12 and at 64 bits, it
+    # finds nothing to free afterwards.
+    import gc
+
+    machine, params = attack_leading_block(4, 2), UfnParams(UfnKind.SOURCE_HEAVY, 4, 2, 4)
+    specs = [BadEventSpec(UfnKind.TARGET_HEAVY, 4, 2, 64, "uniform"),
+             BadEventSpec(UfnKind.UFN2, 16, 3, 64, "uniform")]
+    gc.collect()
+    gc.disable()
+    try:
+        advantage_counts(machine, params, 3, 0, bits.LANE_BATCH)
+        for spec in specs:
+            bad_event_counts(spec, 3, 0, bits.LANE_BATCH)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -402,3 +403,28 @@ def test_ideal_ufn_replays_from_its_seed():
         assert a.decrypt(x) == b.decrypt(x)
     other = ideal_ufn(params, seed=22)
     assert any(other.encrypt(B(9, v)) != a.encrypt(B(9, v)) for v in range(512))
+
+
+def test_last_input_memo_returns_the_round_values():
+    # Seedless: behind the memo a round returns what it computes, on ints and on Lanes,
+    # for repeated and alternating inputs, and it evaluates an input again only when it
+    # differs in class or value from the one before.
+    keys = Lanes.of(range(1, 9))
+    plain = [SplitMixRound(4, 8, keys), SplitMixRound(8, 4, keys ^ 5)]
+    calls = [0, 0]
+
+    def counted(i, f):
+        def eval_int(x):
+            calls[i] += 1
+            return f.eval_int(x)
+        return SimpleNamespace(in_bits=f.in_bits, out_bits=f.out_bits, eval_int=eval_int)
+
+    memo = feistel.last_input_memo([counted(i, f) for i, f in enumerate(plain)])
+    a, b = Lanes.of(range(8)), Lanes.of([3] * 8)
+    inputs = [0, 0, 3, 0, 3, 3, a, Lanes.of(range(8)), b, a, b, b, 0, a]
+    for i, f in enumerate(plain):
+        assert (memo[i].in_bits, memo[i].out_bits) == (f.in_bits, f.out_bits)
+        for x in inputs:
+            assert memo[i].eval_int(x) == f.eval_int(x)
+    changes = sum(x.__class__ is not y.__class__ or x != y for x, y in zip(inputs, inputs[1:]))
+    assert calls == [changes + 1] * 2

@@ -376,7 +376,8 @@ def test_derive_seed_refuses_other_part_types(part):
 
 
 _INTS = hs.integers(-3, 3) | hs.integers()
-_BITSTRINGS = hs.integers(0, 3).flatmap(
+# Widths to 8 bits: from value 10 on, a bit string's hex text is not its decimal text.
+_BITSTRINGS = hs.integers(0, 8).flatmap(
     lambda w: hs.integers(0, (1 << w) - 1).map(lambda v: BitString(w, v)))
 _TUPLES = hs.lists(
     hs.recursive(_INTS | _BITSTRINGS | hs.text(max_size=2),
@@ -387,15 +388,34 @@ _TUPLES = hs.lists(
 # if one is possible.
 _LABELS = (hs.text(max_size=4) | _INTS.map(str)
            | _BITSTRINGS.map(lambda b: f"b{b.width}.{b.value:x}") | _TUPLES.map(str)
+           | _TUPLES.map(prbg._canonical)
            | hs.lists(hs.text(max_size=2), min_size=2, max_size=3).map("\x1f".join))
 _PARTS = _INTS | _BITSTRINGS | _TUPLES | _LABELS
 
 
-@given(hs.lists(hs.lists(_PARTS, max_size=3).map(tuple), max_size=16))
+@hs.composite
+def _part_sequences(draw):
+    """Part sequences, then labels that copy the text of a part or a whole sequence
+    drawn before them: a label accepted with such a text is a collision."""
+    sequences = draw(hs.lists(hs.lists(_PARTS, max_size=3).map(tuple), max_size=16))
+    texts = []
+    for parts in sequences:
+        try:
+            words = [prbg._canonical(p) for p in parts]
+        except (TypeError, ValueError):
+            continue
+        texts += [*words, "\x1f".join(words)]
+    if texts:
+        sequences += [(text,) for text in draw(hs.lists(hs.sampled_from(texts), max_size=8))]
+    return sequences
+
+
+@given(_part_sequences())
 @example([(1,), ("1",)])
 @example([(BitString(4, 5),), ("b4.5",)])
 @example([(BitString(4, 10),), ("b4.a",)])
 @example([((1, 2),), ("(1, 2)",)])
+@example([((BitString(4, 10),),), ("(b4.a,)",)])
 @example([("a\x1fb",), ("a", "b")])
 @example([(), ("",)])
 def test_derive_seed_text_is_injective_on_accepted_parts(candidates):
@@ -406,6 +426,30 @@ def test_derive_seed_text_is_injective_on_accepted_parts(candidates):
         except (TypeError, ValueError):
             continue
         assert owner.setdefault(text, parts) == parts
+
+
+# A tuple without a bit string is written as its repr, so these seeds keep the values
+# they had when every tuple was: derive_seed(*parts) is the first 8 bytes of the SHA-256.
+@pytest.mark.parametrize("parts, sha256", [
+    (((),), "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
+    ((("a", 1),), "391d545b6971354e834fd411e6fbe505e95fecd5e47e32c196b7766ea4deda4c"),
+    (((1,),), "28cb03b06c288e88c6a880eeba293bf9c9bb9fa586128586459a486a511f832f"),
+    (((-7, ("x", (2, "y")), "z\x1f"), "lbl", 3),
+     "d51886baaddea64b5ee173d6dd035ec154a079a550435095c30602561e4a81bc"),
+    (((("",),),), "419567e3180a1529f0cd185e501bd3367d138f76e552b0854517bed6dd6d9d1e"),
+])
+def test_tuple_seeds_without_bit_strings_hash_their_repr(parts, sha256):
+    assert all(prbg._canonical(p) == repr(p) for p in parts if type(p) is tuple)
+    assert derive_seed(*parts) == int.from_bytes(bytes.fromhex(sha256)[:8], "big")
+
+
+def test_a_bit_string_in_a_tuple_hashes_its_hex_form_at_any_width():
+    # Its dataclass repr would write the value in decimal, past Python's digit limit here.
+    wide = BitString(14285, (1 << 14285) - 1)
+    text = f"('x', (b14285.{wide.value:x}, 3))"
+    digest = hashlib.sha256(text.encode()).digest()
+    assert derive_seed(("x", (wide, 3))) == int.from_bytes(digest[:8], "big")
+    assert derive_seed(("x", BitString(4, 10))) != derive_seed(("x", BitString(5, 10)))
 
 
 _WIDTH_VALUES = hs.integers(0, 64).flatmap(
